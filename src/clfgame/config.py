@@ -68,21 +68,41 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigurationError(f"{key}: {message}")
 
 
-def _matrix(data: Any, key: str, shape: tuple[int, int]) -> np.ndarray:
-    if np.isscalar(data):
-        return np.full(shape, float(data))
-    arr = np.asarray(data, dtype=float)
-    _require(arr.shape == shape, key,
-             f"expected shape {shape}, got {arr.shape}")
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key) or {}
+    _require(isinstance(section, dict), key, "must be a JSON object")
+    return section
+
+
+def _integer(value: Any, key: str, minimum: int) -> int:
+    """An integral JSON number (20 or 20.0, not 20.7, "20" or true)."""
+    integral = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and float(value).is_integer())
+    _require(integral, key, f"must be an integer, got {value!r}")
+    _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _reals(data: Any, key: str) -> np.ndarray:
+    """A finite number or (nested) array of finite numbers, as floats."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # ragged nesting
+        arr = None
+    _require(arr is not None and arr.dtype.kind in "iuf", key,
+             "must be a number or an array of numbers")
+    arr = arr.astype(float)
+    _require(bool(np.isfinite(arr).all()), key, "entries must be finite")
     return arr
 
 
-def _vector(data: Any, key: str, length: int) -> np.ndarray:
-    if np.isscalar(data):
-        return np.full(length, float(data))
-    arr = np.asarray(data, dtype=float)
-    _require(arr.shape == (length,), key,
-             f"expected {length} entries, got shape {arr.shape}")
+def _broadcast(data: Any, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A number broadcast to `shape`, or an array that has that shape."""
+    arr = _reals(data, key)
+    if arr.ndim == 0:
+        return np.full(shape, float(arr))
+    _require(arr.shape == shape, key,
+             f"expected shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -94,16 +114,19 @@ def _game_from_dict(section: dict) -> GameConfig:
 
     user_matrix = "accuracy" in section
     if user_matrix:
-        raw = np.asarray(section["accuracy"], dtype=float)
+        raw = _reals(section["accuracy"], "game.accuracy")
         _require(raw.ndim == 2, "game.accuracy", "must be a 2-d matrix")
-        n_classifiers = int(section.get("n_classifiers", raw.shape[0]))
-        n_types = int(section.get("n_types", raw.shape[1]))
+        n_classifiers = _integer(section.get("n_classifiers", raw.shape[0]),
+                                 "game.n_classifiers", 1)
+        n_types = _integer(section.get("n_types", raw.shape[1]), "game.n_types", 1)
         _require(raw.shape == (n_classifiers, n_types), "game.accuracy",
                  f"dimension mismatch: matrix {raw.shape} vs "
                  f"({n_classifiers}, {n_types})")
     else:
-        n_classifiers = int(section.get("n_classifiers", DEFAULT_ACCURACY.shape[0]))
-        n_types = int(section.get("n_types", DEFAULT_ACCURACY.shape[1]))
+        n_classifiers = _integer(section.get("n_classifiers", DEFAULT_ACCURACY.shape[0]),
+                                 "game.n_classifiers", 1)
+        n_types = _integer(section.get("n_types", DEFAULT_ACCURACY.shape[1]),
+                           "game.n_types", 1)
         _require((n_classifiers, n_types) == DEFAULT_ACCURACY.shape,
                  "game.accuracy",
                  "required when dimensions differ from the bundled 3x4 default")
@@ -120,15 +143,15 @@ def _game_from_dict(section: dict) -> GameConfig:
         raise ConfigurationError(f"game.accuracy: {err}") from err
 
     payoff_kwargs = {}
-    for key, builder, shape in (
-        ("v_learner", _matrix, (n_classifiers, n_types)),
-        ("v_adversary", _matrix, (n_classifiers, n_types)),
-        ("c_classifier", _vector, n_classifiers),
-        ("c_type", _vector, n_types),
+    for key, shape in (
+        ("v_learner", (n_classifiers, n_types)),
+        ("v_adversary", (n_classifiers, n_types)),
+        ("c_classifier", (n_classifiers,)),
+        ("c_type", (n_types,)),
     ):
         default = np.ones(shape) if key.startswith("v_") else np.zeros(shape)
         payoff_kwargs[key] = (
-            builder(section[key], f"game.{key}", shape) if key in section else default
+            _broadcast(section[key], f"game.{key}", shape) if key in section else default
         )
     try:
         payoff = PayoffConfig(**payoff_kwargs)
@@ -147,13 +170,18 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
     kwargs: dict[str, Any] = {}
     for key in ("h", "n_trials", "q", "seed", "traversals_per_trial"):
         if section.get(key) is not None:
-            kwargs[key] = int(section[key])
-    if "C" in section and "ucb_c" not in section:
-        section = dict(section, ucb_c=section["C"])
-    if "ucb_c" in section:
-        kwargs["ucb_c"] = float(section["ucb_c"])
+            kwargs[key] = _integer(section[key], f"run.{key}", 0 if key == "seed" else 1)
+    ucb_key = "C" if "C" in section and "ucb_c" not in section else "ucb_c"
+    if ucb_key in section:
+        ucb_c = _reals(section[ucb_key], f"run.{ucb_key}")
+        _require(ucb_c.ndim == 0 and ucb_c >= 0, f"run.{ucb_key}",
+                 "must be a number >= 0")
+        kwargs["ucb_c"] = float(ucb_c)
     if "rollout_uses_belief" in section:
-        kwargs["rollout_uses_belief"] = bool(section["rollout_uses_belief"])
+        flag = section["rollout_uses_belief"]
+        _require(isinstance(flag, bool), "run.rollout_uses_belief",
+                 f"must be true or false, got {flag!r}")
+        kwargs["rollout_uses_belief"] = flag
     for key, (enum_cls, aliases) in _ENUM_KEYS.items():
         if key in section:
             raw = str(section[key]).lower()
@@ -161,7 +189,7 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
                      f"must be one of {sorted(set(aliases))}")
             kwargs[key] = enum_cls(aliases[raw])
     if section.get("true_p") is not None:
-        probs = np.asarray(section["true_p"], dtype=float)
+        probs = _reals(section["true_p"], "run.true_p")
         _require(probs.shape == (n_types,), "run.true_p",
                  f"expected {n_types} entries, got shape {probs.shape}")
         try:
@@ -179,12 +207,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     known = {"game", "run", "repetitions", "output_dir", "preset"}
     for key in data:
         _require(key in known, key, "unknown key")
-    game = _game_from_dict(data.get("game") or {})
-    run = _run_from_dict(data.get("run") or {}, game.n_types)
+    game = _game_from_dict(_section(data, "game"))
+    run = _run_from_dict(_section(data, "run"), game.n_types)
     kwargs: dict[str, Any] = {}
     if data.get("repetitions") is not None:
-        kwargs["repetitions"] = int(data["repetitions"])
+        kwargs["repetitions"] = _integer(data["repetitions"], "repetitions", 1)
     if data.get("output_dir") is not None:
+        _require(isinstance(data["output_dir"], str), "output_dir", "must be a string")
         kwargs["output_dir"] = Path(data["output_dir"])
     if data.get("preset") is not None:
         kwargs["preset"] = str(data["preset"])
@@ -240,6 +269,7 @@ def with_overrides(spec: ExperimentSpec, seed: Optional[int] = None,
                    repetitions: Optional[int] = None) -> ExperimentSpec:
     """Apply command-line overrides on top of a loaded spec."""
     if seed is not None:
+        _require(seed >= 0, "run.seed", f"must be >= 0, got {seed}")
         spec = replace(spec, run=replace(spec.run, seed=seed))
     if output_dir is not None:
         spec = replace(spec, output_dir=Path(output_dir))

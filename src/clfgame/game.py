@@ -40,7 +40,8 @@ def _as_readonly_array(values, ndim: int, name: str) -> np.ndarray:
 
 
 def _validate_simplex(probs: np.ndarray, name: str) -> None:
-    if np.any(probs < -SIMPLEX_ATOL) or np.any(probs > 1 + SIMPLEX_ATOL):
+    # phrased so that NaN entries fail too
+    if not np.all((probs >= -SIMPLEX_ATOL) & (probs <= 1 + SIMPLEX_ATOL)):
         raise ConfigurationError(f"{name} entries must lie in [0, 1], got {probs}")
     total = float(probs.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
@@ -126,7 +127,7 @@ class AccuracyMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "acc", _as_readonly_array(self.acc, 2, "AccuracyMatrix"))
-        if np.any(self.acc < 0) or np.any(self.acc > 1):
+        if not np.all((self.acc >= 0) & (self.acc <= 1)):  # NaN fails too
             raise ConfigurationError("accuracy out of [0,1]")
         drops = np.diff(self.acc, axis=0) < 0
         if drops.any():
@@ -165,6 +166,9 @@ class PayoffConfig:
         object.__setattr__(self, "v_adversary", _as_readonly_array(self.v_adversary, 2, "v_adversary"))
         object.__setattr__(self, "c_classifier", _as_readonly_array(self.c_classifier, 1, "c_classifier"))
         object.__setattr__(self, "c_type", _as_readonly_array(self.c_type, 1, "c_type"))
+        for name in ("v_learner", "v_adversary", "c_classifier", "c_type"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"{name} entries must be finite")
         if np.any(self.c_classifier < 0) or np.any(self.c_type < 0):
             raise ConfigurationError("costs must be non-negative")
 

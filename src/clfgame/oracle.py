@@ -5,12 +5,18 @@ classifier's behavior on a type-i query collapses to a Bernoulli draw with
 the matrix entry as its success probability (or the entry itself, in
 expectation mode, for variance-free runs).  All randomness flows through an
 explicit, splittable RandomSource so trials can be replayed bit-for-bit.
+
+A play answers a batch of queries of one type, so `classify` also takes a
+whole array of classifiers and makes one random call for the batch.  That
+call yields the same doubles, in the same order, as one scalar call per
+query did, so a seed reproduces the reports of the per-query code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -45,8 +51,7 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """One query instance: a hidden ground-truth label and the perturbation
     strength (adversary type) used to produce it."""
 
@@ -58,16 +63,33 @@ class Query:
 def generate_queries(theta: AdversaryTypeId, q: int, rng: RandomSource) -> list[Query]:
     """Batch of q type-theta queries with uniformly random binary labels."""
     labels = rng.generator.integers(0, 2, size=q)
-    return [Query(int(label), theta, k) for k, label in enumerate(labels)]
+    return list(map(Query, labels.tolist(), repeat(theta), range(q)))
 
 
-def classify(j: ClassifierId, query: Query, cfg: GameConfig,
-             mode: ClassificationMode, rng: RandomSource) -> float:
-    """Correctness of classifier j on one query.
+def classify(j: Union[ClassifierId, np.ndarray], query: Query, cfg: GameConfig,
+             mode: ClassificationMode,
+             rng: RandomSource) -> Union[float, np.ndarray]:
+    """Correctness of classifier j on one query, or of a batch of them.
 
     Stochastic mode returns 1.0 with probability acc[j][type], else 0.0;
     expectation mode returns the accuracy entry itself.
+
+    Batch form: `j` is an int array holding the classifier that answers
+    each query of a batch, and `query` is any query of that batch (all share
+    its type).  The ranges are checked once, stochastic mode makes a single
+    `random` call for the whole batch, and a float array of correctness
+    comes back.  That call draws exactly the doubles that one scalar call
+    per query would, in order, so seeds reproduce earlier reports.
     """
+    if isinstance(j, np.ndarray):
+        if j.size:
+            cfg.check_classifier(int(j.min()))
+            cfg.check_classifier(int(j.max()))
+        cfg.check_type(query.type_id)
+        p_batch = cfg.accuracy.acc[j, query.type_id]
+        if mode is ClassificationMode.EXPECTATION:
+            return p_batch
+        return (rng.generator.random(j.shape) < p_batch).astype(float)
     cfg.check_classifier(j)
     cfg.check_type(query.type_id)
     p_correct = float(cfg.accuracy.acc[j, query.type_id])

@@ -75,6 +75,8 @@ class SelfPlayConfig:
             raise ConfigurationError("ucb_c must be finite and >= 0")
         if self.traversals_per_trial is not None and self.traversals_per_trial < 1:
             raise ConfigurationError("traversals_per_trial must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     def resolved(self, cfg: GameConfig) -> "SelfPlayConfig":
         """Fill in defaults that need the game's dimensions."""

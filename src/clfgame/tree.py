@@ -143,17 +143,42 @@ class SearchContext:
     plays: list[PlayRecord] = field(default_factory=list)
 
 
+#: `Generator.choice`'s tolerance on the sum of its probabilities.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(weights: np.ndarray, total: float) -> np.ndarray:
+    """The CDF `Generator.choice(len(weights), p=weights / total)` samples.
+
+    Built with choice's own arithmetic, so `cdf.searchsorted(u,
+    side="right")` on the double u that choice would draw returns choice's
+    index.  Raises ValueError where choice does: on NaN or negative
+    probabilities, or ones that do not sum to one.
+    """
+    p = weights / total
+    if not p.min() >= 0.0:  # NaN compares false
+        raise ValueError(f"probabilities must be non-negative, not NaN: {p}")
+    cdf = p.cumsum()
+    if abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
+        raise ValueError(f"probabilities do not sum to 1: {p}")
+    cdf /= cdf[-1]
+    return cdf
+
+
 def proportional_choice(rng: RandomSource, weights: np.ndarray) -> int:
     """Draw an index with probability proportional to its weight.
 
     Zero-weight entries are never drawn; an all-zero vector falls back to a
-    uniform draw.
+    uniform draw.  The draw is the one `Generator.choice(p=weights / total)`
+    makes, one `random()` double on choice's CDF, with choice's errors, so
+    seeds reproduce the reports of code that called choice directly.
     """
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0.0:
         return int(rng.generator.integers(len(weights)))
-    return int(rng.generator.choice(len(weights), p=weights / total))
+    cdf = _choice_cdf(weights, total)
+    return int(cdf.searchsorted(rng.generator.random(), side="right"))
 
 
 def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
@@ -163,15 +188,18 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
     Each query is answered by a classifier drawn from the strategy; both
     sides receive mean-per-query utilities so results are invariant to the
     batch size.
+
+    The draw order is pinned: the query labels, then one `random(q)` call
+    for the q classifiers (on the strategy's `proportional_choice` CDF),
+    then one batch `classify` call for correctness.  These are the doubles
+    the per-query loop of q `proportional_choice` and q `classify` calls
+    drew, so a seed reproduces that loop's reports byte for byte.
     """
     queries = generate_queries(theta, run.q, rng)
-    chosen = np.array([
-        proportional_choice(rng, strategy.probs) for _ in queries
-    ], dtype=np.int64)
-    correct = np.array([
-        classify(int(j), query, cfg, run.classification_mode, rng)
-        for j, query in zip(chosen, queries)
-    ])
+    # a Strategy is a validated distribution, so its total is positive
+    cdf = _choice_cdf(strategy.probs, strategy.probs.sum())
+    chosen = cdf.searchsorted(rng.generator.random(len(queries)), side="right")
+    correct = classify(chosen, queries[0], cfg, run.classification_mode, rng)
     payoff = cfg.payoff
     u_learner = float(np.mean(
         correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]

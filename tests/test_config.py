@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from clfgame import (
+    AccuracyMatrix,
     AdversaryMode,
     ClassificationMode,
     ConfigurationError,
+    PayoffConfig,
     SelectionMethod,
+    SelfPlayConfig,
+    TypeDistribution,
     UpdateRule,
 )
 from clfgame.config import (
@@ -152,3 +156,73 @@ class TestRoundTrip:
         assert out.repetitions == 4
         # the original is untouched
         assert spec.run.seed == 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (spec, key the error must name); each is a spec the CLI must refuse.
+BAD_SPECS = [
+    ({"game": {"accuracy": [[0.9, NAN], [0.95, 0.8]]}}, "game.accuracy"),
+    ({"game": {"accuracy": "x"}}, "game.accuracy"),
+    ({"game": {"accuracy": [[0.9, 0.8], [0.9]]}}, "game.accuracy"),
+    ({"game": {"c_classifier": [0, INF, 0]}}, "game.c_classifier"),
+    ({"game": {"c_type": [0, 0, NAN, 0]}}, "game.c_type"),
+    ({"game": {"v_learner": INF}}, "game.v_learner"),
+    ({"game": {"v_adversary": [[1, 1, 1, -INF]] * 3}}, "game.v_adversary"),
+    ({"game": {"n_types": "4"}}, "game.n_types"),
+    ({"game": 5}, "game"),
+    ({"run": {"true_p": [NAN, 0.5, 0.25, 0.25]}}, "run.true_p"),
+    ({"run": {"true_p": ["a", "b", "c", "d"]}}, "run.true_p"),
+    ({"run": {"h": "abc"}}, "run.h"),
+    ({"run": {"h": 20.7}}, "run.h"),
+    ({"run": {"h": 0}}, "run.h"),
+    ({"run": {"q": True}}, "run.q"),
+    ({"run": {"seed": -1}}, "run.seed"),
+    ({"run": {"n_trials": INF}}, "run.n_trials"),
+    ({"run": {"rollout_uses_belief": "false"}}, "run.rollout_uses_belief"),
+    ({"run": {"C": NAN}}, "run.C"),
+    ({"run": {"ucb_c": -1}}, "run.ucb_c"),
+    ({"repetitions": 0.5}, "repetitions"),
+    ({"output_dir": 3}, "output_dir"),
+]
+
+
+class TestBadSpecs:
+    @pytest.mark.parametrize("data, key", BAD_SPECS)
+    def test_config_error_names_key(self, data, key):
+        with pytest.raises(ConfigurationError, match=rf"^{key}: "):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("data, key", BAD_SPECS)
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, data, key):
+        from clfgame.cli import main
+        path = write_spec(tmp_path, data)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_seed_override_is_checked(self, tmp_path, capsys):
+        from clfgame.cli import main
+        assert main(["acc-check", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: run.seed: ")
+
+    def test_integral_floats_and_booleans_accepted(self):
+        spec = spec_from_dict({"run": {"h": 20.0, "rollout_uses_belief": False},
+                               "repetitions": 3.0})
+        assert spec.run.h == 20 and isinstance(spec.run.h, int)
+        assert spec.run.rollout_uses_belief is False
+        assert spec.repetitions == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda: TypeDistribution(np.array([NAN, 0.5, 0.5])),
+        lambda: AccuracyMatrix(np.array([[0.9, NAN]])),
+        lambda: PayoffConfig(np.ones((1, 1)), np.ones((1, 1)),
+                             np.array([INF]), np.zeros(1)),
+        lambda: SelfPlayConfig(seed=-1),
+    ])
+    def test_domain_types_reject_non_finite_and_negative_seed(self, build):
+        with pytest.raises(ConfigurationError):
+            build()

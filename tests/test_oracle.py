@@ -5,6 +5,7 @@ import pytest
 
 from clfgame import (
     ClassificationMode,
+    ConfigurationError,
     Query,
     RandomSource,
     classify,
@@ -111,3 +112,45 @@ class TestRandomSource:
         parent = RandomSource(42)
         (child,) = parent.split(1)
         assert parent.generator.random(5).tolist() != child.generator.random(5).tolist()
+
+
+class TestClassifyBatch:
+    """The batch form answers a whole play's queries with one range check
+    and one random call, and agrees with one scalar call per query."""
+
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_matches_scalar_calls_and_stream(self, cfg, mode):
+        for seed in range(50):
+            meta = np.random.default_rng(seed)
+            chosen = meta.integers(0, 3, size=int(meta.integers(1, 40)))
+            query = Query(0, int(meta.integers(4)), 0)
+            ours, theirs = RandomSource(seed), RandomSource(seed)
+            batch = classify(chosen, query, cfg, mode, ours)
+            scalar = [classify(int(j), query, cfg, mode, theirs) for j in chosen]
+            assert batch.dtype == np.float64
+            assert batch.tolist() == scalar
+            assert ours.generator.random() == theirs.generator.random()
+
+    def test_expectation_mode_draws_nothing(self, cfg):
+        rng = RandomSource(3)
+        got = classify(np.array([0, 2, 1]), Query(0, 3, 0), cfg,
+                       ClassificationMode.EXPECTATION, rng)
+        np.testing.assert_array_equal(got, cfg.accuracy.acc[[0, 2, 1], 3])
+        assert rng.generator.random() == RandomSource(3).generator.random()
+
+    @pytest.mark.parametrize("chosen, type_id", [
+        ([0, 3, 1], 0),
+        ([-1, 0], 1),
+        ([0, 1], 4),
+        ([2], -1),
+    ])
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_out_of_range_raises(self, cfg, chosen, type_id, mode):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            classify(np.array(chosen), Query(0, type_id, 0), cfg, mode,
+                     RandomSource(0))
+
+    def test_empty_batch(self, cfg):
+        got = classify(np.array([], dtype=np.int64), Query(0, 1, 0), cfg,
+                       ClassificationMode.STOCHASTIC, RandomSource(0))
+        assert got.shape == (0,)

@@ -319,3 +319,104 @@ class TestPlayBatch:
         rec = play_batch(policy, 1, cfg, run, RandomSource(43))
         assert 1 not in set(rec.per_query_classifier.tolist())
         assert rec.realized_type == 1
+
+
+def reference_choice(rng, weights):
+    """`proportional_choice` as it was: a direct `Generator.choice` call."""
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if total <= 0.0:
+        return int(rng.generator.integers(len(weights)))
+    return int(rng.generator.choice(len(weights), p=weights / total))
+
+
+def reference_play_batch(strategy, theta, cfg, run, rng):
+    """`play_batch` as it was: one choice draw and one classify call per query."""
+    from clfgame import classify, generate_queries
+    queries = generate_queries(theta, run.q, rng)
+    chosen = np.array([
+        reference_choice(rng, strategy.probs) for _ in queries
+    ], dtype=np.int64)
+    correct = np.array([
+        classify(int(j), query, cfg, run.classification_mode, rng)
+        for j, query in zip(chosen, queries)
+    ])
+    payoff = cfg.payoff
+    u_learner = float(np.mean(
+        correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]
+    ))
+    u_adversary = float(np.mean(
+        (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta]
+    ))
+    return chosen, correct, (u_learner, u_adversary)
+
+
+def random_weights(meta, n):
+    """Weight vectors with zero entries, pure vectors, ties and wide scales."""
+    kind = meta.integers(4)
+    if kind == 0:
+        weights = np.zeros(n)
+        weights[meta.integers(n)] = meta.choice([1.0, 1e-12, 7e5])
+        return weights
+    if kind == 1:
+        return np.full(n, meta.choice([1.0, 0.1, 1e-9, 3e8]))
+    weights = meta.random(n) * 10.0 ** meta.integers(-9, 9)
+    if kind == 2:
+        weights[meta.random(n) < 0.4] = 0.0
+        if not weights.any():
+            weights[0] = 0.5
+    else:
+        weights[meta.integers(n, size=2)] = weights[0]  # ties
+    return weights
+
+
+class TestStreamEquivalence:
+    """The vectorized draws return exactly what the per-query calls to
+    `Generator.choice` returned, and leave the stream at the same place."""
+
+    def test_proportional_choice_matches_generator_choice(self):
+        meta = np.random.default_rng(2024)
+        for case in range(1500):
+            weights = random_weights(meta, int(meta.integers(1, 12)))
+            ours, theirs = RandomSource(case), RandomSource(case)
+            expected = int(theirs.generator.choice(len(weights),
+                                                   p=weights / weights.sum()))
+            assert proportional_choice(ours, weights) == expected, weights
+            assert ours.generator.random() == theirs.generator.random()
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, -0.1, 0.6],
+        [1.0, np.nan, 0.0],
+        [np.inf, 1.0, 0.0],
+    ])
+    def test_invalid_weights_still_raise(self, weights):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                proportional_choice(RandomSource(0), np.array(weights))
+            with pytest.raises(ValueError):
+                reference_choice(RandomSource(0), np.array(weights))
+
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_play_batch_matches_per_query_loop(self, mode):
+        cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
+        meta = np.random.default_rng(7)
+        for seed in range(200):
+            kind = seed % 3
+            if kind == 0:
+                strategy = Strategy.pure(int(meta.integers(3)), 3)
+            elif kind == 1:
+                strategy = Strategy(meta.dirichlet(np.ones(3)))
+            else:
+                probs = np.array([0.25, 0.0, 0.75])
+                strategy = Strategy(meta.permutation(probs))
+            theta = int(meta.integers(4))
+            run = SelfPlayConfig(q=int(meta.integers(1, 60)), seed=seed,
+                                 classification_mode=mode).resolved(cfg)
+            ours, theirs = RandomSource(seed), RandomSource(seed)
+            rec = play_batch(strategy, theta, cfg, run, ours)
+            chosen, correct, utilities = reference_play_batch(
+                strategy, theta, cfg, run, theirs)
+            np.testing.assert_array_equal(rec.per_query_classifier, chosen)
+            np.testing.assert_array_equal(rec.per_query_correct, correct)
+            assert tuple(rec.utilities) == utilities
+            assert ours.generator.random() == theirs.generator.random()
