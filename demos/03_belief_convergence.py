@@ -1,8 +1,7 @@
 """Watch the learner's belief converge to the adversary's type distribution.
 
-Each self-play trial traverses a fresh game tree, realizes a batch of plays
-against the opponent model, and folds the observed (classifier, type) pairs
-into the belief.  The KL divergence between belief and actual distribution
+Each self-play trial realizes a batch of plays against the opponent model
+and folds the observed (classifier, type) pairs into the belief.  The KL divergence between belief and actual distribution
 drops as observations accumulate, under both update rules.
 """
 

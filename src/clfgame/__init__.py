@@ -1,9 +1,10 @@
 """Game-theoretic selection among differently hardened classifiers.
 
 A learner repeatedly faces an adversary whose queries carry a hidden
-perturbation strength.  Tree-search self-play against an opponent model
-estimates the adversary's type distribution while the learner balances
-classification accuracy against classifier deployment cost.
+perturbation strength.  Self-play against a model of the adversary feeds
+realized plays into a belief over the adversary's type distribution, while
+the learner balances classification accuracy against classifier deployment
+cost.
 """
 
 from .belief import (
@@ -56,17 +57,12 @@ from .selfplay import (
 )
 from .tree import (
     AdversaryMode,
-    ExpansionState,
-    GameTreeNode,
-    Mover,
     PlayRecord,
     PlayStats,
     SearchContext,
     game_play,
     play_batch,
     proportional_choice,
-    rollout,
-    select_best_child,
     tree_traverse,
 )
 

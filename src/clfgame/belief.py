@@ -2,10 +2,13 @@
 
 The learner never observes the adversary's type directly at decision time;
 it accumulates (classifier played, type realized) pairs from finished plays
-and summarizes them into a marginal type distribution `p_hat` with one of
-two update rules: fictitious play (per-action empirical frequencies) or a
-Bayes-rule reconstruction from action-given-type likelihoods.  KL divergence
-against the adversary's actual distribution is the convergence metric.
+and summarizes them into a marginal type distribution `p_hat`.  Two update
+rules define per-action type conditionals: fictitious play (per-action
+empirical frequencies) and a Bayes-rule reconstruction from
+action-given-type likelihoods.  Both mix into the same marginal, the
+empirical type distribution; the conditionals are reported as diagnostics.
+KL divergence against the adversary's actual distribution is the
+convergence metric.
 """
 
 from __future__ import annotations
@@ -103,18 +106,6 @@ def fp_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     return TypeDistribution(row / total)
 
 
-def _bayes_posterior(b: BeliefState, action: ClassifierId,
-                     type_prior: np.ndarray) -> TypeDistribution:
-    type_totals = b.joint_counts.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        likelihood = np.where(type_totals > 0, b.joint_counts[action] / np.maximum(type_totals, 1), 0.0)
-    weighted = likelihood * type_prior
-    denom = weighted.sum()
-    if denom <= 0.0:
-        return b.prior
-    return TypeDistribution(weighted / denom)
-
-
 def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     """Bayes-rule type posterior for one classifier.
 
@@ -123,40 +114,35 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     current `p_hat`.  A zero denominator (classifier absent from every
     type's history) falls back to the prior.
     """
-    return _bayes_posterior(b, action, b.p_hat.probs)
+    type_totals = b.joint_counts.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        likelihood = np.where(type_totals > 0, b.joint_counts[action] / np.maximum(type_totals, 1), 0.0)
+    weighted = likelihood * b.p_hat.probs
+    denom = weighted.sum()
+    if denom <= 0.0:
+        return b.prior
+    return TypeDistribution(weighted / denom)
 
 
 def refresh_marginal(b: BeliefState) -> BeliefState:
-    """Recompute p_hat from the counts under the active update rule.
+    """Recompute p_hat from the counts: the empirical type distribution.
 
-    The marginal is the action-frequency-weighted mixture of per-action
-    conditionals: sum_j w(j) * P(type | action j), with w(j) the empirical
-    selection frequency of classifier j.  With no observations the belief
-    stays at the prior.
-
-    For the Bayes rule the mixture's type prior is taken as the
-    count-consistent marginal (column sums / total) rather than the stale
-    p_hat: the likelihood and the action marginal in Bayes' identity are
-    both computed from the same counts, and only that prior keeps the three
-    ingredients mutually consistent.  (The learner moves before the type is
-    realized, so action-given-type likelihoods carry no information of
-    their own; updating against a stale prior provably stalls.)
+    Both update rules give this marginal.  Each defines it as the
+    action-frequency-weighted mixture of per-action conditionals,
+    sum_j w(j) * P(type | action j) with w(j) = n_j / N.  Under fictitious
+    play P(i | j) = n_ji / n_j, so the mixture is n_i / N.  Under the Bayes
+    rule, with likelihood n_ji / n_i and the count-consistent type prior
+    n_i / N, the posterior is again n_ji / n_j.  (A stale p_hat as the
+    prior would stall the update: the learner moves before the type is
+    realized, so the likelihoods carry no information of their own.)  The
+    conditionals stay available as diagnostics (`fp_conditional`,
+    `bu_conditional`).  With no observations the belief stays at the prior.
     """
-    action_totals = b.action_counts
-    total = int(action_totals.sum())
+    type_totals = b.joint_counts.sum(axis=0)
+    total = int(type_totals.sum())
     if total == 0:
         return replace(b, p_hat=b.prior)
-    weights = action_totals / total
-    if b.update_rule is UpdateRule.FICTITIOUS_PLAY:
-        conditionals = [fp_conditional(b, j) for j in range(len(weights))]
-    else:
-        empirical = b.joint_counts.sum(axis=0) / total
-        conditionals = [_bayes_posterior(b, j, empirical) for j in range(len(weights))]
-    mixed = np.zeros(b.joint_counts.shape[1])
-    for w, cond in zip(weights, conditionals):
-        if w > 0:
-            mixed += w * cond.probs
-    return replace(b, p_hat=TypeDistribution(mixed))
+    return replace(b, p_hat=TypeDistribution(type_totals / total))
 
 
 def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:

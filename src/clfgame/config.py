@@ -163,7 +163,7 @@ def _game_from_dict(section: dict) -> GameConfig:
 def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
     known = {"h", "n_trials", "q", "ucb_c", "C", "selection", "update_rule",
              "adversary_mode", "classification_mode", "true_p", "seed",
-             "traversals_per_trial", "rollout_uses_belief"}
+             "traversals_per_trial"}
     for key in section:
         _require(key in known, f"run.{key}", "unknown key")
 
@@ -177,11 +177,6 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
         _require(ucb_c.ndim == 0 and ucb_c >= 0, f"run.{ucb_key}",
                  "must be a number >= 0")
         kwargs["ucb_c"] = float(ucb_c)
-    if "rollout_uses_belief" in section:
-        flag = section["rollout_uses_belief"]
-        _require(isinstance(flag, bool), "run.rollout_uses_belief",
-                 f"must be true or false, got {flag!r}")
-        kwargs["rollout_uses_belief"] = flag
     for key, (enum_cls, aliases) in _ENUM_KEYS.items():
         if key in section:
             raw = str(section[key]).lower()
@@ -256,7 +251,6 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             "true_p": None if run.true_p is None else run.true_p.probs.tolist(),
             "seed": run.seed,
             "traversals_per_trial": run.traversals_per_trial,
-            "rollout_uses_belief": run.rollout_uses_belief,
         },
         "repetitions": spec.repetitions,
         "output_dir": str(spec.output_dir),

@@ -1,10 +1,10 @@
-"""Outer self-play loop: repeated trials of tree search plus belief updates.
+"""Outer self-play loop: repeated trials of plays plus belief updates.
 
-Each trial starts a fresh tree root, runs a fixed number of traversals from
-it, then folds every play realized during the trial into the belief and
-records the divergence from the adversary's actual type distribution.  A
-fixed-policy evaluator produces the same metrics without search or belief
-updates, as the baseline for utility comparisons.
+Each trial realizes a fixed number of plays, then folds every play of the
+trial into the belief and records the divergence from the adversary's
+actual type distribution.  A fixed-policy evaluator produces the same
+metrics without adaptive selection or belief updates, as the baseline for
+utility comparisons.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .oracle import ClassificationMode, RandomSource
 from .selection import SelectionMethod
 from .tree import (
     AdversaryMode,
-    GameTreeNode,
-    Mover,
     PlayRecord,
     PlayStats,
     SearchContext,
@@ -48,9 +46,10 @@ from .tree import (
 class SelfPlayConfig:
     """Run parameters for one self-play run.
 
-    `traversals_per_trial` controls how many tree traversals (and hence
-    realized plays) one trial performs; it defaults to the cutoff depth,
-    one play per move of a full-depth path.
+    `traversals_per_trial` is the number of plays one trial realizes; the
+    cutoff depth `h` does nothing but set its default.  `update_rule` is
+    carried on the belief; both rules give the same marginal (see
+    `refresh_marginal`).
     """
 
     h: int = 20
@@ -64,7 +63,6 @@ class SelfPlayConfig:
     true_p: Optional[TypeDistribution] = None
     seed: int = 0
     traversals_per_trial: Optional[int] = None
-    rollout_uses_belief: bool = False
 
     def __post_init__(self):
         if self.h < 1:
@@ -153,11 +151,10 @@ def _aggregate(plays: list[PlayRecord], cfg: GameConfig,
 def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
-    Per trial: build a fresh root (the learner's first move out of it is
-    the expansion machinery's uniformly random pick), traverse it
-    `traversals_per_trial` times, record every realized play's (classifier,
-    type) pair into the belief, refresh the marginal under the configured
-    rule, and log the KL divergence to the actual type distribution.
+    Per trial: realize `traversals_per_trial` plays, record every play's
+    (classifier, type) pair into the belief, refresh the marginal under the
+    configured rule, and log the KL divergence to the actual type
+    distribution.
     """
     run = run.resolved(cfg)
     rng = RandomSource(run.seed)
@@ -167,10 +164,9 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     kl_curve: list[float] = []
     err_curve: list[float] = []
     for _ in range(run.n_trials):
-        root = GameTreeNode(0, Mover.LEARNER)
         trial_start = len(ctx.plays)
         for _ in range(run.traversals_per_trial):
-            tree_traverse(root, ctx)
+            tree_traverse(ctx)
         for rec in ctx.plays[trial_start:]:
             belief = record_observation(belief, rec.chosen_action, rec.realized_type)
         belief = refresh_marginal(belief)
@@ -184,9 +180,9 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
                           policy: Strategy) -> SelfPlayResult:
     """Metrics for a fixed learner strategy over the same play schedule.
 
-    No tree search and no belief updates: every play draws its per-query
-    classifiers from `policy`.  The belief stays at the prior, so the KL
-    column reports the prior's divergence for every trial.
+    No adaptive selection and no belief updates: every play draws its
+    per-query classifiers from `policy`.  The belief stays at the prior, so
+    the KL column reports the prior's divergence for every trial.
     """
     run = run.resolved(cfg)
     if len(policy) != cfg.n_classifiers:

@@ -1,30 +1,23 @@
-"""Repeated-game tree: plays, traversal, best-child selection and rollout.
+"""Plays of the repeated game.
 
-The learner and adversary move alternately (learner first); a pair of moves
-is one game instance.  A traversal descends the tree along best children
-where it is fully expanded, expands the frontier by one node otherwise, and
-finishes with a rollout whose terminal performs an actual play of the game.
-Every play's realized (classifier, type) pair is logged on the search
-context so the caller can feed belief updates from realized plays only,
-never from counterfactual branches.
+A play is one game instance: the learner picks a strategy with the
+configured selection rule, the adversary's type is realized, and a batch
+of q queries of that type is answered.  `tree_traverse` realizes one play
+and logs it on the search context, so the caller feeds belief updates from
+realized plays only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .belief import BeliefState
-from .game import (
-    GameConfig,
-    Strategy,
-    UtilityPair,
-    pure_learner_utilities,
-)
-from .oracle import ClassificationMode, RandomSource, classify, generate_queries
+from .game import GameConfig, Strategy, UtilityPair
+from .oracle import RandomSource, classify, generate_queries
 from .selection import (
     NodeStats,
     SelectionMethod,
@@ -36,17 +29,6 @@ from .selection import (
 if TYPE_CHECKING:
     from .selfplay import SelfPlayConfig
 
-#: Keeps rollout move weights strictly positive when all utilities tie.
-ROLLOUT_SHIFT_EPS = 1e-6
-
-
-class Mover(Enum):
-    LEARNER = "learner"
-    ADVERSARY = "adversary"
-
-    def other(self) -> "Mover":
-        return Mover.ADVERSARY if self is Mover.LEARNER else Mover.LEARNER
-
 
 class AdversaryMode(str, Enum):
     """How the adversary's type is realized in a play: drawn from its actual
@@ -54,51 +36,6 @@ class AdversaryMode(str, Enum):
 
     SAMPLED = "sampled"
     BEST_RESPONSE = "best_response"
-
-
-class ExpansionState(Enum):
-    UNVISITED = "unvisited"
-    VISITED = "visited"
-    FULLY_EXPANDED = "fully_expanded"
-
-
-class GameTreeNode:
-    """One move point in the alternating game tree."""
-
-    __slots__ = ("depth", "mover", "incoming_action", "visit_count",
-                 "value_learner", "value_adversary", "children", "expansion_state")
-
-    def __init__(self, depth: int, mover: Mover,
-                 incoming_action: Optional[int] = None):
-        self.depth = depth
-        self.mover = mover
-        self.incoming_action = incoming_action
-        self.visit_count = 0
-        self.value_learner = 0.0
-        self.value_adversary = 0.0
-        self.children: dict[int, GameTreeNode] = {}
-        self.expansion_state = ExpansionState.UNVISITED
-
-    @property
-    def value_sum(self) -> UtilityPair:
-        return UtilityPair(self.value_learner, self.value_adversary)
-
-    def add_value(self, value: UtilityPair) -> None:
-        self.value_learner += value.u_learner
-        self.value_adversary += value.u_adversary
-
-    def expand(self, cfg: GameConfig) -> None:
-        """Create one child per action available to this node's mover."""
-        n_actions = cfg.n_classifiers if self.mover is Mover.LEARNER else cfg.n_types
-        self.children = {
-            a: GameTreeNode(self.depth + 1, self.mover.other(), incoming_action=a)
-            for a in range(n_actions)
-        }
-        self.expansion_state = ExpansionState.FULLY_EXPANDED
-
-    def __repr__(self) -> str:
-        return (f"GameTreeNode(depth={self.depth}, mover={self.mover.name}, "
-                f"visits={self.visit_count}, state={self.expansion_state.name})")
 
 
 @dataclass(frozen=True)
@@ -131,7 +68,7 @@ class PlayStats:
 
 @dataclass
 class SearchContext:
-    """Everything a traversal needs: game config, run parameters, the
+    """Everything a play step needs: game config, run parameters, the
     learner's current belief, the random stream, play-level statistics and
     the log of realized plays."""
 
@@ -246,98 +183,16 @@ def game_play(belief: BeliefState, cfg: GameConfig, run: "SelfPlayConfig",
     return record
 
 
-def _terminal_play(ctx: SearchContext) -> UtilityPair:
+def tree_traverse(ctx: SearchContext) -> UtilityPair:
+    """Realize one play and log its record on `ctx.plays`.
+
+    This is the whole of a self-play step: one `game_play` call on the
+    context's belief, play statistics and random stream.  It replaces a
+    game-tree traversal whose descent and random-walk draws never reached
+    the play.  The name stays, as does this module's, because the benchmark
+    (`bench/tracer.py`, `bench/workloads.py`) counts `tree_traverse` calls
+    as one per play and times the `tree` layer by them.
+    """
     record = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats)
     ctx.plays.append(record)
     return record.utilities
-
-
-def select_best_child(node: GameTreeNode, ctx: SearchContext) -> GameTreeNode:
-    """Best child under the configured rule.
-
-    BNE: the child whose incoming action matches the best response for this
-    node's mover.  UCB: score the children's own visit counts and
-    accumulated value sums (each mover reads its own utility component).
-    """
-    if node.expansion_state is not ExpansionState.FULLY_EXPANDED:
-        raise RuntimeError("select_best_child requires a fully expanded node")
-    if ctx.run.selection is SelectionMethod.BNE:
-        strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
-        action = int(np.argmax(strategy.probs)) if node.mover is Mover.LEARNER else br_type
-        return node.children[action]
-    actions = sorted(node.children)
-    stats = NodeStats(
-        parent_visits=node.visit_count,
-        action_visits=np.array([node.children[a].visit_count for a in actions]),
-        action_value_sums=np.array([
-            node.children[a].value_learner if node.mover is Mover.LEARNER
-            else node.children[a].value_adversary
-            for a in actions
-        ]),
-    )
-    if node.mover is Mover.LEARNER:
-        return node.children[actions[ucb_select_learner(stats, ctx.run.ucb_c)]]
-    return node.children[actions[ucb_select_adversary(stats, ctx.run.ucb_c)]]
-
-
-def rollout(node: GameTreeNode, ctx: SearchContext) -> UtilityPair:
-    """Walk from a node to the cutoff depth and play the game there.
-
-    Learner moves are drawn proportionally to the immediate expected
-    utilities of the pure strategies under the current belief (shifted
-    positive, since proportional selection is undefined for negative
-    utilities); adversary moves are drawn from the opponent model, i.e. the
-    actual type distribution, or the belief when configured.  The walk
-    touches no tree state; the terminal play's value is returned unchanged.
-    """
-    run = ctx.run
-    depth, mover = node.depth, node.mover
-    while depth < run.h:
-        # The drawn move fixes the walked path only; the terminal play is
-        # self-contained, so no per-step utility is accumulated.
-        if mover is Mover.LEARNER:
-            utilities = pure_learner_utilities(ctx.belief.p_hat, ctx.cfg)
-            weights = utilities - utilities.min() + ROLLOUT_SHIFT_EPS
-            _ = proportional_choice(ctx.rng, weights)
-        else:
-            model = ctx.belief.p_hat if run.rollout_uses_belief else run.true_p
-            _ = proportional_choice(ctx.rng, model.probs)
-        depth += 1
-        mover = mover.other()
-    return _terminal_play(ctx)
-
-
-def tree_traverse(node: GameTreeNode, ctx: SearchContext) -> UtilityPair:
-    """One traversal: descend, expand or roll out, then backtrack the value.
-
-    At the cutoff depth the node realizes a play and returns its utilities.
-    A fully expanded node recurses into its best child; a visited node
-    generates all children and rolls out from a uniformly random one; an
-    unvisited node rolls out from itself.  The returned value is added into
-    every node the traversal passed through.
-    """
-    if node.depth == ctx.run.h:
-        value = _terminal_play(ctx)
-        node.add_value(value)
-        node.visit_count += 1
-        return value
-
-    state = node.expansion_state
-    if state is ExpansionState.FULLY_EXPANDED:
-        child = select_best_child(node, ctx)
-        value = tree_traverse(child, ctx)
-    elif state is ExpansionState.VISITED:
-        node.expand(ctx.cfg)
-        actions = sorted(node.children)
-        child = node.children[actions[int(ctx.rng.generator.integers(len(actions)))]]
-        value = rollout(child, ctx)
-        child.add_value(value)
-        child.visit_count += 1
-        child.expansion_state = ExpansionState.VISITED
-    else:
-        value = rollout(node, ctx)
-        node.expansion_state = ExpansionState.VISITED
-
-    node.add_value(value)
-    node.visit_count += 1
-    return value

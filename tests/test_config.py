@@ -127,7 +127,7 @@ class TestRoundTrip:
                 "selection": "bne", "update_rule": "bayesian_update",
                 "classification_mode": "expectation",
                 "true_p": [0.7, 0.3], "seed": 42,
-                "traversals_per_trial": 6, "rollout_uses_belief": True,
+                "traversals_per_trial": 6,
             },
             "repetitions": 2,
             "output_dir": "somewhere",
@@ -184,6 +184,7 @@ BAD_SPECS = [
     ({"run": {"ucb_c": -1}}, "run.ucb_c"),
     ({"repetitions": 0.5}, "repetitions"),
     ({"output_dir": 3}, "output_dir"),
+    ({"run": {"rollout_uses_belief": False}}, "run.rollout_uses_belief"),
 ]
 
 
@@ -210,10 +211,8 @@ class TestBadSpecs:
         assert capsys.readouterr().err.startswith("error: run.seed: ")
 
     def test_integral_floats_and_booleans_accepted(self):
-        spec = spec_from_dict({"run": {"h": 20.0, "rollout_uses_belief": False},
-                               "repetitions": 3.0})
+        spec = spec_from_dict({"run": {"h": 20.0}, "repetitions": 3.0})
         assert spec.run.h == 20 and isinstance(spec.run.h, int)
-        assert spec.run.rollout_uses_belief is False
         assert spec.repetitions == 3
 
     @pytest.mark.parametrize("build", [

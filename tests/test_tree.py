@@ -1,4 +1,4 @@
-"""Tree traversal state machine, plays, rollout and bookkeeping invariants."""
+"""Plays, the self-play step, proportional draws and their random stream."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from clfgame import (
     AdversaryMode,
     BeliefState,
     ClassificationMode,
-    ExpansionState,
-    GameTreeNode,
-    Mover,
     PayoffConfig,
     GameConfig,
     PlayStats,
@@ -24,8 +21,6 @@ from clfgame import (
     game_play,
     play_batch,
     proportional_choice,
-    rollout,
-    select_best_child,
     tree_traverse,
 )
 
@@ -41,12 +36,6 @@ def make_ctx(cfg=None, seed=0, **run_kwargs):
         rng=RandomSource(seed),
         stats=PlayStats.fresh(cfg),
     )
-
-
-def walk(node):
-    yield node
-    for child in node.children.values():
-        yield from walk(child)
 
 
 class TestGamePlay:
@@ -112,176 +101,32 @@ class TestGamePlay:
         assert rec.realized_type == 3
 
 
-class TestTreeTraverse:
-    def test_depth_zero_cutoff_plays_immediately(self):
-        ctx = make_ctx(h=1)
-        node = GameTreeNode(1, Mover.ADVERSARY)
-        value = tree_traverse(node, ctx)
-        assert len(ctx.plays) == 1
-        assert value == ctx.plays[0].utilities
-        assert node.visit_count == 1
-
-    def test_fresh_root_does_one_rollout(self):
-        ctx = make_ctx(h=4)
-        root = GameTreeNode(0, Mover.LEARNER)
-        tree_traverse(root, ctx)
-        assert root.visit_count == 1
-        assert root.expansion_state is ExpansionState.VISITED
-        assert root.children == {}
-        assert len(ctx.plays) == 1
-
-    def test_second_traversal_expands_all_children(self):
-        ctx = make_ctx(h=4)
-        root = GameTreeNode(0, Mover.LEARNER)
-        tree_traverse(root, ctx)
-        tree_traverse(root, ctx)
-        assert root.expansion_state is ExpansionState.FULLY_EXPANDED
-        assert sorted(root.children) == list(range(ctx.cfg.n_classifiers))
-        visited = [c for c in root.children.values() if c.visit_count == 1]
-        assert len(visited) == 1
-
-    def test_mover_alternates_and_depth_increments(self):
-        ctx = make_ctx(h=6)
-        root = GameTreeNode(0, Mover.LEARNER)
-        for _ in range(30):
-            tree_traverse(root, ctx)
-        for node in walk(root):
-            assert node.depth <= ctx.run.h
-            for child in node.children.values():
-                assert child.depth == node.depth + 1
-                assert child.mover is node.mover.other()
-        assert root.mover is Mover.LEARNER
-
-    def test_visit_and_value_accounting(self):
-        """Every traversal adds its returned value to exactly the nodes it
-        passed through (shadow accounting via per-traversal deltas)."""
+class TestTraverse:
+    def test_each_step_logs_one_play(self):
         ctx = make_ctx(h=4, seed=3)
-        root = GameTreeNode(0, Mover.LEARNER)
-        for _ in range(60):
-            before = {id(n): (n.visit_count, n.value_learner, n.value_adversary)
-                      for n in walk(root)}
-            value = tree_traverse(root, ctx)
-            after = {id(n): n for n in walk(root)}
-            touched = 0
-            for key, node in after.items():
-                prev = before.get(key, (0, 0.0, 0.0))
-                dv = node.visit_count - prev[0]
-                assert dv in (0, 1)
-                if dv == 1:
-                    touched += 1
-                    assert node.value_learner - prev[1] == pytest.approx(
-                        value.u_learner, abs=1e-12)
-                    assert node.value_adversary - prev[2] == pytest.approx(
-                        value.u_adversary, abs=1e-12)
-                else:
-                    assert node.value_learner == prev[1]
-            assert touched >= 1
-        assert root.visit_count == 60
-
-    def test_root_value_sum_accumulates_returned_values(self):
-        ctx = make_ctx(h=4, seed=5)
-        root = GameTreeNode(0, Mover.LEARNER)
-        total_l = total_a = 0.0
-        for _ in range(40):
-            value = tree_traverse(root, ctx)
-            total_l += value.u_learner
-            total_a += value.u_adversary
-        assert root.value_learner == pytest.approx(total_l, abs=1e-9)
-        assert root.value_adversary == pytest.approx(total_a, abs=1e-9)
-
-    def test_expanded_node_visit_matches_children(self):
-        ctx = make_ctx(h=6, seed=7)
-        root = GameTreeNode(0, Mover.LEARNER)
-        for _ in range(80):
-            tree_traverse(root, ctx)
-        for node in walk(root):
-            if node.expansion_state is ExpansionState.FULLY_EXPANDED:
-                child_visits = sum(c.visit_count for c in node.children.values())
-                assert node.visit_count == child_visits + 1
-
-    def test_every_root_child_visited_under_ucb(self):
-        ctx = make_ctx(h=4, seed=11, selection=SelectionMethod.UCB)
-        root = GameTreeNode(0, Mover.LEARNER)
-        for _ in range(ctx.cfg.n_classifiers + 2):
-            tree_traverse(root, ctx)
-        assert all(c.visit_count >= 1 for c in root.children.values())
+        for k in range(1, 6):
+            value = tree_traverse(ctx)
+            assert len(ctx.plays) == k
+            assert value == ctx.plays[-1].utilities
+        assert ctx.stats.learner.parent_visits == 5
 
     def test_fixed_seed_reproduces_utilities(self):
         def run_once():
             ctx = make_ctx(h=4, seed=1234)
-            root = GameTreeNode(0, Mover.LEARNER)
-            return [tree_traverse(root, ctx) for _ in range(25)]
+            return [tree_traverse(ctx) for _ in range(25)]
 
         first, second = run_once(), run_once()
         assert first == second
 
-
-class TestSelectBestChild:
-    def _expanded_root(self, ctx):
-        root = GameTreeNode(0, Mover.LEARNER)
-        tree_traverse(root, ctx)
-        tree_traverse(root, ctx)
-        assert root.expansion_state is ExpansionState.FULLY_EXPANDED
-        return root
-
-    def test_requires_fully_expanded(self):
-        ctx = make_ctx()
-        with pytest.raises(RuntimeError):
-            select_best_child(GameTreeNode(0, Mover.LEARNER), ctx)
-
-    def test_single_action_mover(self):
-        import warnings
-        from clfgame import AccuracyMatrix
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = GameConfig(1, 2, AccuracyMatrix(np.array([[0.8, 0.6]])),
-                             PayoffConfig.unit(1, 2))
-        ctx = make_ctx(cfg, h=4)
-        root = self._expanded_root(ctx)
-        assert select_best_child(root, ctx) is root.children[0]
-
-    def test_ucb_prefers_unvisited_child(self):
-        ctx = make_ctx(h=4, selection=SelectionMethod.UCB, seed=13)
-        root = self._expanded_root(ctx)
-        unvisited = [a for a, c in root.children.items() if c.visit_count == 0]
-        chosen = select_best_child(root, ctx)
-        assert chosen.incoming_action == unvisited[0]
-
-    def test_bne_learner_mover_follows_best_response(self):
-        ctx = make_ctx(h=4, selection=SelectionMethod.BNE, seed=17)
-        from dataclasses import replace
-        ctx.belief = replace(ctx.belief,
-                             p_hat=TypeDistribution.degenerate(2, 4))
-        root = self._expanded_root(ctx)
-        # strength-2 column utilities: 0.7706, 0.7922, 0.8152
-        assert select_best_child(root, ctx).incoming_action == 2
-
-    def test_bne_adversary_mover_uses_best_response_type(self):
-        ctx = make_ctx(h=4, selection=SelectionMethod.BNE, seed=19)
-        root = self._expanded_root(ctx)
-        adv = select_best_child(root, ctx)
-        tree_traverse(adv, ctx)
-        tree_traverse(adv, ctx)
-        # uniform belief: learner best response is classifier 2, and the
-        # adversary's best reply to it is the strongest perturbation
-        assert select_best_child(adv, ctx).incoming_action == 3
+    def test_degenerate_opponent_model_pins_adversary_moves(self):
+        ctx = make_ctx(h=2, seed=37, true_p=TypeDistribution.degenerate(0, 4))
+        for _ in range(20):
+            tree_traverse(ctx)
+        assert len(ctx.plays) == 20
+        assert all(rec.realized_type == 0 for rec in ctx.plays)
 
 
-class TestRollout:
-    def test_terminal_node_plays_once(self):
-        ctx = make_ctx(h=2)
-        node = GameTreeNode(2, Mover.LEARNER)
-        value = rollout(node, ctx)
-        assert len(ctx.plays) == 1
-        assert value == ctx.plays[0].utilities
-        assert node.visit_count == 0  # rollout never touches tree state
-
-    def test_walk_reaches_terminal_from_root(self):
-        ctx = make_ctx(h=8, seed=23)
-        value = rollout(GameTreeNode(0, Mover.LEARNER), ctx)
-        assert len(ctx.plays) == 1
-        assert value == ctx.plays[0].utilities
-
+class TestProportionalChoice:
     def test_zero_weight_actions_never_drawn(self):
         rng = RandomSource(29)
         weights = np.array([0.0, 0.3, 0.7])
@@ -292,23 +137,6 @@ class TestRollout:
         rng = RandomSource(31)
         draws = {proportional_choice(rng, np.zeros(3)) for _ in range(200)}
         assert draws == {0, 1, 2}
-
-    def test_degenerate_opponent_model_pins_adversary_moves(self):
-        ctx = make_ctx(h=2, seed=37, true_p=TypeDistribution.degenerate(0, 4))
-        for _ in range(20):
-            rollout(GameTreeNode(0, Mover.LEARNER), ctx)
-        assert all(rec.realized_type == 0 for rec in ctx.plays)
-
-    def test_rollout_uses_belief_switch(self):
-        from dataclasses import replace
-        ctx = make_ctx(h=2, seed=41, rollout_uses_belief=True,
-                       true_p=TypeDistribution.degenerate(3, 4))
-        ctx.belief = replace(ctx.belief, p_hat=TypeDistribution.degenerate(1, 4))
-        # adversary move draws from the belief, but the terminal play still
-        # samples the realized type from the actual distribution
-        value = rollout(GameTreeNode(0, Mover.LEARNER), ctx)
-        assert ctx.plays[0].realized_type == 3
-        assert value == ctx.plays[0].utilities
 
 
 class TestPlayBatch:

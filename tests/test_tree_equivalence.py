@@ -1,0 +1,227 @@
+"""The flat play loop realizes exactly the plays the game tree realized.
+
+The game tree that `self_play` used to build around its plays never fed
+back into them: a traversal ended in one `game_play` call that read the
+belief, the run-wide play statistics and the random stream, but not the
+node or the path.  The tree's own draws (the expansion pick and the
+rollout steps) only advanced the stream.  This module keeps that traversal
+as a reference, with its own draws on a separate `tree_rng`, and checks
+that `self_play` realizes the same plays, byte for byte.  With `tree_rng`
+set to the run's own stream, the reference reproduces the selection counts
+the tree-based `self_play` produced, pinned below.
+"""
+
+from enum import Enum
+
+import numpy as np
+import pytest
+
+from clfgame import (
+    AdversaryMode,
+    BeliefState,
+    ClassificationMode,
+    NodeStats,
+    PlayStats,
+    RandomSource,
+    SearchContext,
+    SelectionMethod,
+    SelfPlayConfig,
+    TypeDistribution,
+    bne_select,
+    default_config,
+    game_play,
+    kl_divergence,
+    proportional_choice,
+    pure_learner_utilities,
+    record_observation,
+    refresh_marginal,
+    self_play,
+    ucb_select_adversary,
+    ucb_select_learner,
+)
+
+ROLLOUT_SHIFT_EPS = 1e-6
+
+
+class Mover(Enum):
+    LEARNER = "learner"
+    ADVERSARY = "adversary"
+
+    def other(self):
+        return Mover.ADVERSARY if self is Mover.LEARNER else Mover.LEARNER
+
+
+class Expansion(Enum):
+    UNVISITED = "unvisited"
+    VISITED = "visited"
+    FULLY_EXPANDED = "fully_expanded"
+
+
+class Node:
+    def __init__(self, depth, mover):
+        self.depth = depth
+        self.mover = mover
+        self.visit_count = 0
+        self.value_learner = 0.0
+        self.value_adversary = 0.0
+        self.children = {}
+        self.expansion_state = Expansion.UNVISITED
+
+    def add_value(self, value):
+        self.value_learner += value.u_learner
+        self.value_adversary += value.u_adversary
+
+    def expand(self, cfg):
+        n_actions = cfg.n_classifiers if self.mover is Mover.LEARNER else cfg.n_types
+        self.children = {a: Node(self.depth + 1, self.mover.other())
+                         for a in range(n_actions)}
+        self.expansion_state = Expansion.FULLY_EXPANDED
+
+
+def terminal_play(ctx):
+    record = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats)
+    ctx.plays.append(record)
+    return record.utilities
+
+
+def select_best_child(node, ctx):
+    if ctx.run.selection is SelectionMethod.BNE:
+        strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
+        action = int(np.argmax(strategy.probs)) if node.mover is Mover.LEARNER else br_type
+        return node.children[action]
+    actions = sorted(node.children)
+    stats = NodeStats(
+        parent_visits=node.visit_count,
+        action_visits=np.array([node.children[a].visit_count for a in actions]),
+        action_value_sums=np.array([
+            node.children[a].value_learner if node.mover is Mover.LEARNER
+            else node.children[a].value_adversary
+            for a in actions
+        ]),
+    )
+    if node.mover is Mover.LEARNER:
+        return node.children[actions[ucb_select_learner(stats, ctx.run.ucb_c)]]
+    return node.children[actions[ucb_select_adversary(stats, ctx.run.ucb_c)]]
+
+
+def rollout(node, ctx, tree_rng):
+    depth, mover = node.depth, node.mover
+    while depth < ctx.run.h:
+        if mover is Mover.LEARNER:
+            utilities = pure_learner_utilities(ctx.belief.p_hat, ctx.cfg)
+            weights = utilities - utilities.min() + ROLLOUT_SHIFT_EPS
+            proportional_choice(tree_rng, weights)
+        else:
+            proportional_choice(tree_rng, ctx.run.true_p.probs)
+        depth += 1
+        mover = mover.other()
+    return terminal_play(ctx)
+
+
+def traverse(node, ctx, tree_rng):
+    if node.depth == ctx.run.h:
+        value = terminal_play(ctx)
+        node.add_value(value)
+        node.visit_count += 1
+        return value
+    state = node.expansion_state
+    if state is Expansion.FULLY_EXPANDED:
+        value = traverse(select_best_child(node, ctx), ctx, tree_rng)
+    elif state is Expansion.VISITED:
+        node.expand(ctx.cfg)
+        actions = sorted(node.children)
+        child = node.children[actions[int(tree_rng.generator.integers(len(actions)))]]
+        value = rollout(child, ctx, tree_rng)
+        child.add_value(value)
+        child.visit_count += 1
+        child.expansion_state = Expansion.VISITED
+    else:
+        value = rollout(node, ctx, tree_rng)
+        node.expansion_state = Expansion.VISITED
+    node.add_value(value)
+    node.visit_count += 1
+    return value
+
+
+def reference_self_play(cfg, run, shared_stream):
+    """The tree-based self-play loop.  Its tree draws come from the run's
+    own stream when `shared_stream` is set, else from a separate one."""
+    run = run.resolved(cfg)
+    rng = RandomSource(run.seed)
+    tree_rng = rng if shared_stream else RandomSource(run.seed + 1_000_003)
+    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
+    ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
+                        stats=PlayStats.fresh(cfg))
+    kl_curve = []
+    for _ in range(run.n_trials):
+        root = Node(0, Mover.LEARNER)
+        trial_start = len(ctx.plays)
+        for _ in range(run.traversals_per_trial):
+            traverse(root, ctx, tree_rng)
+        for rec in ctx.plays[trial_start:]:
+            belief = record_observation(belief, rec.chosen_action, rec.realized_type)
+        belief = refresh_marginal(belief)
+        ctx.belief = belief
+        kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
+    return ctx.plays, selection_counts(ctx.plays, cfg), kl_curve
+
+
+def selection_counts(plays, cfg):
+    counts = np.zeros((cfg.n_types, cfg.n_classifiers), dtype=np.int64)
+    for rec in plays:
+        counts[rec.realized_type] += np.bincount(rec.per_query_classifier,
+                                                 minlength=cfg.n_classifiers)
+    return counts
+
+
+def play_bytes(rec):
+    return (rec.chosen_strategy.probs.tobytes(), rec.realized_type,
+            rec.per_query_classifier.tobytes(), rec.per_query_correct.tobytes(),
+            np.array(tuple(rec.utilities)).tobytes())
+
+
+COSTS = [0.0, 0.01, 0.02]
+GRID = [
+    (seed, selection, adversary, mode, h)
+    for seed in range(24)
+    for selection in SelectionMethod
+    for adversary in AdversaryMode
+    for mode in ClassificationMode
+    for h in (1, 4)
+]
+
+
+def grid_run(seed, selection, adversary, mode, h):
+    return SelfPlayConfig(h=h, n_trials=4, q=3, selection=selection,
+                          adversary_mode=adversary, classification_mode=mode,
+                          true_p=TypeDistribution(np.array([0.1, 0.2, 0.3, 0.4])),
+                          seed=seed)
+
+
+class TestFlatLoopMatchesTree:
+    def test_plays_counts_and_kl_are_byte_identical(self):
+        cfg = default_config(c_classifier=COSTS)
+        for config in GRID:
+            run = grid_run(*config)
+            plays, counts, kl_curve = reference_self_play(cfg, run, shared_stream=False)
+            res = self_play(cfg, run)
+            assert [play_bytes(r) for r in res.plays] == \
+                [play_bytes(r) for r in plays], config
+            np.testing.assert_array_equal(res.selection_counts, counts)
+            assert res.per_trial_kl.tobytes() == np.array(kl_curve).tobytes(), config
+
+    # selection_counts of the tree-based self_play, run before the tree
+    # was replaced by the flat loop
+    @pytest.mark.parametrize("seed, selection, expected", [
+        (11, SelectionMethod.UCB, [[15, 0, 0], [15, 5, 0], [35, 0, 0], [45, 0, 5]]),
+        (11, SelectionMethod.BNE, [[0, 5, 20], [0, 0, 30], [0, 5, 20], [0, 10, 30]]),
+        (12, SelectionMethod.UCB, [[0, 0, 10], [0, 0, 40], [5, 0, 30], [5, 5, 25]]),
+        (12, SelectionMethod.BNE, [[0, 0, 5], [0, 0, 35], [0, 0, 25], [0, 0, 55]]),
+    ])
+    def test_reference_on_shared_stream_reproduces_tree(self, seed, selection, expected):
+        cfg = default_config(c_classifier=COSTS)
+        run = SelfPlayConfig(h=4, n_trials=6, q=5, selection=selection,
+                             true_p=TypeDistribution(np.array([0.1, 0.2, 0.3, 0.4])),
+                             seed=seed)
+        _, counts, _ = reference_self_play(cfg, run, shared_stream=True)
+        assert counts.tolist() == expected
