@@ -37,6 +37,7 @@ from .game import (
 from .oracle import (
     ClassificationMode,
     Query,
+    QueryBatch,
     RandomSource,
     classify,
     empirical_accuracy,

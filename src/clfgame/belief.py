@@ -13,7 +13,7 @@ convergence metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,7 +49,7 @@ class BeliefState:
         counts = np.asarray(self.joint_counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ConfigurationError("joint_counts must be a 2-d matrix")
-        if np.any(counts < 0):
+        if counts.size and counts.min() < 0:
             raise ConfigurationError("counts must be non-negative")
         counts.flags.writeable = False
         object.__setattr__(self, "joint_counts", counts)
@@ -91,7 +91,7 @@ def record_observation(b: BeliefState, action: ClassifierId,
         raise ConfigurationError(f"type index {theta} out of range")
     counts = b.joint_counts.copy()
     counts[action, theta] += 1
-    return replace(b, joint_counts=counts)
+    return BeliefState(b.p_hat, counts, b.update_rule, b.prior)
 
 
 def fp_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
@@ -140,9 +140,8 @@ def refresh_marginal(b: BeliefState) -> BeliefState:
     """
     type_totals = b.joint_counts.sum(axis=0)
     total = int(type_totals.sum())
-    if total == 0:
-        return replace(b, p_hat=b.prior)
-    return replace(b, p_hat=TypeDistribution(type_totals / total))
+    p_hat = b.prior if total == 0 else TypeDistribution(type_totals / total)
+    return BeliefState(p_hat, b.joint_counts, b.update_rule, b.prior)
 
 
 def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:

@@ -56,10 +56,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
+            raise ConfigurationError("repetitions: must be >= 1")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigurationError(
-                f"preset must be one of {PRESETS}, got {self.preset!r}")
+                f"preset: must be one of {PRESETS}, got {self.preset!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
@@ -187,6 +187,9 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
         probs = _reals(section["true_p"], "run.true_p")
         _require(probs.shape == (n_types,), "run.true_p",
                  f"expected {n_types} entries, got shape {probs.shape}")
+        # the simplex check tolerates -1e-9, but a draw refuses any negative
+        _require(bool((probs >= 0).all()), "run.true_p",
+                 f"entries must be >= 0, got {probs.tolist()}")
         try:
             kwargs["true_p"] = TypeDistribution(probs)
         except ConfigurationError as err:
@@ -268,5 +271,6 @@ def with_overrides(spec: ExperimentSpec, seed: Optional[int] = None,
     if output_dir is not None:
         spec = replace(spec, output_dir=Path(output_dir))
     if repetitions is not None:
+        _require(repetitions >= 1, "repetitions", f"must be >= 1, got {repetitions}")
         spec = replace(spec, repetitions=repetitions)
     return spec

@@ -6,13 +6,16 @@ perturbation strength of its queries (type 0 = clean data).  Everything the
 game needs to know about a classifier/type pair is a single number: the
 probability that the classifier answers such a query correctly.  This module
 holds the configuration types built around that accuracy matrix and the
-per-play utility functions for both sides.
+per-play utility functions for both sides.  The two distribution types are
+immutable, so each caches the sampling CDF its draws search.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +51,48 @@ def _validate_simplex(probs: np.ndarray, name: str) -> None:
         raise ConfigurationError(f"{name} entries must sum to 1 (got {total:.12f})")
 
 
+#: `Generator.choice`'s tolerance on the sum of its probabilities.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(weights: np.ndarray, total: float) -> np.ndarray:
+    """The CDF `Generator.choice(len(weights), p=weights / total)` samples.
+
+    Built with choice's own arithmetic, so `cdf.searchsorted(u,
+    side="right")` on the double u that choice would draw returns choice's
+    index.  Raises ValueError where choice does: on NaN or negative
+    probabilities, or ones that do not sum to one.
+    """
+    p = weights / total
+    if not p.min() >= 0.0:  # NaN compares false
+        raise ValueError(f"probabilities must be non-negative, not NaN: {p}")
+    cdf = p.cumsum()
+    if abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
+        raise ValueError(f"probabilities do not sum to 1: {p}")
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _Sampled:
+    """Sampling support shared by the two distribution types."""
+
+    probs: np.ndarray
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only `Generator.choice` CDF of `probs`, built on first use.
+
+        The probabilities never change, so one CDF serves every draw.  Its
+        first use raises `_choice_cdf`'s ValueError on an entry that the
+        simplex check tolerates but choice refuses (a slightly negative one).
+        """
+        cdf = _choice_cdf(self.probs, self.probs.sum())
+        cdf.flags.writeable = False
+        return cdf
+
+
 @dataclass(frozen=True)
-class Strategy:
+class Strategy(_Sampled):
     """Probability distribution over the learner's classifier pool."""
 
     probs: np.ndarray
@@ -60,21 +103,39 @@ class Strategy:
 
     @classmethod
     def pure(cls, action: ClassifierId, n_classifiers: int) -> "Strategy":
-        """Strategy placing all mass on one classifier."""
-        probs = np.zeros(n_classifiers)
-        probs[action] = 1.0
-        return cls(probs)
+        """Strategy placing all mass on one classifier.
+
+        One validated instance per (action, n_classifiers) is built and then
+        shared; that is safe because a Strategy is frozen and its `probs`
+        are read-only.
+        """
+        key = (cls, operator.index(action), operator.index(n_classifiers))
+        strategy = _PURE_STRATEGIES.get(key)
+        if strategy is None:
+            probs = np.zeros(n_classifiers)
+            probs[action] = 1.0
+            strategy = _PURE_STRATEGIES.setdefault(key, cls(probs))
+        return strategy
 
     @classmethod
     def uniform(cls, n_classifiers: int) -> "Strategy":
         return cls(np.full(n_classifiers, 1.0 / n_classifiers))
 
+    @cached_property
+    def argmax(self) -> ClassifierId:
+        """The classifier with the most mass (the lowest index on ties)."""
+        return int(np.argmax(self.probs))
+
     def __len__(self) -> int:
         return len(self.probs)
 
 
+#: `Strategy.pure`'s shared instances, keyed by (class, action, n_classifiers).
+_PURE_STRATEGIES: dict[tuple, Strategy] = {}
+
+
 @dataclass(frozen=True)
-class TypeDistribution:
+class TypeDistribution(_Sampled):
     """Probability distribution over adversary types."""
 
     probs: np.ndarray

@@ -10,10 +10,16 @@ A play answers a batch of queries of one type, so `classify` also takes a
 whole array of classifiers and makes one random call for the batch.  That
 call yields the same doubles, in the same order, as one scalar call per
 query did, so a seed reproduces the reports of the per-query code.
+
+A batch of queries is a `QueryBatch`: the labels are drawn up front, as
+before, but a `Query` is only built when an item is read.  A play reads one
+query of its batch, so it no longer builds q of them.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -60,10 +66,51 @@ class Query(NamedTuple):
     query_id: int
 
 
-def generate_queries(theta: AdversaryTypeId, q: int, rng: RandomSource) -> list[Query]:
-    """Batch of q type-theta queries with uniformly random binary labels."""
-    labels = rng.generator.integers(0, 2, size=q)
-    return list(map(Query, labels.tolist(), repeat(theta), range(q)))
+class QueryBatch(Sequence):
+    """Read-only sequence of the queries of one batch, built on access.
+
+    Item i is `Query(labels[i], type_id, i)`.  Indexing (negative indexes
+    too), slicing, iteration and `len` behave as on the list of those
+    queries, and the batch compares equal to that list.
+    """
+
+    __slots__ = ("labels", "type_id")
+
+    def __init__(self, labels: np.ndarray, type_id: AdversaryTypeId):
+        labels.flags.writeable = False
+        self.labels = labels
+        self.type_id = type_id
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("query index out of range")
+        return Query(int(self.labels[i]), self.type_id, i)
+
+    def __iter__(self):
+        return map(Query, self.labels.tolist(), repeat(self.type_id), range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, QueryBatch)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def generate_queries(theta: AdversaryTypeId, q: int, rng: RandomSource) -> QueryBatch:
+    """Batch of q type-theta queries with uniformly random binary labels.
+
+    All q labels are drawn now, with one `integers(0, 2, size=q)` call, so
+    the random stream is the same whether or not the queries are read; the
+    `Query` tuples are built only when they are (see `QueryBatch`).
+    """
+    return QueryBatch(rng.generator.integers(0, 2, size=q), theta)
 
 
 def classify(j: Union[ClassifierId, np.ndarray], query: Query, cfg: GameConfig,

@@ -193,7 +193,7 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     plays: list[PlayRecord] = []
     for _ in range(run.n_trials * run.traversals_per_trial):
         if run.adversary_mode is AdversaryMode.SAMPLED:
-            theta = proportional_choice(rng, run.true_p.probs)
+            theta = proportional_choice(rng, run.true_p)
         else:
             theta = br_type
         plays.append(play_batch(policy, theta, cfg, run, rng))

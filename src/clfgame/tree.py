@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .belief import BeliefState
-from .game import GameConfig, Strategy, UtilityPair
+from .game import GameConfig, Strategy, TypeDistribution, UtilityPair, _choice_cdf
 from .oracle import RandomSource, classify, generate_queries
 from .selection import (
     NodeStats,
@@ -50,7 +50,7 @@ class PlayRecord:
 
     @property
     def chosen_action(self) -> int:
-        return int(np.argmax(self.chosen_strategy.probs))
+        return self.chosen_strategy.argmax
 
 
 @dataclass
@@ -80,41 +80,27 @@ class SearchContext:
     plays: list[PlayRecord] = field(default_factory=list)
 
 
-#: `Generator.choice`'s tolerance on the sum of its probabilities.
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-
-
-def _choice_cdf(weights: np.ndarray, total: float) -> np.ndarray:
-    """The CDF `Generator.choice(len(weights), p=weights / total)` samples.
-
-    Built with choice's own arithmetic, so `cdf.searchsorted(u,
-    side="right")` on the double u that choice would draw returns choice's
-    index.  Raises ValueError where choice does: on NaN or negative
-    probabilities, or ones that do not sum to one.
-    """
-    p = weights / total
-    if not p.min() >= 0.0:  # NaN compares false
-        raise ValueError(f"probabilities must be non-negative, not NaN: {p}")
-    cdf = p.cumsum()
-    if abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
-        raise ValueError(f"probabilities do not sum to 1: {p}")
-    cdf /= cdf[-1]
-    return cdf
-
-
-def proportional_choice(rng: RandomSource, weights: np.ndarray) -> int:
+def proportional_choice(rng: RandomSource,
+                        weights: np.ndarray | Strategy | TypeDistribution) -> int:
     """Draw an index with probability proportional to its weight.
 
     Zero-weight entries are never drawn; an all-zero vector falls back to a
     uniform draw.  The draw is the one `Generator.choice(p=weights / total)`
     makes, one `random()` double on choice's CDF, with choice's errors, so
     seeds reproduce the reports of code that called choice directly.
+
+    `weights` may also be a `Strategy` or `TypeDistribution`.  Its total is
+    one, so the draw is the one its `probs` array gives, but it searches the
+    distribution's cached `cdf` instead of building the CDF again.
     """
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0.0:
-        return int(rng.generator.integers(len(weights)))
-    cdf = _choice_cdf(weights, total)
+    if isinstance(weights, (Strategy, TypeDistribution)):
+        cdf = weights.cdf
+    else:
+        weights = np.asarray(weights, dtype=float)
+        total = weights.sum()
+        if total <= 0.0:
+            return int(rng.generator.integers(len(weights)))
+        cdf = _choice_cdf(weights, total)
     return int(cdf.searchsorted(rng.generator.random(), side="right"))
 
 
@@ -127,23 +113,26 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
     batch size.
 
     The draw order is pinned: the query labels, then one `random(q)` call
-    for the q classifiers (on the strategy's `proportional_choice` CDF),
-    then one batch `classify` call for correctness.  These are the doubles
-    the per-query loop of q `proportional_choice` and q `classify` calls
-    drew, so a seed reproduces that loop's reports byte for byte.
+    for the q classifiers, searched on the strategy's cached `cdf` (the CDF
+    `proportional_choice` draws on), then one batch `classify` call for
+    correctness.  These are the doubles the per-query loop of q
+    `proportional_choice` and q `classify` calls drew, so a seed reproduces
+    that loop's reports byte for byte.  The query batch is lazy: only its
+    first query is built, to tell `classify` the batch's type.  Each mean is
+    `sum() / q`, which is how `np.mean` computes a float64 mean, so the
+    utilities are bit for bit the same.
     """
     queries = generate_queries(theta, run.q, rng)
-    # a Strategy is a validated distribution, so its total is positive
-    cdf = _choice_cdf(strategy.probs, strategy.probs.sum())
-    chosen = cdf.searchsorted(rng.generator.random(len(queries)), side="right")
+    q = len(queries)
+    chosen = strategy.cdf.searchsorted(rng.generator.random(q), side="right")
     correct = classify(chosen, queries[0], cfg, run.classification_mode, rng)
     payoff = cfg.payoff
-    u_learner = float(np.mean(
+    u_learner = float((
         correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]
-    ))
-    u_adversary = float(np.mean(
+    ).sum() / q)
+    u_adversary = float((
         (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta]
-    ))
+    ).sum() / q)
     return PlayRecord(
         chosen_strategy=strategy,
         realized_type=int(theta),
@@ -171,7 +160,7 @@ def game_play(belief: BeliefState, cfg: GameConfig, run: "SelfPlayConfig",
         br_type = None
 
     if run.adversary_mode is AdversaryMode.SAMPLED:
-        theta = proportional_choice(rng, run.true_p.probs)
+        theta = proportional_choice(rng, run.true_p)
     elif br_type is not None:
         theta = br_type
     else:

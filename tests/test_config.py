@@ -185,6 +185,9 @@ BAD_SPECS = [
     ({"repetitions": 0.5}, "repetitions"),
     ({"output_dir": 3}, "output_dir"),
     ({"run": {"rollout_uses_belief": False}}, "run.rollout_uses_belief"),
+    # within the simplex tolerance, but a draw refuses a negative entry
+    ({"run": {"true_p": [1.0000000005, -5e-10, 0, 0]}}, "run.true_p"),
+    ({"preset": "nope"}, "preset"),
 ]
 
 
@@ -209,6 +212,16 @@ class TestBadSpecs:
         from clfgame.cli import main
         assert main(["acc-check", "--seed", "-1", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: run.seed: ")
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_cli_reps_override_is_checked(self, tmp_path, capsys, reps):
+        from clfgame.cli import main
+        assert main(["table", "--reps", reps, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: repetitions: "), lines
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_integral_floats_and_booleans_accepted(self):
         spec = spec_from_dict({"run": {"h": 20.0}, "repetitions": 3.0})

@@ -154,3 +154,46 @@ class TestClassifyBatch:
         got = classify(np.array([], dtype=np.int64), Query(0, 1, 0), cfg,
                        ClassificationMode.STOCHASTIC, RandomSource(0))
         assert got.shape == (0,)
+
+
+class TestLazyQueryBatch:
+    """`generate_queries` returns a lazy batch that stands for the list of
+    queries it used to build, and draws the same labels."""
+
+    @staticmethod
+    def reference(theta, q, rng):
+        from itertools import repeat
+        labels = rng.generator.integers(0, 2, size=q)
+        return list(map(Query, labels.tolist(), repeat(theta), range(q)))
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 7, 64])
+    def test_matches_the_list_it_replaces(self, q):
+        from clfgame.oracle import QueryBatch
+        ours, theirs = RandomSource(q), RandomSource(q)
+        batch = generate_queries(3, q, ours)
+        expected = self.reference(3, q, theirs)
+        assert isinstance(batch, QueryBatch)
+        assert len(batch) == len(expected)
+        assert list(batch) == expected
+        assert batch == expected and expected == batch
+        assert not batch != expected
+        assert [batch[i] for i in range(q)] == expected
+        for i in range(-q, 0):
+            assert batch[i] == expected[i]
+        for index in (q, -q - 1, q + 5):
+            with pytest.raises(IndexError):
+                batch[index]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(-3, None),
+                    slice(None, None, 2), slice(None, None, -1), slice(5, 1, -2),
+                    slice(q + 3, q + 9)):
+            assert batch[cut] == expected[cut]
+        assert batch != expected + [Query(0, 3, q)]
+        assert batch != tuple(expected)
+        assert ours.generator.random() == theirs.generator.random()
+
+    def test_labels_are_read_only(self):
+        batch = generate_queries(0, 5, RandomSource(1))
+        with pytest.raises(ValueError):
+            batch.labels[0] = 1
+        with pytest.raises(TypeError):
+            batch[0] = Query(0, 0, 0)

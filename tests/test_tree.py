@@ -248,3 +248,55 @@ class TestStreamEquivalence:
             np.testing.assert_array_equal(rec.per_query_correct, correct)
             assert tuple(rec.utilities) == utilities
             assert ours.generator.random() == theirs.generator.random()
+
+
+class TestCachedSampling:
+    """Distributions cache the CDF and argmax their draws need; the draws
+    are the ones `_choice_cdf` and `Generator.choice` give."""
+
+    def test_pure_strategy_is_one_shared_read_only_object(self):
+        first = Strategy.pure(1, 3)
+        assert Strategy.pure(1, 3) is first
+        assert Strategy.pure(np.int64(1), 3) is first
+        assert Strategy.pure(2, 3) is not first
+        assert Strategy.pure(1, 4) is not first
+        np.testing.assert_array_equal(first.probs, [0.0, 1.0, 0.0])
+        assert first.argmax == 1
+        for array in (first.probs, first.cdf):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_cached_cdfs_draw_what_choice_draws(self):
+        from clfgame.tree import _choice_cdf
+        meta = np.random.default_rng(2025)
+        for case in range(1500):
+            weights = random_weights(meta, int(meta.integers(1, 12)))
+            for kind in (Strategy, TypeDistribution):
+                dist = kind(weights / weights.sum())
+                np.testing.assert_array_equal(
+                    dist.cdf, _choice_cdf(dist.probs, dist.probs.sum()))
+                assert dist.cdf is dist.cdf
+                ours, raw, theirs = (RandomSource(case) for _ in range(3))
+                drawn = proportional_choice(ours, dist)
+                assert drawn == proportional_choice(raw, dist.probs), weights
+                assert drawn == int(theirs.generator.choice(len(dist), p=dist.probs))
+                after = ours.generator.random()
+                assert after == raw.generator.random() == theirs.generator.random()
+
+    def test_negative_entry_within_tolerance_raises_at_draw(self):
+        probs = np.array([1.0000000005, -5e-10, 0.0, 0.0])
+        for kind in (Strategy, TypeDistribution):
+            dist = kind(probs)  # the simplex check tolerates it
+            with pytest.raises(ValueError, match="non-negative"):
+                proportional_choice(RandomSource(0), dist)
+            with pytest.raises(ValueError, match="non-negative"):
+                dist.cdf
+
+    def test_argmax_breaks_ties_toward_the_lowest_index(self):
+        assert Strategy(np.array([0.2, 0.4, 0.4])).argmax == 1
+        assert Strategy.uniform(3).argmax == 0
+        cfg = default_config()
+        run = SelfPlayConfig(q=5, true_p=TypeDistribution.uniform(4)).resolved(cfg)
+        rec = play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run, RandomSource(3))
+        assert rec.chosen_action == 2
