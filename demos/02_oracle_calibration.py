@@ -1,17 +1,18 @@
 """Reconstruct the accuracy matrix from the stochastic classifier oracle.
 
-Queries carry no features here: a classifier's answer to a type-i query is
-a Bernoulli draw with the matrix entry as its success probability.  Long-run
+Queries carry no features here: a query is its type, and a classifier's
+answer to a type-i query is a Bernoulli draw with the matrix entry as its
+success probability.  Long-run
 frequencies must therefore recover the configured matrix, which is the
 sanity check behind the `clfgame acc-check` command.
 """
 
 import numpy as np
 
-from clfgame import RandomSource, default_config, empirical_accuracy
+from clfgame import default_config, empirical_accuracy
 
 cfg = default_config()
-rng = RandomSource(20_240_601)
+rng = np.random.default_rng(20_240_601)
 n = 50_000
 
 reconstructed = np.zeros_like(cfg.accuracy.acc)

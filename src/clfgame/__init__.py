@@ -36,9 +36,6 @@ from .game import (
 )
 from .oracle import (
     ClassificationMode,
-    Query,
-    QueryBatch,
-    RandomSource,
     classify,
     empirical_accuracy,
     generate_queries,

@@ -220,11 +220,15 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
 
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Parse and validate a JSON spec file; missing keys take defaults."""
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text(encoding="utf-8")
         data = json.loads(text) if text.strip() else {}
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"{path}: not valid JSON ({err})") from err
+    except RecursionError as err:
+        raise ConfigurationError(f"{path}: JSON nested too deeply ({err})") from err
     _require(isinstance(data, dict), str(path), "top level must be a JSON object")
     return spec_from_dict(data)
 

@@ -7,7 +7,9 @@ game needs to know about a classifier/type pair is a single number: the
 probability that the classifier answers such a query correctly.  This module
 holds the configuration types built around that accuracy matrix and the
 per-play utility functions for both sides.  The two distribution types are
-immutable, so each caches the sampling CDF its draws search.
+immutable, so each caches the sampling CDF its draws search; every draw
+from a distribution (`tree.proportional_choice`, `tree.play_batch`) goes
+through that cached CDF.
 """
 
 from __future__ import annotations
@@ -55,15 +57,15 @@ def _validate_simplex(probs: np.ndarray, name: str) -> None:
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _choice_cdf(weights: np.ndarray, total: float) -> np.ndarray:
-    """The CDF `Generator.choice(len(weights), p=weights / total)` samples.
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF `Generator.choice(len(probs), p=probs / probs.sum())` samples.
 
     Built with choice's own arithmetic, so `cdf.searchsorted(u,
     side="right")` on the double u that choice would draw returns choice's
     index.  Raises ValueError where choice does: on NaN or negative
     probabilities, or ones that do not sum to one.
     """
-    p = weights / total
+    p = probs / probs.sum()
     if not p.min() >= 0.0:  # NaN compares false
         raise ValueError(f"probabilities must be non-negative, not NaN: {p}")
     cdf = p.cumsum()
@@ -86,7 +88,7 @@ class _Sampled:
         first use raises `_choice_cdf`'s ValueError on an entry that the
         simplex check tolerates but choice refuses (a slightly negative one).
         """
-        cdf = _choice_cdf(self.probs, self.probs.sum())
+        cdf = _choice_cdf(self.probs)
         cdf.flags.writeable = False
         return cdf
 

@@ -22,7 +22,7 @@ from .belief import (
 )
 from .config import ExperimentSpec
 from .game import Strategy, TypeDistribution
-from .oracle import RandomSource, empirical_accuracy
+from .oracle import empirical_accuracy
 from .reports import ReportRow, write_report
 from .selection import SelectionMethod
 from .selfplay import SelfPlayResult, evaluate_fixed_policy, self_play
@@ -41,7 +41,7 @@ def _next_seed(stream: np.random.Generator) -> int:
 def preset_accuracy_check(spec: ExperimentSpec,
                           n: int = ACCURACY_CHECK_SAMPLES) -> list[Path]:
     """Reconstruct every accuracy cell from the stochastic oracle."""
-    rng = RandomSource(spec.run.seed)
+    rng = np.random.default_rng(spec.run.seed)
     rows = []
     acc = spec.game.accuracy.acc
     for j in range(spec.game.n_classifiers):

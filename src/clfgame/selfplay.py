@@ -29,7 +29,7 @@ from .game import (
     TypeDistribution,
     adversary_utilities,
 )
-from .oracle import ClassificationMode, RandomSource
+from .oracle import ClassificationMode
 from .selection import SelectionMethod
 from .tree import (
     AdversaryMode,
@@ -157,7 +157,7 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     distribution.
     """
     run = run.resolved(cfg)
-    rng = RandomSource(run.seed)
+    rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
     ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
                         stats=PlayStats.fresh(cfg))
@@ -187,7 +187,7 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     run = run.resolved(cfg)
     if len(policy) != cfg.n_classifiers:
         raise ConfigurationError("policy length does not match the game's classifier count")
-    rng = RandomSource(run.seed)
+    rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
     plays: list[PlayRecord] = []

@@ -2,9 +2,12 @@
 
 A play is one game instance: the learner picks a strategy with the
 configured selection rule, the adversary's type is realized, and a batch
-of q queries of that type is answered.  `tree_traverse` realizes one play
-and logs it on the search context, so the caller feeds belief updates from
-realized plays only.
+of q queries of that type is answered.  A query is its type id, so a play
+draws only what decides an outcome: the type (when sampled), the q
+classifiers and, in stochastic mode, their q correctness draws, all from
+one `numpy.random.Generator`.  `tree_traverse` realizes one play and logs
+it on the search context, so the caller feeds belief updates from realized
+plays only.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .belief import BeliefState
-from .game import GameConfig, Strategy, TypeDistribution, UtilityPair, _choice_cdf
-from .oracle import RandomSource, classify, generate_queries
+from .game import GameConfig, Strategy, TypeDistribution, UtilityPair
+from .oracle import classify, generate_queries
 from .selection import (
     NodeStats,
     SelectionMethod,
@@ -75,57 +78,41 @@ class SearchContext:
     cfg: GameConfig
     run: "SelfPlayConfig"
     belief: BeliefState
-    rng: RandomSource
+    rng: np.random.Generator
     stats: PlayStats
     plays: list[PlayRecord] = field(default_factory=list)
 
 
-def proportional_choice(rng: RandomSource,
-                        weights: np.ndarray | Strategy | TypeDistribution) -> int:
-    """Draw an index with probability proportional to its weight.
+def proportional_choice(rng: np.random.Generator,
+                        dist: Strategy | TypeDistribution) -> int:
+    """Draw an index of `dist` with probability equal to its mass.
 
-    Zero-weight entries are never drawn; an all-zero vector falls back to a
-    uniform draw.  The draw is the one `Generator.choice(p=weights / total)`
-    makes, one `random()` double on choice's CDF, with choice's errors, so
-    seeds reproduce the reports of code that called choice directly.
-
-    `weights` may also be a `Strategy` or `TypeDistribution`.  Its total is
-    one, so the draw is the one its `probs` array gives, but it searches the
-    distribution's cached `cdf` instead of building the CDF again.
+    Zero-mass entries are never drawn.  The draw is one `random()` double
+    searched on the distribution's cached `cdf`, which is the draw
+    `Generator.choice(len(dist), p=dist.probs)` makes.
     """
-    if isinstance(weights, (Strategy, TypeDistribution)):
-        cdf = weights.cdf
-    else:
-        weights = np.asarray(weights, dtype=float)
-        total = weights.sum()
-        if total <= 0.0:
-            return int(rng.generator.integers(len(weights)))
-        cdf = _choice_cdf(weights, total)
-    return int(cdf.searchsorted(rng.generator.random(), side="right"))
+    return int(dist.cdf.searchsorted(rng.random(), side="right"))
 
 
 def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
-               run: "SelfPlayConfig", rng: RandomSource) -> PlayRecord:
+               run: "SelfPlayConfig", rng: np.random.Generator) -> PlayRecord:
     """Send one batch of q type-theta queries against a strategy.
 
     Each query is answered by a classifier drawn from the strategy; both
     sides receive mean-per-query utilities so results are invariant to the
     batch size.
 
-    The draw order is pinned: the query labels, then one `random(q)` call
-    for the q classifiers, searched on the strategy's cached `cdf` (the CDF
-    `proportional_choice` draws on), then one batch `classify` call for
-    correctness.  These are the doubles the per-query loop of q
-    `proportional_choice` and q `classify` calls drew, so a seed reproduces
-    that loop's reports byte for byte.  The query batch is lazy: only its
-    first query is built, to tell `classify` the batch's type.  Each mean is
-    `sum() / q`, which is how `np.mean` computes a float64 mean, so the
-    utilities are bit for bit the same.
+    The draw order is pinned: one `random(q)` call for the q classifiers,
+    searched on the strategy's cached `cdf` (the CDF `proportional_choice`
+    draws on), then one `classify` call for correctness.  These are the
+    doubles a per-query loop of q `proportional_choice` and q single-query
+    classifications drew.  Each mean is `sum() / q`, which is how `np.mean`
+    computes a float64 mean, so the utilities are bit for bit the same.
     """
-    queries = generate_queries(theta, run.q, rng)
-    q = len(queries)
-    chosen = strategy.cdf.searchsorted(rng.generator.random(q), side="right")
-    correct = classify(chosen, queries[0], cfg, run.classification_mode, rng)
+    q = run.q
+    queries = generate_queries(theta, q)
+    chosen = strategy.cdf.searchsorted(rng.random(q), side="right")
+    correct = classify(chosen, queries, cfg, run.classification_mode, rng)
     payoff = cfg.payoff
     u_learner = float((
         correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]
@@ -143,7 +130,7 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
 
 
 def game_play(belief: BeliefState, cfg: GameConfig, run: "SelfPlayConfig",
-              rng: RandomSource, stats: PlayStats) -> PlayRecord:
+              rng: np.random.Generator, stats: PlayStats) -> PlayRecord:
     """Realize one game instance.
 
     The learner picks its strategy with the configured selection rule (best

@@ -1,6 +1,7 @@
 """Spec loading, validation messages, and serialization round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,21 @@ class TestBadSpecs:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",     # not UTF-8
+        b"[" * 100_000,  # nested past the parser's recursion limit
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_cli_unreadable_file_prints_one_error_line(self, tmp_path, capsys, content):
+        from clfgame.cli import main
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_cli_seed_override_is_checked(self, tmp_path, capsys):
         from clfgame.cli import main
         assert main(["acc-check", "--seed", "-1", "--out", str(tmp_path)]) == 1
@@ -238,3 +254,68 @@ class TestBadSpecs:
     def test_domain_types_reject_non_finite_and_negative_seed(self, build):
         with pytest.raises(ConfigurationError):
             build()
+
+
+#: Every key a spec may set, as its dotted path.
+SPEC_KEYS = (
+    [f"game.{key}" for key in ("n_classifiers", "n_types", "accuracy", "v_learner",
+                               "v_adversary", "c_classifier", "c_type")]
+    + [f"run.{key}" for key in ("h", "n_trials", "q", "ucb_c", "C", "selection",
+                                "update_rule", "adversary_mode", "classification_mode",
+                                "true_p", "seed", "traversals_per_trial")]
+    + ["game", "run", "repetitions", "output_dir", "preset"]
+)
+
+#: Values each key is set to: non-finite, negative, fractional, mistyped,
+#: empty, ragged and wrong-shape.
+FUZZ_VALUES = [
+    NAN, INF, -INF, -1, 0, 0.5, 20.7, "x", "20", True, False, None, [], {},
+    [[1, 2], [3]], [0.5, 0.5], [[0.5] * 5] * 3, [1, "a"], [[NAN]],
+]
+
+
+def build(pairs):
+    """A spec dict with each (dotted path, value) pair set; a section that
+    an earlier pair set to a non-object keeps that value."""
+    data = {}
+    for path, value in pairs:
+        section, _, key = path.partition(".")
+        if not key:
+            data[section] = value
+        elif isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
+    return data
+
+
+class TestConfigFuzz:
+    """Every value at every key is either accepted or refused with a
+    `ConfigurationError` whose message starts with the key's path or with
+    its section."""
+
+    @staticmethod
+    def accepts(data, paths):
+        sections = {path.partition(".")[0] for path in paths}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # accuracy matrices that dip
+            try:
+                spec = spec_from_dict(data)
+            except ConfigurationError as err:
+                named = str(err).split(": ", 1)[0]
+                assert named.partition(".")[0] in sections, (data, str(err))
+                return False
+            dumped = serialize_spec(spec)
+            assert serialize_spec(spec_from_dict(dumped)) == dumped
+        return True
+
+    def test_single_keys(self):
+        accepted = sum(self.accepts(build([(path, value)]), [path])
+                       for path in SPEC_KEYS for value in FUZZ_VALUES)
+        assert 0 < accepted < len(SPEC_KEYS) * len(FUZZ_VALUES)
+
+    def test_seeded_key_combinations(self):
+        meta = np.random.default_rng(2026)
+        for _ in range(400):
+            picks = meta.choice(len(SPEC_KEYS), int(meta.integers(2, 5)), replace=False)
+            paths = [SPEC_KEYS[k] for k in picks]
+            values = [FUZZ_VALUES[k] for k in meta.integers(len(FUZZ_VALUES), size=len(paths))]
+            self.accepts(build(list(zip(paths, values))), paths)

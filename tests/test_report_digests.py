@@ -18,14 +18,14 @@ import pytest
 from clfgame.cli import main
 
 CSV_SHA256 = {
-    ("table", "stochastic"): "22da8c0c67e6ebca4e45017090c24c9476221618b5582dccfba7520a89d7b6f3",
-    ("kl", "stochastic"): "2c0bf187177134b729152ce7e3592d40530cda32c9ef2bc7eb3cbe208ed367a6",
-    ("utility", "stochastic"): "658707a245432b1058cd656807a6e095d1c6085d802ea7faf66e85381d4dfbd5",
-    ("run", "stochastic"): "4bf8f3020580f95c67266a3243c1e4c4e3c22b6a3cf8efd66ae0a29d874b74bc",
-    ("table", "expectation"): "f1d5907d63ec6d901ef60b98d8c10e157a7ac6f8a78e430ddfe11ce32d861e6e",
-    ("kl", "expectation"): "d57f96b33d27a900a721971692ce49c3a8604094e201c665785bb5245e1ef4a4",
-    ("utility", "expectation"): "2cd473f7fd7e2d5271d9a6c37f48057d453d81e22bedfd55812a8f283e45dc38",
-    ("run", "expectation"): "608abf1de44a011209e3fc8e371cab08428f5ad4f30fd62306e17744bfa6146b",
+    ("table", "stochastic"): "9beb883a79fff15bbc2538768324f111f10389e4f53d8bd8b0801c7d69b7fdaf",
+    ("kl", "stochastic"): "fa6e56863f8b1c8e46f6a5cca179b37c005c0a654c58901d122724716a812dea",
+    ("utility", "stochastic"): "9c1678a472d1d0659801b91efdd4c6531d46f9af7be745855c847c65753cdfc0",
+    ("run", "stochastic"): "00da5c87c76e3a349459695968ce0ec6d23b02835578bb7516018de19933f844",
+    ("table", "expectation"): "5ac70955d6acb98297d49a2a654b862421221a5d53e787ee36b6a48e47638d02",
+    ("kl", "expectation"): "2b94acc810a0ab21a7737304c78ed01d9167bf04c662f76d3c66daee5ea44a95",
+    ("utility", "expectation"): "235b891bea15b7dc0185687b0ce115236f966e833746d9bcf8eed111608527ff",
+    ("run", "expectation"): "cdf28e6e9ad07710b3c90bed9d6dbe5012bf23ba05750223b0b0db0eb8b206f7",
 }
 
 

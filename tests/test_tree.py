@@ -10,7 +10,6 @@ from clfgame import (
     PayoffConfig,
     GameConfig,
     PlayStats,
-    RandomSource,
     SearchContext,
     SelectionMethod,
     SelfPlayConfig,
@@ -33,7 +32,7 @@ def make_ctx(cfg=None, seed=0, **run_kwargs):
         cfg=cfg,
         run=run,
         belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule),
-        rng=RandomSource(seed),
+        rng=np.random.default_rng(seed),
         stats=PlayStats.fresh(cfg),
     )
 
@@ -128,15 +127,10 @@ class TestTraverse:
 
 class TestProportionalChoice:
     def test_zero_weight_actions_never_drawn(self):
-        rng = RandomSource(29)
-        weights = np.array([0.0, 0.3, 0.7])
-        draws = {proportional_choice(rng, weights) for _ in range(500)}
+        rng = np.random.default_rng(29)
+        dist = TypeDistribution(np.array([0.0, 0.3, 0.7]))
+        draws = {proportional_choice(rng, dist) for _ in range(500)}
         assert draws == {1, 2}
-
-    def test_all_zero_weights_fall_back_to_uniform(self):
-        rng = RandomSource(31)
-        draws = {proportional_choice(rng, np.zeros(3)) for _ in range(200)}
-        assert draws == {0, 1, 2}
 
 
 class TestPlayBatch:
@@ -144,31 +138,29 @@ class TestPlayBatch:
         cfg = default_config()
         run = SelfPlayConfig(q=50, true_p=TypeDistribution.uniform(4)).resolved(cfg)
         policy = Strategy(np.array([0.5, 0.0, 0.5]))
-        rec = play_batch(policy, 1, cfg, run, RandomSource(43))
+        rec = play_batch(policy, 1, cfg, run, np.random.default_rng(43))
         assert 1 not in set(rec.per_query_classifier.tolist())
         assert rec.realized_type == 1
 
 
 def reference_choice(rng, weights):
-    """`proportional_choice` as it was: a direct `Generator.choice` call."""
+    """A proportional draw made by a direct `Generator.choice` call."""
     weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0.0:
-        return int(rng.generator.integers(len(weights)))
-    return int(rng.generator.choice(len(weights), p=weights / total))
+    return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
 def reference_play_batch(strategy, theta, cfg, run, rng):
-    """`play_batch` as it was: one choice draw and one classify call per query."""
-    from clfgame import classify, generate_queries
-    queries = generate_queries(theta, run.q, rng)
+    """`play_batch` as a per-query loop: one choice draw per query, then one
+    correctness draw per query."""
     chosen = np.array([
-        reference_choice(rng, strategy.probs) for _ in queries
+        reference_choice(rng, strategy.probs) for _ in range(run.q)
     ], dtype=np.int64)
-    correct = np.array([
-        classify(int(j), query, cfg, run.classification_mode, rng)
-        for j, query in zip(chosen, queries)
-    ])
+    acc = cfg.accuracy.acc
+    if run.classification_mode is ClassificationMode.EXPECTATION:
+        correct = np.array([acc[j, theta] for j in chosen])
+    else:
+        correct = np.array([1.0 if rng.random() < acc[j, theta] else 0.0
+                            for j in chosen])
     payoff = cfg.payoff
     u_learner = float(np.mean(
         correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]
@@ -202,27 +194,19 @@ class TestStreamEquivalence:
     """The vectorized draws return exactly what the per-query calls to
     `Generator.choice` returned, and leave the stream at the same place."""
 
-    def test_proportional_choice_matches_generator_choice(self):
-        meta = np.random.default_rng(2024)
-        for case in range(1500):
-            weights = random_weights(meta, int(meta.integers(1, 12)))
-            ours, theirs = RandomSource(case), RandomSource(case)
-            expected = int(theirs.generator.choice(len(weights),
-                                                   p=weights / weights.sum()))
-            assert proportional_choice(ours, weights) == expected, weights
-            assert ours.generator.random() == theirs.generator.random()
-
     @pytest.mark.parametrize("weights", [
         [0.5, -0.1, 0.6],
         [1.0, np.nan, 0.0],
         [np.inf, 1.0, 0.0],
     ])
     def test_invalid_weights_still_raise(self, weights):
+        """The cached CDF is refused where `Generator.choice` refuses."""
+        from clfgame.game import _choice_cdf
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError):
-                proportional_choice(RandomSource(0), np.array(weights))
+                _choice_cdf(np.array(weights))
             with pytest.raises(ValueError):
-                reference_choice(RandomSource(0), np.array(weights))
+                reference_choice(np.random.default_rng(0), np.array(weights))
 
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_play_batch_matches_per_query_loop(self, mode):
@@ -240,14 +224,14 @@ class TestStreamEquivalence:
             theta = int(meta.integers(4))
             run = SelfPlayConfig(q=int(meta.integers(1, 60)), seed=seed,
                                  classification_mode=mode).resolved(cfg)
-            ours, theirs = RandomSource(seed), RandomSource(seed)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             rec = play_batch(strategy, theta, cfg, run, ours)
             chosen, correct, utilities = reference_play_batch(
                 strategy, theta, cfg, run, theirs)
             np.testing.assert_array_equal(rec.per_query_classifier, chosen)
             np.testing.assert_array_equal(rec.per_query_correct, correct)
             assert tuple(rec.utilities) == utilities
-            assert ours.generator.random() == theirs.generator.random()
+            assert ours.random() == theirs.random()
 
 
 class TestCachedSampling:
@@ -268,28 +252,25 @@ class TestCachedSampling:
                 array[0] = 0.5
 
     def test_cached_cdfs_draw_what_choice_draws(self):
-        from clfgame.tree import _choice_cdf
+        from clfgame.game import _choice_cdf
         meta = np.random.default_rng(2025)
         for case in range(1500):
             weights = random_weights(meta, int(meta.integers(1, 12)))
             for kind in (Strategy, TypeDistribution):
                 dist = kind(weights / weights.sum())
-                np.testing.assert_array_equal(
-                    dist.cdf, _choice_cdf(dist.probs, dist.probs.sum()))
+                np.testing.assert_array_equal(dist.cdf, _choice_cdf(dist.probs))
                 assert dist.cdf is dist.cdf
-                ours, raw, theirs = (RandomSource(case) for _ in range(3))
+                ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
                 drawn = proportional_choice(ours, dist)
-                assert drawn == proportional_choice(raw, dist.probs), weights
-                assert drawn == int(theirs.generator.choice(len(dist), p=dist.probs))
-                after = ours.generator.random()
-                assert after == raw.generator.random() == theirs.generator.random()
+                assert drawn == int(theirs.choice(len(dist), p=dist.probs)), weights
+                assert ours.random() == theirs.random()
 
     def test_negative_entry_within_tolerance_raises_at_draw(self):
         probs = np.array([1.0000000005, -5e-10, 0.0, 0.0])
         for kind in (Strategy, TypeDistribution):
             dist = kind(probs)  # the simplex check tolerates it
             with pytest.raises(ValueError, match="non-negative"):
-                proportional_choice(RandomSource(0), dist)
+                proportional_choice(np.random.default_rng(0), dist)
             with pytest.raises(ValueError, match="non-negative"):
                 dist.cdf
 
@@ -298,5 +279,6 @@ class TestCachedSampling:
         assert Strategy.uniform(3).argmax == 0
         cfg = default_config()
         run = SelfPlayConfig(q=5, true_p=TypeDistribution.uniform(4)).resolved(cfg)
-        rec = play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run, RandomSource(3))
+        rec = play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run,
+                         np.random.default_rng(3))
         assert rec.chosen_action == 2

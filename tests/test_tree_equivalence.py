@@ -1,14 +1,16 @@
 """The flat play loop realizes exactly the plays the game tree realized.
 
 The game tree that `self_play` used to build around its plays never fed
-back into them: a traversal ended in one `game_play` call that read the
-belief, the run-wide play statistics and the random stream, but not the
-node or the path.  The tree's own draws (the expansion pick and the
-rollout steps) only advanced the stream.  This module keeps that traversal
-as a reference, with its own draws on a separate `tree_rng`, and checks
-that `self_play` realizes the same plays, byte for byte.  With `tree_rng`
-set to the run's own stream, the reference reproduces the selection counts
-the tree-based `self_play` produced, pinned below.
+back into them: a traversal ended in one play that read the belief, the
+run-wide play statistics and the random stream, but not the node or the
+path.  The tree's own draws (the expansion pick and the rollout steps) only
+advanced the stream.  So did the q binary query labels each play drew and
+nothing read.  This module keeps that traversal and that play as a
+reference, with the tree draws and the label draws on a separate
+`tree_rng`, and checks that `self_play` realizes the same plays, byte for
+byte.  With `tree_rng` set to the run's own stream, the reference
+reproduces the selection counts the tree-based `self_play` produced, pinned
+below.
 """
 
 from enum import Enum
@@ -21,17 +23,17 @@ from clfgame import (
     BeliefState,
     ClassificationMode,
     NodeStats,
+    PlayRecord,
     PlayStats,
-    RandomSource,
     SearchContext,
     SelectionMethod,
     SelfPlayConfig,
+    Strategy,
     TypeDistribution,
+    UtilityPair,
     bne_select,
     default_config,
-    game_play,
     kl_divergence,
-    proportional_choice,
     pure_learner_utilities,
     record_observation,
     refresh_marginal,
@@ -78,8 +80,50 @@ class Node:
         self.expansion_state = Expansion.FULLY_EXPANDED
 
 
-def terminal_play(ctx):
-    record = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats)
+def choice(rng, probs):
+    """One proportional draw, made the way the tree made it."""
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+
+def old_play_batch(strategy, theta, cfg, run, rng, label_rng):
+    """`play_batch` as it was: q query labels drawn and never read, then one
+    classifier and one correctness draw per query."""
+    label_rng.integers(0, 2, size=run.q)
+    chosen = rng.choice(len(strategy), size=run.q, p=strategy.probs)
+    p_correct = cfg.accuracy.acc[chosen, theta]
+    if run.classification_mode is ClassificationMode.EXPECTATION:
+        correct = p_correct
+    else:
+        correct = (rng.random(run.q) < p_correct).astype(float)
+    payoff = cfg.payoff
+    u_learner = float((
+        correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen]
+    ).sum() / run.q)
+    u_adversary = float((
+        (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta]
+    ).sum() / run.q)
+    return PlayRecord(strategy, int(theta), chosen, correct,
+                      UtilityPair(u_learner, u_adversary))
+
+
+def terminal_play(ctx, tree_rng):
+    """`game_play` as it was, with its label draw on `tree_rng`."""
+    run, stats = ctx.run, ctx.stats
+    if run.selection is SelectionMethod.BNE:
+        strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
+    else:
+        action = ucb_select_learner(stats.learner, run.ucb_c)
+        strategy = Strategy.pure(action, ctx.cfg.n_classifiers)
+        br_type = None
+    if run.adversary_mode is AdversaryMode.SAMPLED:
+        theta = choice(ctx.rng, run.true_p.probs)
+    elif br_type is not None:
+        theta = br_type
+    else:
+        theta = ucb_select_adversary(stats.adversary, run.ucb_c)
+    record = old_play_batch(strategy, theta, ctx.cfg, run, ctx.rng, tree_rng)
+    stats.learner.record(record.chosen_action, record.utilities.u_learner)
+    stats.adversary.record(record.realized_type, record.utilities.u_adversary)
     ctx.plays.append(record)
     return record.utilities
 
@@ -110,17 +154,17 @@ def rollout(node, ctx, tree_rng):
         if mover is Mover.LEARNER:
             utilities = pure_learner_utilities(ctx.belief.p_hat, ctx.cfg)
             weights = utilities - utilities.min() + ROLLOUT_SHIFT_EPS
-            proportional_choice(tree_rng, weights)
+            choice(tree_rng, weights)
         else:
-            proportional_choice(tree_rng, ctx.run.true_p.probs)
+            choice(tree_rng, ctx.run.true_p.probs)
         depth += 1
         mover = mover.other()
-    return terminal_play(ctx)
+    return terminal_play(ctx, tree_rng)
 
 
 def traverse(node, ctx, tree_rng):
     if node.depth == ctx.run.h:
-        value = terminal_play(ctx)
+        value = terminal_play(ctx, tree_rng)
         node.add_value(value)
         node.visit_count += 1
         return value
@@ -130,7 +174,7 @@ def traverse(node, ctx, tree_rng):
     elif state is Expansion.VISITED:
         node.expand(ctx.cfg)
         actions = sorted(node.children)
-        child = node.children[actions[int(tree_rng.generator.integers(len(actions)))]]
+        child = node.children[actions[int(tree_rng.integers(len(actions)))]]
         value = rollout(child, ctx, tree_rng)
         child.add_value(value)
         child.visit_count += 1
@@ -144,11 +188,12 @@ def traverse(node, ctx, tree_rng):
 
 
 def reference_self_play(cfg, run, shared_stream):
-    """The tree-based self-play loop.  Its tree draws come from the run's
-    own stream when `shared_stream` is set, else from a separate one."""
+    """The tree-based self-play loop.  Its tree and label draws come from
+    the run's own stream when `shared_stream` is set, else from a separate
+    one."""
     run = run.resolved(cfg)
-    rng = RandomSource(run.seed)
-    tree_rng = rng if shared_stream else RandomSource(run.seed + 1_000_003)
+    rng = np.random.default_rng(run.seed)
+    tree_rng = rng if shared_stream else np.random.default_rng(run.seed + 1_000_003)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
     ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
                         stats=PlayStats.fresh(cfg))
