@@ -9,6 +9,14 @@ action-given-type likelihoods.  Both mix into the same marginal, the
 empirical type distribution; the conditionals are reported as diagnostics.
 KL divergence against the adversary's actual distribution is the
 convergence metric.
+
+These run once per play (`record_observation`) or once per trial, on
+vectors of a few entries, so their checks and scalar arithmetic run on
+Python numbers.  Two numpy calls stay because Python's would round
+differently: `np.log` (`math.log` differs in the last bit on about 1 % of
+random ratio vectors), and every sum over a vector that can hold 8 or more
+entries (numpy sums pairwise from 8 entries up, and a spec may configure
+that many types).
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ class BeliefState:
         counts = np.asarray(self.joint_counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ConfigurationError("joint_counts must be a 2-d matrix")
-        if counts.size and counts.min() < 0:
+        if counts.size and min(counts.ravel().tolist()) < 0:
             raise ConfigurationError("counts must be non-negative")
         counts.flags.writeable = False
         object.__setattr__(self, "joint_counts", counts)
@@ -139,7 +147,7 @@ def refresh_marginal(b: BeliefState) -> BeliefState:
     `bu_conditional`).  With no observations the belief stays at the prior.
     """
     type_totals = b.joint_counts.sum(axis=0)
-    total = int(type_totals.sum())
+    total = sum(type_totals.tolist())
     p_hat = b.prior if total == 0 else TypeDistribution(type_totals / total)
     return BeliefState(p_hat, b.joint_counts, b.update_rule, b.prior)
 
@@ -150,14 +158,17 @@ def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:
     Zero-probability p_hat entries contribute nothing; p_hat mass on a type
     with p(i) = 0 yields the +infinity sentinel so convergence curves stay
     plottable instead of raising.
+
+    The support and the ratios are picked out on Python floats; the
+    logarithms and the sum stay numpy's, so the value is bit for bit the
+    numpy expression's (see the module docstring).
     """
     if len(p_hat) != len(p):
         raise ConfigurationError("distributions have different lengths")
-    ph, q = p_hat.probs, p.probs
-    support = ph > 0
-    if np.any(support & (q == 0)):
+    support = [(a, b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()) if a > 0]
+    if any(b == 0 for _, b in support):
         return float("inf")
-    terms = ph[support] * np.log(ph[support] / q[support])
+    terms = np.log([a / b for a, b in support]) * [a for a, _ in support]
     return float(terms.sum())
 
 
@@ -165,4 +176,4 @@ def max_componentwise_error(p_hat: TypeDistribution, p: TypeDistribution) -> flo
     """Largest per-type absolute gap; reported alongside KL."""
     if len(p_hat) != len(p):
         raise ConfigurationError("distributions have different lengths")
-    return float(np.max(np.abs(p_hat.probs - p.probs)))
+    return max(abs(a - b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()))

@@ -32,6 +32,9 @@ from .tree import AdversaryMode
 
 PRESETS = ("selection_table", "kl_convergence", "utility_comparison", "accuracy_check")
 
+#: Characters of a refused value's repr that an error message shows.
+REPR_LIMIT = 80
+
 #: Aliases accepted in spec files for enum-valued run keys.
 _ENUM_KEYS = {
     "selection": (SelectionMethod, {"bne": "bne", "ucb": "ucb"}),
@@ -59,7 +62,7 @@ class ExperimentSpec:
             raise ConfigurationError("repetitions: must be >= 1")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigurationError(
-                f"preset: must be one of {PRESETS}, got {self.preset!r}")
+                f"preset: must be one of {PRESETS}, got {_shown(self.preset)}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
@@ -68,9 +71,20 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigurationError(f"{key}: {message}")
 
 
+def _shown(value: Any) -> str:
+    """A refused value's repr for an error message, cut to REPR_LIMIT
+    characters plus "..." so a deeply nested value keeps the line short."""
+    text = repr(value)
+    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+
+
 def _section(data: dict, key: str) -> dict:
-    section = data.get(key) or {}
-    _require(isinstance(section, dict), key, "must be a JSON object")
+    """A JSON object section; only an absent key or null means defaults."""
+    section = data.get(key)
+    if section is None:
+        return {}
+    _require(isinstance(section, dict), key,
+             f"must be a JSON object, got {_shown(section)}")
     return section
 
 
@@ -78,8 +92,8 @@ def _integer(value: Any, key: str, minimum: int) -> int:
     """An integral JSON number (20 or 20.0, not 20.7, "20" or true)."""
     integral = (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and float(value).is_integer())
-    _require(integral, key, f"must be an integer, got {value!r}")
-    _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
+    _require(integral, key, f"must be an integer, got {_shown(value)}")
+    _require(value >= minimum, key, f"must be >= {minimum}, got {_shown(value)}")
     return int(value)
 
 

@@ -45,8 +45,9 @@ def _as_readonly_array(values, ndim: int, name: str) -> np.ndarray:
 
 
 def _validate_simplex(probs: np.ndarray, name: str) -> None:
-    # phrased so that NaN entries fail too
-    if not np.all((probs >= -SIMPLEX_ATOL) & (probs <= 1 + SIMPLEX_ATOL)):
+    # phrased so that NaN entries fail too; the range test runs on Python
+    # floats, the sum stays numpy's (pairwise from 8 entries up)
+    if not all(-SIMPLEX_ATOL <= p <= 1 + SIMPLEX_ATOL for p in probs.tolist()):
         raise ConfigurationError(f"{name} entries must lie in [0, 1], got {probs}")
     total = float(probs.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
@@ -235,6 +236,18 @@ class PayoffConfig:
         if np.any(self.c_classifier < 0) or np.any(self.c_type < 0):
             raise ConfigurationError("costs must be non-negative")
 
+    @cached_property
+    def by_type(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+        """Per adversary type i: `(v_learner[:, i], v_adversary[:, i],
+        c_type[i])`, the columns as contiguous read-only rows.
+
+        Built on first use; `tree.play_batch` gathers a play's values from
+        them with `take`, which costs less than indexing the 2-d matrices.
+        """
+        v_learner, v_adversary = self.v_learner.T.copy(), self.v_adversary.T.copy()
+        v_learner.flags.writeable = v_adversary.flags.writeable = False
+        return tuple(zip(v_learner, v_adversary, self.c_type.tolist()))
+
     @classmethod
     def unit(cls, n_classifiers: int, n_types: int) -> "PayoffConfig":
         """All-ones values, zero costs (the documented default)."""
@@ -287,10 +300,6 @@ class UtilityPair(NamedTuple):
 
     u_learner: float
     u_adversary: float
-
-    def __add__(self, other):  # type: ignore[override]
-        return UtilityPair(self.u_learner + other.u_learner,
-                           self.u_adversary + other.u_adversary)
 
 
 #: Measured test accuracy of three increasingly hardened classifiers

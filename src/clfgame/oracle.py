@@ -8,7 +8,7 @@ a batch of queries is an int array of type ids.  Every draw comes from a
 plain `numpy.random.Generator` seeded by the caller, so runs replay bit for
 bit.
 
-`classify` answers a whole batch with one range check per array and, in
+`classify` answers a whole batch with one range-checked lookup and, in
 stochastic mode, one `random` call.  That call yields the same doubles, in
 the same order, as one call per query did, so a seed reproduces the
 reports of the per-query code.
@@ -33,7 +33,8 @@ def generate_queries(theta: AdversaryTypeId, q: int) -> np.ndarray:
 
     Draws nothing: an answer depends on a query's type only.
     """
-    queries = np.full(q, theta)
+    queries = np.empty(q, dtype=np.int64)
+    queries.fill(theta)
     queries.flags.writeable = False
     return queries
 
@@ -52,13 +53,22 @@ def classify(chosen: np.ndarray, queries: np.ndarray, cfg: GameConfig,
     arrays of one shape.  Stochastic mode returns 1.0 where one
     `rng.random(shape)` double falls below acc[chosen, queries], else 0.0;
     expectation mode returns those accuracy entries and draws nothing.
+
+    Both ranges are checked in the one pass that turns the id pairs into
+    flat indexes of the accuracy matrix; only a batch that fails it pays
+    for the check that names the bad id.
     """
     if chosen.shape != queries.shape:
         raise ValueError(f"shape mismatch: {chosen.shape} classifiers for "
                          f"{queries.shape} queries")
-    _check_range(chosen, cfg.check_classifier)
-    _check_range(queries, cfg.check_type)
-    p_correct = cfg.accuracy.acc[chosen, queries]
+    acc = cfg.accuracy.acc
+    try:
+        cells = np.ravel_multi_index((chosen, queries), acc.shape)
+    except ValueError:
+        _check_range(chosen, cfg.check_classifier)
+        _check_range(queries, cfg.check_type)
+        raise
+    p_correct = acc.take(cells)
     if mode is ClassificationMode.EXPECTATION:
         return p_correct
     return (rng.random(chosen.shape) < p_correct).astype(float)

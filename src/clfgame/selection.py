@@ -93,14 +93,25 @@ def bne_select(belief: TypeDistribution, cfg: GameConfig) -> tuple[Strategy, Adv
 
 
 def _ucb_argmax(stats: NodeStats, c: float) -> int:
-    unvisited = np.nonzero(stats.action_visits == 0)[0]
-    if len(unvisited):
+    """The UCB pick, scored on Python floats.
+
+    The 3-4 entry vectors of a game cost no numpy calls this way, and the
+    scores are bit for bit those of the numpy expression
+    `value_sums + c * np.sqrt(2.0 * math.log(parent) / visits)`: each step
+    is the same IEEE double operation on the same operands, and
+    `math.sqrt`, like `np.sqrt`, is correctly rounded.  `index(max(...))`
+    breaks ties toward the lowest index, as `np.argmax` does.
+    """
+    visits = stats.action_visits.tolist()
+    if 0 in visits:
         # Never prefer a visited action while an unexplored one exists.
-        return int(unvisited[0])
+        return visits.index(0)
     if stats.parent_visits == 0:
         raise RuntimeError("all actions visited but parent visit count is zero")
-    bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits) / stats.action_visits)
-    return int(np.argmax(stats.action_value_sums + bonus))
+    log_parent = 2.0 * math.log(stats.parent_visits)
+    scores = [value + c * math.sqrt(log_parent / n)
+              for value, n in zip(stats.action_value_sums.tolist(), visits)]
+    return scores.index(max(scores))
 
 
 def ucb_select_learner(stats: NodeStats, c: float) -> ClassifierId:

@@ -2,9 +2,11 @@
 
 Each trial realizes a fixed number of plays, then folds every play of the
 trial into the belief and records the divergence from the adversary's
-actual type distribution.  A fixed-policy evaluator produces the same
-metrics without adaptive selection or belief updates, as the baseline for
-utility comparisons.
+actual type distribution.  Under BNE selection the learner's best response
+is computed here, once per trial: it depends only on the belief's
+marginal, which changes only at the trial's refresh.  A fixed-policy
+evaluator produces the same metrics without adaptive selection or belief
+updates, as the baseline for utility comparisons.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .game import (
     adversary_utilities,
 )
 from .oracle import ClassificationMode
-from .selection import SelectionMethod
+from .selection import SelectionMethod, bne_select
 from .tree import (
     AdversaryMode,
     PlayRecord,
@@ -115,18 +117,38 @@ class SelfPlayResult:
             return np.where(totals > 0, 100.0 * self.selection_counts / totals, np.nan)
 
 
+def _selection_counts(plays: list[PlayRecord], types: np.ndarray, n_types: int,
+                      n_classifiers: int) -> np.ndarray:
+    """counts[i, j]: the type-i queries answered by classifier j, from one
+    `bincount` over the (type, classifier) cells of the stacked plays.
+
+    A function of its own so that the stacked ids are freed before
+    `_aggregate` stacks the correctness rows: two live [P, q] blocks raised
+    peak memory measurably at q = 1000.
+    """
+    cells = np.stack([rec.per_query_classifier for rec in plays])
+    cells += n_classifiers * types[:, None]
+    return np.bincount(cells.ravel(), minlength=n_types * n_classifiers
+                       ).reshape(n_types, n_classifiers)
+
+
 def _aggregate(plays: list[PlayRecord], cfg: GameConfig,
                per_trial_kl: list[float], per_trial_err: list[float],
                belief: BeliefState) -> SelfPlayResult:
-    counts = np.zeros((cfg.n_types, cfg.n_classifiers), dtype=np.int64)
-    correct_by_type = np.zeros(cfg.n_types)
-    queries_by_type = np.zeros(cfg.n_types, dtype=np.int64)
-    for rec in plays:
-        counts[rec.realized_type] += np.bincount(
-            rec.per_query_classifier, minlength=cfg.n_classifiers
-        )
-        correct_by_type[rec.realized_type] += rec.per_query_correct.sum()
-        queries_by_type[rec.realized_type] += len(rec.per_query_correct)
+    """Run metrics from the plays, stacked into [plays, q] arrays.
+
+    The counts are one `bincount` over (type, classifier) cells.  Each
+    play's correctness sum is a row sum of the stacked array, which is bit
+    for bit the 1-d `sum()` of that play, and `np.add.at` folds them into
+    the per-type totals in play order, as a loop over the plays would.
+    """
+    n_types, n_classifiers = cfg.n_types, cfg.n_classifiers
+    types = np.array([rec.realized_type for rec in plays])
+    counts = _selection_counts(plays, types, n_types, n_classifiers)
+    correct = np.stack([rec.per_query_correct for rec in plays])
+    correct_by_type = np.zeros(n_types)
+    np.add.at(correct_by_type, types, correct.sum(axis=1))
+    queries_by_type = np.bincount(types, minlength=n_types) * correct.shape[1]
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan
@@ -151,7 +173,8 @@ def _aggregate(plays: list[PlayRecord], cfg: GameConfig,
 def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
-    Per trial: realize `traversals_per_trial` plays, record every play's
+    Per trial: compute the best response to the belief once (under BNE
+    selection), realize `traversals_per_trial` plays, record every play's
     (classifier, type) pair into the belief, refresh the marginal under the
     configured rule, and log the KL divergence to the actual type
     distribution.
@@ -164,6 +187,8 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     kl_curve: list[float] = []
     err_curve: list[float] = []
     for _ in range(run.n_trials):
+        if run.selection is SelectionMethod.BNE:
+            ctx.best_response = bne_select(belief.p_hat, cfg)
         trial_start = len(ctx.plays)
         for _ in range(run.traversals_per_trial):
             tree_traverse(ctx)

@@ -80,6 +80,21 @@ class TestRecording:
         b = record_observation(b, 0, 1)
         np.testing.assert_array_equal(b.p_hat.probs, before)
 
+    def test_state_validation(self):
+        prior = TypeDistribution.uniform(3)
+        for k in range(6):
+            counts = np.arange(6).reshape(2, 3)
+            counts[divmod(k, 3)] = -1
+            with pytest.raises(ConfigurationError, match="non-negative"):
+                BeliefState(prior, counts, UpdateRule.FICTITIOUS_PLAY, prior)
+        with pytest.raises(ConfigurationError, match="2-d"):
+            BeliefState(prior, np.zeros(3), UpdateRule.FICTITIOUS_PLAY, prior)
+        with pytest.raises(ConfigurationError, match="dimensions"):
+            BeliefState(prior, np.zeros((2, 4)), UpdateRule.FICTITIOUS_PLAY, prior)
+        empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)),
+                            UpdateRule.FICTITIOUS_PLAY, TypeDistribution.uniform(1))
+        assert empty.total_observations == 0
+
     def test_out_of_range_rejected(self):
         b = BeliefState.fresh(2, 2)
         with pytest.raises(ConfigurationError):
@@ -267,3 +282,63 @@ class TestKlDivergence:
         a = TypeDistribution(np.array([0.6, 0.4]))
         b = TypeDistribution(np.array([0.25, 0.75]))
         assert max_componentwise_error(a, b) == pytest.approx(0.35)
+
+
+def numpy_kl(p_hat, p):
+    """`kl_divergence` as numpy computed it before it moved to lists."""
+    ph, q = p_hat.probs, p.probs
+    support = ph > 0
+    if np.any(support & (q == 0)):
+        return float("inf")
+    return float((ph[support] * np.log(ph[support] / q[support])).sum())
+
+
+def numpy_max_error(p_hat, p):
+    return float(np.max(np.abs(p_hat.probs - p.probs)))
+
+
+class TestScalarPathsMatchNumpy:
+    """KL and max error on Python floats are bit for bit the numpy
+    expressions, including lengths of 8 or more, where numpy sums pairwise."""
+
+    @staticmethod
+    def random_distribution(rng, n, zero_share):
+        raw = rng.random(n) * rng.choice([1e-6, 1.0, 1e3], size=n)
+        raw[rng.random(n) < zero_share] = 0.0
+        if not raw.any():
+            raw[int(rng.integers(n))] = 1.0
+        return TypeDistribution(raw / raw.sum())
+
+    def test_random_pairs_with_zeros_and_disjoint_support(self):
+        rng = np.random.default_rng(20261018)
+        infinite = zero_terms = long = 0
+        for k in range(1500):
+            n = 1 + k % 12
+            p_hat = self.random_distribution(rng, n, 0.25)
+            p = self.random_distribution(rng, n, 0.03)
+            want = numpy_kl(p_hat, p)
+            got = kl_divergence(p_hat, p)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (p_hat, p)
+            got_err = max_componentwise_error(p_hat, p)
+            assert type(got_err) is float
+            assert np.array(got_err).tobytes() == \
+                np.array(numpy_max_error(p_hat, p)).tobytes(), (p_hat, p)
+            infinite += want == math.inf
+            zero_terms += bool((p_hat.probs == 0).any())
+            long += n >= 8 and want != math.inf
+        assert infinite > 50 and zero_terms > 300 and long > 100, \
+            (infinite, zero_terms, long)
+
+    def test_logarithm_is_numpys(self):
+        """On ratios where `math.log` and `np.log` round differently, the
+        KL of a one-type belief is numpy's value."""
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0.05, 0.95, size=20_000)
+        split = [x for x in xs.tolist()
+                 if math.log(1.0 / x) != float(np.log(np.array([1.0 / x]))[0])]
+        assert len(split) >= 10, len(split)
+        for x in split:
+            p_hat = TypeDistribution(np.array([1.0, 0.0]))
+            p = TypeDistribution(np.array([x, 1.0 - x]))
+            got = kl_divergence(p_hat, p)
+            assert got == numpy_kl(p_hat, p) != math.log(1.0 / x), x

@@ -319,3 +319,51 @@ class TestConfigFuzz:
             paths = [SPEC_KEYS[k] for k in picks]
             values = [FUZZ_VALUES[k] for k in meta.integers(len(FUZZ_VALUES), size=len(paths))]
             self.accepts(build(list(zip(paths, values))), paths)
+
+    @pytest.mark.parametrize("section", ["game", "run"])
+    @pytest.mark.parametrize("value", [0, 0.0, False, "", []])
+    def test_falsy_sections_are_refused(self, section, value):
+        """A falsy non-object section is refused like any other non-object
+        one, not read as "use the defaults"."""
+        assert not self.accepts({section: value}, [section])
+        with pytest.raises(ConfigurationError, match=rf"^{section}: must be a JSON object"):
+            spec_from_dict({section: value})
+
+    @pytest.mark.parametrize("section", ["game", "run"])
+    def test_absent_null_and_empty_sections_take_defaults(self, section):
+        default = serialize_spec(spec_from_dict({}))
+        for value in (None, {}):
+            assert serialize_spec(spec_from_dict({section: value})) == default
+
+
+class TestErrorLength:
+    """A refused value is shown in the error cut to a bounded length."""
+
+    DEPTH = 950
+
+    def test_deeply_nested_value_keeps_the_line_short(self, tmp_path, capsys):
+        from clfgame.cli import main
+        from clfgame.config import REPR_LIMIT
+        path = tmp_path / "spec.json"
+        path.write_text('{"run": {"h": ' + "[" * self.DEPTH + "]" * self.DEPTH + "}}")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: run.h: "), lines
+        assert len(lines[0]) <= REPR_LIMIT + 60, len(lines[0])
+        assert lines[0].endswith("[[[...")
+
+    @pytest.mark.parametrize("data, key", [
+        ({"repetitions": "x" * 500}, "repetitions"),
+        ({"game": "y" * 500}, "game"),
+        ({"preset": "z" * 500}, "preset"),
+    ])
+    def test_long_values_are_cut(self, data, key):
+        from clfgame.config import REPR_LIMIT
+        with pytest.raises(ConfigurationError, match=rf"^{key}: ") as err:
+            spec_from_dict(data)
+        message = str(err.value)
+        assert message.endswith("...") and len(message) < 2 * REPR_LIMIT + 80, message
+
+    def test_short_values_are_shown_whole(self):
+        with pytest.raises(ConfigurationError, match=r"^run\.h: must be an integer, got 'abc'$"):
+            spec_from_dict({"run": {"h": "abc"}})

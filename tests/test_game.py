@@ -191,6 +191,15 @@ class TestDomainTypes:
         with pytest.raises(ConfigurationError):
             Strategy(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("cls", [Strategy, TypeDistribution])
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_nan_is_refused_at_every_position(self, cls, n):
+        for k in range(n):
+            probs = np.full(n, 1.0 / n)
+            probs[k] = np.nan
+            with pytest.raises(ConfigurationError, match="must lie in"):
+                cls(probs)
+
     def test_constructors_land_on_simplex(self):
         rng = np.random.default_rng(29)
         for _ in range(100):

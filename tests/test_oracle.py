@@ -97,7 +97,7 @@ class TestRandomStream:
 
 
 class TestClassifyBatch:
-    """A batch is answered with one range check per array and one random
+    """A batch is answered with one range-checked lookup and one random
     call, and agrees with one draw per query."""
 
     @staticmethod
@@ -150,3 +150,18 @@ class TestClassifyBatch:
         with pytest.raises(ValueError, match="shape mismatch"):
             classify(np.array([0, 1, 2]), generate_queries(1, 1), cfg,
                      ClassificationMode.EXPECTATION, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("chosen, types, message", [
+        ([0, 1, 2, 3, 1], [0, 0, 0, 0, 0], "classifier index 3 out of range"),
+        ([0, -2, 1], [1, 1, 1], "classifier index -2 out of range"),
+        ([0, 1, 2], [3, 4, 0], "type index 4 out of range"),
+        ([0, 1, 2], [0, -1, 3], "type index -1 out of range"),
+        ([[0, 1], [2, 0]], [[0, 1], [9, 2]], "type index 9 out of range"),
+        ([[0, 7], [2, 0]], [[0, 1], [-9, 2]], "classifier index 7 out of range"),
+    ])
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_error_names_the_bad_id(self, cfg, chosen, types, message, mode):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            classify(np.array(chosen), np.array(types), cfg, mode, rng)
+        assert rng.random() == np.random.default_rng(0).random()

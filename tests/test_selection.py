@@ -167,3 +167,54 @@ class TestUcbSelect:
         assert stats.parent_visits == 2
         assert stats.action_visits.tolist() == [0, 2]
         assert stats.action_value_sums.tolist() == [0.0, 0.75]
+
+
+def numpy_ucb_pick(stats, c):
+    """The UCB pick as numpy computed it before it moved to Python floats."""
+    unvisited = np.nonzero(stats.action_visits == 0)[0]
+    if len(unvisited):
+        return int(unvisited[0])
+    bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits) / stats.action_visits)
+    return int(np.argmax(stats.action_value_sums + bonus))
+
+
+class TestUcbScalarScores:
+    """The Python-float scores pick what the numpy expression picked."""
+
+    def random_stats(self, rng):
+        n = int(rng.integers(1, 7))
+        kind = int(rng.integers(4))
+        if kind == 0:    # ties: few distinct visit counts and value sums
+            visits = rng.integers(1, 3, size=n)
+            sums = rng.integers(-2, 3, size=n) / 4.0
+        elif kind == 1:  # unvisited actions among visited ones
+            visits = rng.integers(0, 4, size=n)
+            sums = np.where(visits > 0, rng.normal(size=n), 0.0)
+        else:            # play-like: mean utilities in [-1, 1] summed
+            visits = rng.integers(1, 400, size=n)
+            sums = visits * rng.uniform(-1, 1, size=n)
+        parent = int(visits.sum()) + int(rng.integers(0, 3))
+        return NodeStats(parent, visits, sums)
+
+    def test_matches_numpy_on_random_stats(self):
+        rng = np.random.default_rng(2024)
+        ties = unvisited = 0
+        for k in range(2000):
+            stats = self.random_stats(rng)
+            c = (0.0, 2.0, float(rng.uniform(0, 5)))[k % 3]
+            want = numpy_ucb_pick(stats, c)
+            assert ucb_select_learner(stats, c) == want, (stats, c)
+            assert ucb_select_adversary(stats, c) == want, (stats, c)
+            unvisited += bool((stats.action_visits == 0).any())
+            if stats.action_visits.all():
+                bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits)
+                                    / stats.action_visits)
+                scores = stats.action_value_sums + bonus
+                ties += int((scores == scores.max()).sum()) > 1
+        assert ties > 100 and unvisited > 100, (ties, unvisited)
+
+    def test_ties_go_to_the_lowest_index(self):
+        stats = NodeStats(9, np.array([2, 3, 2, 2]), np.array([0.5, 0.1, 0.5, 0.5]))
+        assert ucb_select_learner(stats, 2.0) == 0 == numpy_ucb_pick(stats, 2.0)
+        stats = NodeStats(6, np.array([3, 3]), np.array([0.0, 0.0]))
+        assert ucb_select_learner(stats, 0.0) == 0 == numpy_ucb_pick(stats, 0.0)

@@ -141,6 +141,25 @@ class TestSelectionBehavior:
         frac = np.mean([rec.chosen_action == 1 for rec in late])
         assert frac >= 0.95
 
+    def test_best_response_is_computed_once_per_trial(self, monkeypatch):
+        import clfgame.selfplay
+        import clfgame.tree
+        calls = {"selfplay": 0, "tree": 0}
+
+        def counting(module, original):
+            def wrapper(*args):
+                calls[module] += 1
+                return original(*args)
+            return wrapper
+
+        for name, module in (("selfplay", clfgame.selfplay), ("tree", clfgame.tree)):
+            monkeypatch.setattr(module, "bne_select", counting(name, module.bne_select))
+        run = SelfPlayConfig(selection=SelectionMethod.BNE, n_trials=7, h=5, seed=3,
+                             adversary_mode=AdversaryMode.BEST_RESPONSE)
+        res = self_play(default_config(), run)
+        assert calls == {"selfplay": 7, "tree": 0}
+        assert res.total_plays == 35
+
     def test_expectation_mode_utility_closed_form(self):
         """Zero costs, unit values, expectation mode: the mean learner
         utility is the selection-weighted average of accuracy entries."""
@@ -204,3 +223,46 @@ class TestFixedPolicy:
         with pytest.raises(ConfigurationError):
             evaluate_fixed_policy(default_config(), SelfPlayConfig(seed=1),
                                   Strategy.uniform(2))
+
+
+def loop_aggregate(plays, cfg):
+    """The run metrics as the per-play loop computed them before `_aggregate`
+    stacked the plays."""
+    counts = np.zeros((cfg.n_types, cfg.n_classifiers), dtype=np.int64)
+    correct_by_type = np.zeros(cfg.n_types)
+    queries_by_type = np.zeros(cfg.n_types, dtype=np.int64)
+    for rec in plays:
+        counts[rec.realized_type] += np.bincount(
+            rec.per_query_classifier, minlength=cfg.n_classifiers)
+        correct_by_type[rec.realized_type] += rec.per_query_correct.sum()
+        queries_by_type[rec.realized_type] += len(rec.per_query_correct)
+    with np.errstate(invalid="ignore"):
+        per_type_accuracy = np.where(
+            queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan)
+    overall = float(correct_by_type.sum() / queries_by_type.sum())
+    return counts, per_type_accuracy, overall
+
+
+class TestAggregateMatchesPlayLoop:
+    """`_aggregate` from stacked arrays gives the loop's metrics bit for bit."""
+
+    @pytest.mark.parametrize("q", [1, 10, 1000])
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_stacked_metrics_are_byte_identical(self, q, mode):
+        cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
+        policy = Strategy(np.array([0.2, 0.3, 0.5]))
+        per_trial = 20 if q < 1000 else 4
+        for seed in range(6):
+            true_p = TypeDistribution(np.array([0.1, 0.2, 0.3, 0.4]) if seed % 2
+                                      else np.array([0.0, 0.5, 0.0, 0.5]))
+            run = SelfPlayConfig(h=per_trial, n_trials=5, q=q, seed=seed,
+                                 classification_mode=mode, true_p=true_p,
+                                 selection=list(SelectionMethod)[seed % 2])
+            for res in (self_play(cfg, run), evaluate_fixed_policy(cfg, run, policy)):
+                counts, per_type, overall = loop_aggregate(res.plays, cfg)
+                assert res.selection_counts.tolist() == counts.tolist()
+                assert res.selection_counts.dtype == np.int64
+                assert res.per_type_accuracy.tobytes() == per_type.tobytes()
+                assert np.array(res.overall_accuracy).tobytes() == \
+                    np.array(overall).tobytes()
+                assert res.total_plays == len(res.plays) == 5 * per_trial

@@ -265,6 +265,23 @@ class TestCachedSampling:
                 assert drawn == int(theirs.choice(len(dist), p=dist.probs)), weights
                 assert ours.random() == theirs.random()
 
+    def test_draw_on_a_cdf_entry_matches_searchsorted(self):
+        """A double equal to a CDF entry (zero-mass runs repeat entries)
+        draws the index `searchsorted(side="right")` gives."""
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        for probs in ([0.25, 0.0, 0.25, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0],
+                      [0.1, 0.2, 0.3, 0.4]):
+            dist = TypeDistribution(np.array(probs))
+            for u in [0.0, *dist.cdf.tolist(), float(np.nextafter(dist.cdf[0], 0))]:
+                want = int(dist.cdf.searchsorted(u, side="right"))
+                assert proportional_choice(Fixed(u), dist) == want, (probs, u)
+
     def test_negative_entry_within_tolerance_raises_at_draw(self):
         probs = np.array([1.0000000005, -5e-10, 0.0, 0.0])
         for kind in (Strategy, TypeDistribution):
