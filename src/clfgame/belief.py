@@ -2,13 +2,14 @@
 
 The learner never observes the adversary's type directly at decision time;
 it accumulates (classifier played, type realized) pairs from finished plays
-and summarizes them into a marginal type distribution `p_hat`.  Two update
-rules define per-action type conditionals: fictitious play (per-action
-empirical frequencies) and a Bayes-rule reconstruction from
-action-given-type likelihoods.  Both mix into the same marginal, the
-empirical type distribution; the conditionals are reported as diagnostics.
-KL divergence against the adversary's actual distribution is the
-convergence metric.
+and summarizes them into a marginal type distribution `p_hat`, the
+empirical type distribution.  Two rules give per-action type conditionals:
+fictitious play (per-action empirical frequencies) and a Bayes-rule
+reconstruction from action-given-type likelihoods.  They are diagnostics,
+not a setting: both mix into the same marginal, so no run depends on the
+rule.  `UpdateRule` names the rule whose conditional a report shows.  KL
+divergence against the adversary's actual distribution is the convergence
+metric.
 
 These run once per play (`record_observation`) or once per trial, on
 vectors of a few entries, so their checks and scalar arithmetic run on
@@ -35,6 +36,9 @@ from .game import (
 
 
 class UpdateRule(str, Enum):
+    """Which per-action conditional a report shows: `fp_conditional` or
+    `bu_conditional`."""
+
     FICTITIOUS_PLAY = "fp"
     BAYESIAN_UPDATE = "bu"
 
@@ -50,7 +54,6 @@ class BeliefState:
 
     p_hat: TypeDistribution
     joint_counts: np.ndarray
-    update_rule: UpdateRule
     prior: TypeDistribution
 
     def __post_init__(self):
@@ -65,16 +68,12 @@ class BeliefState:
             raise ConfigurationError("belief dimensions do not match count matrix")
 
     @classmethod
-    def fresh(cls, n_classifiers: int, n_types: int,
-              update_rule: UpdateRule = UpdateRule.FICTITIOUS_PLAY,
-              prior: TypeDistribution | None = None) -> "BeliefState":
-        """Observation-free state; the belief starts at the prior
-        (uniform unless one is supplied)."""
-        prior = prior if prior is not None else TypeDistribution.uniform(n_types)
+    def fresh(cls, n_classifiers: int, n_types: int) -> "BeliefState":
+        """Observation-free state; the belief starts at the uniform prior."""
+        prior = TypeDistribution.uniform(n_types)
         return cls(
             p_hat=prior,
             joint_counts=np.zeros((n_classifiers, n_types), dtype=np.int64),
-            update_rule=update_rule,
             prior=prior,
         )
 
@@ -99,7 +98,7 @@ def record_observation(b: BeliefState, action: ClassifierId,
         raise ConfigurationError(f"type index {theta} out of range")
     counts = b.joint_counts.copy()
     counts[action, theta] += 1
-    return BeliefState(b.p_hat, counts, b.update_rule, b.prior)
+    return BeliefState(b.p_hat, counts, b.prior)
 
 
 def fp_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
@@ -135,7 +134,7 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
 def refresh_marginal(b: BeliefState) -> BeliefState:
     """Recompute p_hat from the counts: the empirical type distribution.
 
-    Both update rules give this marginal.  Each defines it as the
+    Both conditional rules give this marginal.  Each defines it as the
     action-frequency-weighted mixture of per-action conditionals,
     sum_j w(j) * P(type | action j) with w(j) = n_j / N.  Under fictitious
     play P(i | j) = n_ji / n_j, so the mixture is n_i / N.  Under the Bayes
@@ -149,7 +148,7 @@ def refresh_marginal(b: BeliefState) -> BeliefState:
     type_totals = b.joint_counts.sum(axis=0)
     total = sum(type_totals.tolist())
     p_hat = b.prior if total == 0 else TypeDistribution(type_totals / total)
-    return BeliefState(p_hat, b.joint_counts, b.update_rule, b.prior)
+    return BeliefState(p_hat, b.joint_counts, b.prior)
 
 
 def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:

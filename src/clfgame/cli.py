@@ -32,7 +32,7 @@ _PRESET_DISPATCH = {
 _COMMANDS = {
     "run": "execute a spec file (honors its preset field)",
     "table": "classifier-selection shares per concentrated type distribution",
-    "kl": "belief-convergence curves under both update rules",
+    "kl": "belief-convergence curves, fp and bu conditional diagnostics",
     "utility": "self-play utility vs. the most-hardened fixed classifier",
     "acc-check": "reconstruct the accuracy matrix from the stochastic oracle",
 }

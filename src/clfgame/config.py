@@ -1,10 +1,11 @@
 """Experiment configuration: JSON in, validated spec out, and back again.
 
 A spec file is a JSON object with optional `game` and `run` sections plus
-experiment-level keys; anything omitted takes the documented default
-(bundled 3x4 accuracy matrix, unit values, zero costs, h=20, n_trials=10,
-q=10, exploration constant 2, uniform prior).  Validation errors name the
-offending key.
+experiment-level keys; anything omitted, or set to null, takes the
+documented default (bundled 3x4 accuracy matrix, unit values, zero costs,
+h=20 plays per trial, n_trials=10, q=10, exploration constant ucb_c=2,
+uniform prior).  Each setting has one key: the game's dimensions are the
+accuracy matrix's shape.  Validation errors name the offending key.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .belief import UpdateRule
 from .game import (
     AccuracyMatrix,
     ConfigurationError,
@@ -35,15 +35,17 @@ PRESETS = ("selection_table", "kl_convergence", "utility_comparison", "accuracy_
 #: Characters of a refused value's repr that an error message shows.
 REPR_LIMIT = 80
 
-#: Aliases accepted in spec files for enum-valued run keys.
+#: The keys each part of a spec may set; any other key is refused.
+_GAME_KEYS = {"accuracy", "v_learner", "v_adversary", "c_classifier", "c_type"}
+_RUN_KEYS = {"h", "n_trials", "q", "ucb_c", "selection", "adversary_mode",
+             "classification_mode", "true_p", "seed"}
+_SPEC_KEYS = {"game", "run", "repetitions", "output_dir", "preset"}
+
+#: Enum-valued run keys; a spec gives the value in any letter case.
 _ENUM_KEYS = {
-    "selection": (SelectionMethod, {"bne": "bne", "ucb": "ucb"}),
-    "update_rule": (UpdateRule, {"fp": "fp", "fictitious_play": "fp",
-                                 "bu": "bu", "bayesian_update": "bu"}),
-    "adversary_mode": (AdversaryMode, {"sampled": "sampled",
-                                       "best_response": "best_response"}),
-    "classification_mode": (ClassificationMode, {"stochastic": "stochastic",
-                                                 "expectation": "expectation"}),
+    "selection": SelectionMethod,
+    "adversary_mode": AdversaryMode,
+    "classification_mode": ClassificationMode,
 }
 
 
@@ -78,11 +80,17 @@ def _shown(value: Any) -> str:
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
+def _present(section: dict, prefix: str, known: set[str]) -> dict:
+    """The keys a section sets: each must be known, and a null value means
+    the key is absent."""
+    for key in section:
+        _require(key in known, prefix + key, "unknown key")
+    return {key: value for key, value in section.items() if value is not None}
+
+
 def _section(data: dict, key: str) -> dict:
-    """A JSON object section; only an absent key or null means defaults."""
-    section = data.get(key)
-    if section is None:
-        return {}
+    """A JSON object section; only an absent key (or null) means defaults."""
+    section = data.get(key, {})
     _require(isinstance(section, dict), key,
              f"must be a JSON object, got {_shown(section)}")
     return section
@@ -121,30 +129,17 @@ def _broadcast(data: Any, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _game_from_dict(section: dict) -> GameConfig:
-    known = {"n_classifiers", "n_types", "accuracy",
-             "v_learner", "v_adversary", "c_classifier", "c_type"}
-    for key in section:
-        _require(key in known, f"game.{key}", "unknown key")
-
+    """The game; its dimensions are the accuracy matrix's shape."""
+    section = _present(section, "game.", _GAME_KEYS)
     user_matrix = "accuracy" in section
     if user_matrix:
         raw = _reals(section["accuracy"], "game.accuracy")
         _require(raw.ndim == 2, "game.accuracy", "must be a 2-d matrix")
-        n_classifiers = _integer(section.get("n_classifiers", raw.shape[0]),
-                                 "game.n_classifiers", 1)
-        n_types = _integer(section.get("n_types", raw.shape[1]), "game.n_types", 1)
-        _require(raw.shape == (n_classifiers, n_types), "game.accuracy",
-                 f"dimension mismatch: matrix {raw.shape} vs "
-                 f"({n_classifiers}, {n_types})")
+        _require(min(raw.shape) >= 1, "game.accuracy",
+                 f"must have a row and a column, got shape {raw.shape}")
     else:
-        n_classifiers = _integer(section.get("n_classifiers", DEFAULT_ACCURACY.shape[0]),
-                                 "game.n_classifiers", 1)
-        n_types = _integer(section.get("n_types", DEFAULT_ACCURACY.shape[1]),
-                           "game.n_types", 1)
-        _require((n_classifiers, n_types) == DEFAULT_ACCURACY.shape,
-                 "game.accuracy",
-                 "required when dimensions differ from the bundled 3x4 default")
         raw = DEFAULT_ACCURACY
+    n_classifiers, n_types = raw.shape
 
     try:
         import warnings
@@ -175,29 +170,22 @@ def _game_from_dict(section: dict) -> GameConfig:
 
 
 def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
-    known = {"h", "n_trials", "q", "ucb_c", "C", "selection", "update_rule",
-             "adversary_mode", "classification_mode", "true_p", "seed",
-             "traversals_per_trial"}
-    for key in section:
-        _require(key in known, f"run.{key}", "unknown key")
-
+    section = _present(section, "run.", _RUN_KEYS)
     kwargs: dict[str, Any] = {}
-    for key in ("h", "n_trials", "q", "seed", "traversals_per_trial"):
-        if section.get(key) is not None:
-            kwargs[key] = _integer(section[key], f"run.{key}", 0 if key == "seed" else 1)
-    ucb_key = "C" if "C" in section and "ucb_c" not in section else "ucb_c"
-    if ucb_key in section:
-        ucb_c = _reals(section[ucb_key], f"run.{ucb_key}")
-        _require(ucb_c.ndim == 0 and ucb_c >= 0, f"run.{ucb_key}",
-                 "must be a number >= 0")
-        kwargs["ucb_c"] = float(ucb_c)
-    for key, (enum_cls, aliases) in _ENUM_KEYS.items():
+    for key in ("h", "n_trials", "q", "seed"):
         if key in section:
+            kwargs[key] = _integer(section[key], f"run.{key}", 0 if key == "seed" else 1)
+    if "ucb_c" in section:
+        ucb_c = _reals(section["ucb_c"], "run.ucb_c")
+        _require(ucb_c.ndim == 0 and ucb_c >= 0, "run.ucb_c", "must be a number >= 0")
+        kwargs["ucb_c"] = float(ucb_c)
+    for key, enum_cls in _ENUM_KEYS.items():
+        if key in section:
+            values = sorted(member.value for member in enum_cls)
             raw = str(section[key]).lower()
-            _require(raw in aliases, f"run.{key}",
-                     f"must be one of {sorted(set(aliases))}")
-            kwargs[key] = enum_cls(aliases[raw])
-    if section.get("true_p") is not None:
+            _require(raw in values, f"run.{key}", f"must be one of {values}")
+            kwargs[key] = enum_cls(raw)
+    if "true_p" in section:
         probs = _reals(section["true_p"], "run.true_p")
         _require(probs.shape == (n_types,), "run.true_p",
                  f"expected {n_types} entries, got shape {probs.shape}")
@@ -216,18 +204,16 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build a validated spec from a parsed JSON object."""
-    known = {"game", "run", "repetitions", "output_dir", "preset"}
-    for key in data:
-        _require(key in known, key, "unknown key")
+    data = _present(data, "", _SPEC_KEYS)
     game = _game_from_dict(_section(data, "game"))
     run = _run_from_dict(_section(data, "run"), game.n_types)
     kwargs: dict[str, Any] = {}
-    if data.get("repetitions") is not None:
+    if "repetitions" in data:
         kwargs["repetitions"] = _integer(data["repetitions"], "repetitions", 1)
-    if data.get("output_dir") is not None:
+    if "output_dir" in data:
         _require(isinstance(data["output_dir"], str), "output_dir", "must be a string")
         kwargs["output_dir"] = Path(data["output_dir"])
-    if data.get("preset") is not None:
+    if "preset" in data:
         kwargs["preset"] = str(data["preset"])
     return ExperimentSpec(game=game, run=run, **kwargs)
 
@@ -252,8 +238,6 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
     run = spec.run
     return {
         "game": {
-            "n_classifiers": spec.game.n_classifiers,
-            "n_types": spec.game.n_types,
             "accuracy": spec.game.accuracy.acc.tolist(),
             "v_learner": spec.game.payoff.v_learner.tolist(),
             "v_adversary": spec.game.payoff.v_adversary.tolist(),
@@ -266,12 +250,10 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             "q": run.q,
             "ucb_c": run.ucb_c,
             "selection": run.selection.value,
-            "update_rule": run.update_rule.value,
             "adversary_mode": run.adversary_mode.value,
             "classification_mode": run.classification_mode.value,
             "true_p": None if run.true_p is None else run.true_p.probs.tolist(),
             "seed": run.seed,
-            "traversals_per_trial": run.traversals_per_trial,
         },
         "repetitions": spec.repetitions,
         "output_dir": str(spec.output_dir),

@@ -61,12 +61,15 @@ def preset_accuracy_check(spec: ExperimentSpec,
 
 
 def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
-    """Belief-convergence curves under both update rules.
+    """Belief-convergence curves, with each rule's conditional diagnostic.
 
     Each repetition draws a fresh random actual type distribution and runs
-    self-play once per update rule; trial 0 rows carry the pre-update
-    baseline divergence, and `mean` rows average each trial across
-    repetitions.
+    self-play twice, at two seeds of its own: experiment `kl:fp:rep{n}`
+    reports `fp_conditional` per classifier and `kl:bu:rep{n}`
+    `bu_conditional`.  The rule changes only that diagnostic, since both
+    rules give the same marginal (see `refresh_marginal`).  Trial 0 rows
+    carry the pre-update baseline divergence, and `mean` rows average each
+    trial across repetitions.
     """
     stream = _seed_stream(spec)
     rows: list[ReportRow] = []
@@ -78,7 +81,7 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
         true_p = TypeDistribution(raw)
         for rule in UpdateRule:
             seed = _next_seed(stream)
-            run = replace(spec.run, update_rule=rule, true_p=true_p, seed=seed)
+            run = replace(spec.run, true_p=true_p, seed=seed)
             result = self_play(spec.game, run)
             exp = f"kl:{rule.value}:rep{rep}"
             baseline = np.concatenate([[kl_divergence(prior, true_p)],

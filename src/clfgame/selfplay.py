@@ -18,7 +18,6 @@ import numpy as np
 
 from .belief import (
     BeliefState,
-    UpdateRule,
     kl_divergence,
     max_componentwise_error,
     record_observation,
@@ -48,10 +47,9 @@ from .tree import (
 class SelfPlayConfig:
     """Run parameters for one self-play run.
 
-    `traversals_per_trial` is the number of plays one trial realizes; the
-    cutoff depth `h` does nothing but set its default.  `update_rule` is
-    carried on the belief; both rules give the same marginal (see
-    `refresh_marginal`).
+    `h` is the number of plays one trial realizes.  No field picks a belief
+    update rule: both rules give the same marginal (see
+    `refresh_marginal`), so the rule only names a reported diagnostic.
     """
 
     h: int = 20
@@ -59,35 +57,35 @@ class SelfPlayConfig:
     q: int = 10
     ucb_c: float = 2.0
     selection: SelectionMethod = SelectionMethod.UCB
-    update_rule: UpdateRule = UpdateRule.FICTITIOUS_PLAY
     adversary_mode: AdversaryMode = AdversaryMode.SAMPLED
     classification_mode: ClassificationMode = ClassificationMode.STOCHASTIC
     true_p: Optional[TypeDistribution] = None
     seed: int = 0
-    traversals_per_trial: Optional[int] = None
 
     def __post_init__(self):
         if self.h < 1:
-            raise ConfigurationError("cutoff depth h must be >= 1")
+            raise ConfigurationError("plays per trial h must be >= 1")
         if self.n_trials < 1 or self.q < 1:
             raise ConfigurationError("n_trials and q must be >= 1")
         if self.ucb_c < 0 or not np.isfinite(self.ucb_c):
             raise ConfigurationError("ucb_c must be finite and >= 0")
-        if self.traversals_per_trial is not None and self.traversals_per_trial < 1:
-            raise ConfigurationError("traversals_per_trial must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
+    @property
+    def traversals_per_trial(self) -> int:
+        """Plays per trial, which is `h`.  Read-only and not a spec key:
+        `bench/workloads.plays_per_run` reads it, and it goes with the
+        benchmark rework of ROADMAP item 1."""
+        return self.h
+
     def resolved(self, cfg: GameConfig) -> "SelfPlayConfig":
-        """Fill in defaults that need the game's dimensions."""
-        run = self
-        if run.true_p is None:
-            run = replace(run, true_p=TypeDistribution.uniform(cfg.n_types))
-        elif len(run.true_p) != cfg.n_types:
+        """Fill in the default that needs the game's dimensions."""
+        if self.true_p is None:
+            return replace(self, true_p=TypeDistribution.uniform(cfg.n_types))
+        if len(self.true_p) != cfg.n_types:
             raise ConfigurationError("true_p length does not match the game's type count")
-        if run.traversals_per_trial is None:
-            run = replace(run, traversals_per_trial=run.h)
-        return run
+        return self
 
 
 @dataclass(frozen=True)
@@ -174,14 +172,13 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
     Per trial: compute the best response to the belief once (under BNE
-    selection), realize `traversals_per_trial` plays, record every play's
-    (classifier, type) pair into the belief, refresh the marginal under the
-    configured rule, and log the KL divergence to the actual type
-    distribution.
+    selection), realize `h` plays, record every play's (classifier, type)
+    pair into the belief, refresh the marginal, and log the KL divergence to
+    the actual type distribution.
     """
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
-    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
+    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
                         stats=PlayStats.fresh(cfg))
     kl_curve: list[float] = []
@@ -190,7 +187,7 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
         if run.selection is SelectionMethod.BNE:
             ctx.best_response = bne_select(belief.p_hat, cfg)
         trial_start = len(ctx.plays)
-        for _ in range(run.traversals_per_trial):
+        for _ in range(run.h):
             tree_traverse(ctx)
         for rec in ctx.plays[trial_start:]:
             belief = record_observation(belief, rec.chosen_action, rec.realized_type)
@@ -213,10 +210,10 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     if len(policy) != cfg.n_classifiers:
         raise ConfigurationError("policy length does not match the game's classifier count")
     rng = np.random.default_rng(run.seed)
-    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
+    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
     plays: list[PlayRecord] = []
-    for _ in range(run.n_trials * run.traversals_per_trial):
+    for _ in range(run.n_trials * run.h):
         if run.adversary_mode is AdversaryMode.SAMPLED:
             theta = proportional_choice(rng, run.true_p)
         else:

@@ -1,4 +1,4 @@
-"""Belief bookkeeping, both update rules, and KL divergence."""
+"""Belief bookkeeping, both conditional rules, and KL divergence."""
 
 import math
 
@@ -9,7 +9,6 @@ from clfgame import (
     BeliefState,
     ConfigurationError,
     TypeDistribution,
-    UpdateRule,
     bu_conditional,
     fp_conditional,
     kl_divergence,
@@ -19,10 +18,10 @@ from clfgame import (
 )
 
 
-def state_with_counts(counts, rule=UpdateRule.FICTITIOUS_PLAY, p_hat=None, prior=None):
+def state_with_counts(counts, p_hat=None):
     counts = np.asarray(counts, dtype=np.int64)
     n_types = counts.shape[1]
-    b = BeliefState.fresh(counts.shape[0], n_types, rule, prior)
+    b = BeliefState.fresh(counts.shape[0], n_types)
     if p_hat is not None:
         from dataclasses import replace
         b = replace(b, p_hat=TypeDistribution(np.asarray(p_hat, dtype=float)))
@@ -86,13 +85,13 @@ class TestRecording:
             counts = np.arange(6).reshape(2, 3)
             counts[divmod(k, 3)] = -1
             with pytest.raises(ConfigurationError, match="non-negative"):
-                BeliefState(prior, counts, UpdateRule.FICTITIOUS_PLAY, prior)
+                BeliefState(prior, counts, prior)
         with pytest.raises(ConfigurationError, match="2-d"):
-            BeliefState(prior, np.zeros(3), UpdateRule.FICTITIOUS_PLAY, prior)
+            BeliefState(prior, np.zeros(3), prior)
         with pytest.raises(ConfigurationError, match="dimensions"):
-            BeliefState(prior, np.zeros((2, 4)), UpdateRule.FICTITIOUS_PLAY, prior)
+            BeliefState(prior, np.zeros((2, 4)), prior)
         empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)),
-                            UpdateRule.FICTITIOUS_PLAY, TypeDistribution.uniform(1))
+                            TypeDistribution.uniform(1))
         assert empty.total_observations == 0
 
     def test_out_of_range_rejected(self):
@@ -209,15 +208,13 @@ class TestRefreshMarginal:
             if counts.any():
                 sparse.append(counts)
         for counts in dense + sparse:
-            fp = refresh_marginal(state_with_counts(counts, UpdateRule.FICTITIOUS_PLAY))
-            bu = refresh_marginal(state_with_counts(counts, UpdateRule.BAYESIAN_UPDATE))
-            np.testing.assert_allclose(fp.p_hat.probs, bu.p_hat.probs, atol=1e-12)
-            np.testing.assert_allclose(fp.p_hat.probs, mixture(fp, fp_conditional),
+            b = refresh_marginal(state_with_counts(counts))
+            np.testing.assert_allclose(b.p_hat.probs, mixture(b, fp_conditional),
                                        atol=1e-12)
             # the Bayes mixture takes the count-consistent marginal as prior
-            count_prior = replace(bu, p_hat=TypeDistribution(
+            count_prior = replace(b, p_hat=TypeDistribution(
                 counts.sum(axis=0) / counts.sum()))
-            np.testing.assert_allclose(bu.p_hat.probs,
+            np.testing.assert_allclose(b.p_hat.probs,
                                        mixture(count_prior, bu_conditional),
                                        atol=1e-12)
 

@@ -15,7 +15,6 @@ from clfgame import (
     SelectionMethod,
     SelfPlayConfig,
     TypeDistribution,
-    UpdateRule,
 )
 from clfgame.config import (
     ExperimentSpec,
@@ -43,7 +42,6 @@ class TestDefaults:
         assert spec.run.q == 10
         assert spec.run.ucb_c == 2.0
         assert spec.run.selection is SelectionMethod.UCB
-        assert spec.run.update_rule is UpdateRule.FICTITIOUS_PLAY
         assert spec.run.adversary_mode is AdversaryMode.SAMPLED
         assert spec.run.classification_mode is ClassificationMode.STOCHASTIC
         assert spec.run.true_p is None
@@ -67,9 +65,10 @@ class TestValidation:
             load_spec(write_spec(tmp_path, data))
 
     def test_accuracy_dimension_mismatch(self, tmp_path):
-        data = {"game": {"n_classifiers": 3,
-                         "accuracy": [[0.5, 0.5], [0.4, 0.6]]}}
-        with pytest.raises(ConfigurationError, match="game.accuracy"):
+        data = {"game": {"c_classifier": [0.0, 0.01, 0.02],
+                         "accuracy": [[0.4, 0.5], [0.5, 0.6]]}}
+        with pytest.raises(ConfigurationError,
+                           match=r"^game.c_classifier: expected shape \(2,\)"):
             load_spec(write_spec(tmp_path, data))
 
     def test_unknown_keys_are_named(self, tmp_path):
@@ -110,9 +109,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="repetitions"):
             spec_from_dict({"repetitions": 0})
 
-    def test_nondefault_dims_require_matrix(self):
-        with pytest.raises(ConfigurationError, match="game.accuracy"):
-            spec_from_dict({"game": {"n_classifiers": 2}})
+    @pytest.mark.parametrize("accuracy", [[], [[]], [[], []]])
+    def test_empty_matrix_is_refused(self, accuracy):
+        with pytest.raises(ConfigurationError, match=r"^game.accuracy: "):
+            spec_from_dict({"game": {"accuracy": accuracy}})
+
+
+class TestDimensionsFromMatrix:
+    """A spec's classifier and type counts are its accuracy matrix's shape."""
+
+    def test_default_matrix_is_3x4(self):
+        spec = spec_from_dict({})
+        assert (spec.game.n_classifiers, spec.game.n_types) == (3, 4)
+
+    def test_custom_matrix_sets_both(self):
+        accuracy = [[0.9, 0.8, 0.7, 0.6, 0.5], [0.95, 0.85, 0.75, 0.65, 0.55]]
+        spec = spec_from_dict({"game": {"accuracy": accuracy},
+                               "run": {"true_p": [0.2] * 5}})
+        assert (spec.game.n_classifiers, spec.game.n_types) == (2, 5)
+        assert spec.game.payoff.c_classifier.shape == (2,)
+        assert spec.game.payoff.c_type.shape == (5,)
+        assert "n_classifiers" not in serialize_spec(spec)["game"]
 
 
 class TestRoundTrip:
@@ -124,11 +141,10 @@ class TestRoundTrip:
                 "c_classifier": [0.0, 0.05],
             },
             "run": {
-                "h": 8, "n_trials": 4, "q": 3, "C": 1.5,
-                "selection": "bne", "update_rule": "bayesian_update",
+                "h": 6, "n_trials": 4, "q": 3, "ucb_c": 1.5,
+                "selection": "bne",
                 "classification_mode": "expectation",
                 "true_p": [0.7, 0.3], "seed": 42,
-                "traversals_per_trial": 6,
             },
             "repetitions": 2,
             "output_dir": "somewhere",
@@ -139,7 +155,7 @@ class TestRoundTrip:
         second = spec_from_dict(json.loads(json.dumps(dumped)))
         assert serialize_spec(second) == dumped
         assert second.run.ucb_c == 1.5
-        assert second.run.update_rule is UpdateRule.BAYESIAN_UPDATE
+        assert second.run.h == 6
         np.testing.assert_array_equal(second.game.payoff.v_learner,
                                       np.full((2, 2), 2.0))
 
@@ -189,7 +205,26 @@ BAD_SPECS = [
     # within the simplex tolerance, but a draw refuses a negative entry
     ({"run": {"true_p": [1.0000000005, -5e-10, 0, 0]}}, "run.true_p"),
     ({"preset": "nope"}, "preset"),
+    # keys that changed no outcome, deleted: each is an unknown key now
+    ({"run": {"update_rule": "fp"}}, "run.update_rule"),
+    ({"run": {"traversals_per_trial": 6}}, "run.traversals_per_trial"),
+    ({"run": {"ucb_c": 1, "C": 5}}, "run.C"),
+    ({"game": {"n_classifiers": 3}}, "game.n_classifiers"),
+    ({"game": {"n_types": 4}}, "game.n_types"),
 ]
+
+#: The dotted path of every key a spec may set.
+KNOWN_KEYS = (
+    [f"game.{key}" for key in ("accuracy", "v_learner", "v_adversary",
+                               "c_classifier", "c_type")]
+    + [f"run.{key}" for key in ("h", "n_trials", "q", "ucb_c", "selection",
+                                "adversary_mode", "classification_mode",
+                                "true_p", "seed")]
+    + ["game", "run", "repetitions", "output_dir", "preset"]
+)
+#: Each deleted key, with a value it used to accept (mostly its default).
+REMOVED_KEYS = {"run.update_rule": "bu", "run.traversals_per_trial": 20,
+                "run.C": 2, "game.n_classifiers": 3, "game.n_types": 4}
 
 
 class TestBadSpecs:
@@ -256,7 +291,67 @@ class TestBadSpecs:
             build()
 
 
-#: Every key a spec may set, as its dotted path.
+class TestOneKeyPerSetting:
+    """Each setting has one key; keys that changed no outcome are refused."""
+
+    def test_a_spec_serialises_every_known_key(self):
+        dumped = serialize_spec(spec_from_dict({}))
+        paths = [f"{section}.{key}" for section in ("game", "run")
+                 for key in dumped[section]]
+        paths += list(dumped)
+        assert sorted(paths) == sorted(KNOWN_KEYS)
+        assert len(KNOWN_KEYS) == 19
+
+    @pytest.mark.parametrize("path", REMOVED_KEYS)
+    @pytest.mark.parametrize("null", [False, True])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, path, null):
+        data = build([(path, None if null else REMOVED_KEYS[path])])
+        with pytest.raises(ConfigurationError) as err:
+            spec_from_dict(data)
+        assert str(err.value) == f"{path}: unknown key"
+        from clfgame.cli import main
+        assert main(["run", str(write_spec(tmp_path, data)),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {path}: unknown key"]
+        assert captured.out == ""
+
+    def test_manifest_from_before_the_deletion_is_refused(self, tmp_path):
+        """A manifest's spec that still carries the deleted keys is refused,
+        naming the first of them in the manifest's sorted key order."""
+        old = serialize_spec(spec_from_dict({}))
+        old["game"].update(n_classifiers=3, n_types=4)
+        old["run"].update(update_rule="fp", traversals_per_trial=None)
+        manifest = {"name": "run", "spec": old}
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with pytest.raises(ConfigurationError, match=r"^game.n_classifiers: unknown key$"):
+            spec_from_dict(json.loads(path.read_text())["spec"])
+
+    @pytest.mark.parametrize("path", KNOWN_KEYS)
+    def test_null_means_absent(self, path):
+        default = serialize_spec(spec_from_dict({}))
+        assert serialize_spec(spec_from_dict(build([(path, None)]))) == default
+
+    def test_every_known_key_set_to_null_at_once(self):
+        data = build([(path, None) for path in KNOWN_KEYS if "." in path])
+        data.update(repetitions=None, output_dir=None, preset=None)
+        assert serialize_spec(spec_from_dict(data)) == serialize_spec(spec_from_dict({}))
+
+    def test_enum_values_in_any_case(self):
+        spec = spec_from_dict({"run": {"selection": "BNE",
+                                       "adversary_mode": "Best_Response",
+                                       "classification_mode": "EXPECTATION"}})
+        assert spec.run.selection is SelectionMethod.BNE
+        assert spec.run.adversary_mode is AdversaryMode.BEST_RESPONSE
+        assert spec.run.classification_mode is ClassificationMode.EXPECTATION
+        with pytest.raises(ConfigurationError,
+                           match=r"^run.selection: must be one of \['bne', 'ucb'\]$"):
+            spec_from_dict({"run": {"selection": "fictitious_play"}})
+
+
+#: Every key a spec may set, as its dotted path, plus the deleted keys,
+#: which now exercise the refusal path.
 SPEC_KEYS = (
     [f"game.{key}" for key in ("n_classifiers", "n_types", "accuracy", "v_learner",
                                "v_adversary", "c_classifier", "c_type")]

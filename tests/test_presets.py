@@ -99,6 +99,35 @@ class TestKlConvergence:
         for j in range(3):
             assert values(rows, metric=f"conditional_kl_L{j}")
 
+    def test_each_rule_reports_its_own_conditional(self, tmp_path):
+        """`kl:fp:*` rows carry `fp_conditional`'s divergence and `kl:bu:*`
+        rows `bu_conditional`'s, recomputed from a rerun of each row's seed."""
+        from dataclasses import replace
+
+        from clfgame.belief import bu_conditional, fp_conditional, kl_divergence
+        from clfgame.game import TypeDistribution
+        from clfgame.selfplay import self_play
+        spec = fast_spec(tmp_path)
+        csv_path, _ = preset_kl_convergence(spec)
+        rows = read_report(csv_path)
+        differ = 0
+        for rule, conditional in (("fp", fp_conditional), ("bu", bu_conditional)):
+            for rep in range(spec.repetitions):
+                exp = f"kl:{rule}:rep{rep}"
+                (seed,) = {r.seed for r in rows if r.experiment == exp}
+                true_p = TypeDistribution(np.array(
+                    [values(rows, exp, f"true_p_T{i}")[0] for i in range(4)]))
+                belief = self_play(spec.game, replace(spec.run, true_p=true_p,
+                                                      seed=seed)).belief_state
+                for j in range(3):
+                    (reported,) = values(rows, exp, f"conditional_kl_L{j}")
+                    assert reported == kl_divergence(conditional(belief, j), true_p)
+                    other = bu_conditional if rule == "fp" else fp_conditional
+                    differ += reported != kl_divergence(other(belief, j), true_p)
+        # after a refresh the two are equal up to rounding; the last bits
+        # tell them apart on these runs, so a swapped diagnostic fails
+        assert differ
+
 
 class TestSelectionTable:
     def test_single_classifier_selects_it_always(self, tmp_path):

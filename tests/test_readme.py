@@ -1,0 +1,27 @@
+"""The README's example spec is a valid spec, so a deleted key cannot linger
+in the docs."""
+
+import json
+import re
+import warnings
+from pathlib import Path
+
+from clfgame.config import serialize_spec, spec_from_dict
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_spec_parses_and_round_trips():
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    data = json.loads(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bundled matrix dips on type 0
+        spec = spec_from_dict(data)
+        dumped = serialize_spec(spec)
+        assert serialize_spec(spec_from_dict(json.loads(json.dumps(dumped)))) == dumped
+    # every value the example sets is what the spec carries
+    for section in ("game", "run"):
+        for key, value in data[section].items():
+            assert dumped[section][key] == value, f"{section}.{key}"
+    for key in ("repetitions", "output_dir", "preset"):
+        assert dumped[key] == data[key], key

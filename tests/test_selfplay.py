@@ -16,7 +16,6 @@ from clfgame import (
     SelfPlayConfig,
     Strategy,
     TypeDistribution,
-    UpdateRule,
     default_config,
     evaluate_fixed_policy,
     kl_divergence,
@@ -26,33 +25,43 @@ from clfgame import (
 
 class TestSelfPlayStructure:
     def test_kl_curve_has_one_entry_per_trial(self):
-        run = SelfPlayConfig(h=2, n_trials=1, q=2, traversals_per_trial=1, seed=0)
+        run = SelfPlayConfig(h=1, n_trials=1, q=2, seed=0)
         res = self_play(default_config(), run)
         assert len(res.per_trial_kl) == 1
         assert res.total_plays == 1
 
     def test_plays_per_trial_equals_traversal_budget(self):
-        run = SelfPlayConfig(h=4, n_trials=3, q=2, traversals_per_trial=5, seed=1)
+        run = SelfPlayConfig(h=5, n_trials=3, q=2, seed=1)
         res = self_play(default_config(), run)
         assert res.total_plays == 15
 
-    def test_default_traversal_budget_is_cutoff_depth(self):
-        run = SelfPlayConfig(h=6, n_trials=2, q=1, seed=2)
+    @pytest.mark.parametrize("h", [1, 4, 20])
+    def test_plays_per_trial_equals_h(self, h):
+        """`h` is the one setting for plays per trial; the read-only
+        `traversals_per_trial` returns it."""
+        run = SelfPlayConfig(h=h, n_trials=3, q=1, seed=2)
+        assert run.traversals_per_trial == h
+        with pytest.raises(AttributeError):
+            run.traversals_per_trial = h + 1
+        with pytest.raises(TypeError):
+            SelfPlayConfig(h=h, traversals_per_trial=h + 1)
         res = self_play(default_config(), run)
-        assert res.total_plays == 12
+        fixed = evaluate_fixed_policy(default_config(), run, Strategy.uniform(3))
+        assert res.total_plays == fixed.total_plays == 3 * h
+        assert res.belief_state.total_observations == 3 * h
+        assert len(res.per_trial_kl) == 3
 
     def test_belief_starts_at_prior(self):
         # before any updates the belief equals the uniform prior, so against
         # a uniform actual distribution the starting divergence is zero
         uniform = TypeDistribution.uniform(4)
         assert kl_divergence(uniform, uniform) == 0.0
-        run = SelfPlayConfig(h=2, n_trials=1, q=1, traversals_per_trial=1,
-                             true_p=uniform, seed=3)
+        run = SelfPlayConfig(h=1, n_trials=1, q=1, true_p=uniform, seed=3)
         res = self_play(default_config(), run)
         np.testing.assert_array_equal(res.belief_state.prior.probs, uniform.probs)
 
     def test_selection_counts_cover_every_query(self):
-        run = SelfPlayConfig(h=4, n_trials=4, q=6, traversals_per_trial=5, seed=4)
+        run = SelfPlayConfig(h=5, n_trials=4, q=6, seed=4)
         res = self_play(default_config(), run)
         assert res.selection_counts.sum() == res.total_plays * 6
         by_type = np.zeros(4, dtype=int)
@@ -61,8 +70,7 @@ class TestSelfPlayStructure:
         np.testing.assert_array_equal(res.selection_counts.sum(axis=1), by_type)
 
     def test_belief_counts_match_realized_plays(self):
-        run = SelfPlayConfig(h=4, n_trials=5, q=3, traversals_per_trial=6,
-                             update_rule=UpdateRule.FICTITIOUS_PLAY, seed=5)
+        run = SelfPlayConfig(h=6, n_trials=5, q=3, seed=5)
         res = self_play(default_config(), run)
         recounted = np.zeros((3, 4), dtype=np.int64)
         for rec in res.plays:
@@ -102,21 +110,18 @@ class TestBeliefConvergence:
         true_p = TypeDistribution(np.array([0.98, 0.0067, 0.0067, 0.0066]))
         hits = 0
         for seed in range(10):
-            run = SelfPlayConfig(update_rule=UpdateRule.FICTITIOUS_PLAY,
-                                 true_p=true_p, seed=200 + seed)
+            run = SelfPlayConfig(true_p=true_p, seed=200 + seed)
             res = self_play(default_config(), run)
             hits += res.final_belief.probs[0] >= 0.9
         assert hits >= 8
 
-    @pytest.mark.parametrize("rule", [UpdateRule.FICTITIOUS_PLAY,
-                                      UpdateRule.BAYESIAN_UPDATE])
-    def test_random_distribution_recovered(self, rule):
+    @pytest.mark.parametrize("h", [20, 40])
+    def test_random_distribution_recovered(self, h):
         rng = np.random.default_rng(303)
         final_kls = []
         for seed in range(5):
             raw = rng.random(4) + 0.05
-            run = SelfPlayConfig(update_rule=rule,
-                                 true_p=TypeDistribution(raw / raw.sum()),
+            run = SelfPlayConfig(h=h, true_p=TypeDistribution(raw / raw.sum()),
                                  seed=400 + seed)
             res = self_play(default_config(), run)
             final_kls.append(res.per_trial_kl[-1])
@@ -136,8 +141,7 @@ class TestSelectionBehavior:
         run = SelfPlayConfig(selection=SelectionMethod.BNE, n_trials=6, h=6,
                              true_p=TypeDistribution.uniform(3), seed=17)
         res = self_play(cfg, run)
-        per_trial = run.resolved(cfg).traversals_per_trial
-        late = res.plays[3 * per_trial:]
+        late = res.plays[3 * run.h:]
         frac = np.mean([rec.chosen_action == 1 for rec in late])
         assert frac >= 0.95
 

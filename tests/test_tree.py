@@ -15,7 +15,6 @@ from clfgame import (
     SelfPlayConfig,
     Strategy,
     TypeDistribution,
-    UpdateRule,
     default_config,
     game_play,
     play_batch,
@@ -31,7 +30,7 @@ def make_ctx(cfg=None, seed=0, **run_kwargs):
     return SearchContext(
         cfg=cfg,
         run=run,
-        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule),
+        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
         rng=np.random.default_rng(seed),
         stats=PlayStats.fresh(cfg),
     )

@@ -194,7 +194,7 @@ def reference_self_play(cfg, run, shared_stream):
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
     tree_rng = rng if shared_stream else np.random.default_rng(run.seed + 1_000_003)
-    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types, run.update_rule)
+    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
                         stats=PlayStats.fresh(cfg))
     kl_curve = []
