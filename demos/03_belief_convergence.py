@@ -35,11 +35,12 @@ for trial, kl in enumerate(np.mean(curves, axis=0), start=1):
 
 run = SelfPlayConfig(true_p=true_p, seed=42)
 result = self_play(cfg, run)
+final = result.belief_state.p_hat
 print("\nFinal belief after one run:  ",
-      np.array2string(result.final_belief.probs, precision=4))
+      np.array2string(final.probs, precision=4))
 print("Actual distribution:         ",
       np.array2string(true_p.probs, precision=4))
-print(f"Largest per-type gap: {np.max(np.abs(result.final_belief.probs - true_p.probs)):.4f}")
+print(f"Largest per-type gap: {np.max(np.abs(final.probs - true_p.probs)):.4f}")
 
 # With p_hat at the empirical marginal, Bayes' rule gives back the
 # per-classifier frequencies, so the two agree up to rounding.

@@ -26,7 +26,6 @@ from .game import (
     PayoffConfig,
     Strategy,
     TypeDistribution,
-    UtilityPair,
     adversary_utilities,
     adversary_utility,
     default_config,
@@ -55,8 +54,7 @@ from .selfplay import (
 )
 from .tree import (
     AdversaryMode,
-    PlayRecord,
-    PlayStats,
+    Plays,
     SearchContext,
     game_play,
     play_batch,

@@ -164,7 +164,7 @@ def _game_from_dict(section: dict) -> GameConfig:
         )
     try:
         payoff = PayoffConfig(**payoff_kwargs)
-        return GameConfig(n_classifiers, n_types, accuracy, payoff)
+        return GameConfig(accuracy, payoff)
     except ConfigurationError as err:
         raise ConfigurationError(f"game: {err}") from err
 

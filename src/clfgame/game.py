@@ -5,11 +5,16 @@ answer query batches sent by an adversary whose private "type" is the
 perturbation strength of its queries (type 0 = clean data).  Everything the
 game needs to know about a classifier/type pair is a single number: the
 probability that the classifier answers such a query correctly.  This module
-holds the configuration types built around that accuracy matrix and the
-per-play utility functions for both sides.  The two distribution types are
-immutable, so each caches the sampling CDF its draws search; every draw
-from a distribution (`tree.proportional_choice`, `tree.play_batch`) goes
-through that cached CDF.
+holds the configuration types built around that accuracy matrix, whose
+shape gives the game's numbers of classifiers and types, and both sides'
+expected-utility functions.  The two distribution types are immutable, so
+each caches the sampling CDF its draws search.
+
+A realized play takes the per-play path in `clfgame.tree`: `game_play`
+picks the strategy and the type, and `play_batch` draws the q classifiers
+on the strategy's cached CDF, classifies the batch and gathers its
+utilities from `PayoffConfig.by_type`.  `tree.proportional_choice` draws a
+sampled type on the type distribution's cached CDF.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -261,30 +265,35 @@ class PayoffConfig:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Dimensions, accuracy matrix and payoffs for one game instance."""
+    """Accuracy matrix and payoffs for one game instance.
 
-    n_classifiers: int
-    n_types: int
+    The numbers of classifiers and of types are the accuracy matrix's
+    shape; the payoffs must have matching shapes.
+    """
+
     accuracy: AccuracyMatrix
     payoff: PayoffConfig
 
     def __post_init__(self):
         if self.n_classifiers < 1 or self.n_types < 1:
             raise ConfigurationError("need at least one classifier and one type")
-        if self.accuracy.acc.shape != (self.n_classifiers, self.n_types):
-            raise ConfigurationError(
-                f"accuracy matrix shape {self.accuracy.acc.shape} does not match "
-                f"({self.n_classifiers}, {self.n_types})"
-            )
         p = self.payoff
-        if p.v_learner.shape != (self.n_classifiers, self.n_types):
+        if p.v_learner.shape != self.accuracy.acc.shape:
             raise ConfigurationError("v_learner dimensions do not match game")
-        if p.v_adversary.shape != (self.n_classifiers, self.n_types):
+        if p.v_adversary.shape != self.accuracy.acc.shape:
             raise ConfigurationError("v_adversary dimensions do not match game")
         if p.c_classifier.shape != (self.n_classifiers,):
             raise ConfigurationError("c_classifier dimensions do not match game")
         if p.c_type.shape != (self.n_types,):
             raise ConfigurationError("c_type dimensions do not match game")
+
+    @property
+    def n_classifiers(self) -> int:
+        return self.accuracy.acc.shape[0]
+
+    @property
+    def n_types(self) -> int:
+        return self.accuracy.acc.shape[1]
 
     def check_classifier(self, j: ClassifierId) -> None:
         if not 0 <= j < self.n_classifiers:
@@ -293,13 +302,6 @@ class GameConfig:
     def check_type(self, i: AdversaryTypeId) -> None:
         if not 0 <= i < self.n_types:
             raise ConfigurationError(f"type index {i} out of range")
-
-
-class UtilityPair(NamedTuple):
-    """Utilities received by the learner and the adversary from one play."""
-
-    u_learner: float
-    u_adversary: float
 
 
 #: Measured test accuracy of three increasingly hardened classifiers
@@ -329,7 +331,7 @@ def default_config(c_classifier=None) -> GameConfig:
             c_classifier=np.asarray(c_classifier, dtype=float),
             c_type=payoff.c_type,
         )
-    return GameConfig(n_classifiers=3, n_types=4, accuracy=accuracy, payoff=payoff)
+    return GameConfig(accuracy, payoff)
 
 
 def _check_strategy(s: Strategy, cfg: GameConfig) -> None:

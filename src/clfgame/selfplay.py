@@ -1,12 +1,14 @@
 """Outer self-play loop: repeated trials of plays plus belief updates.
 
-Each trial realizes a fixed number of plays, then folds every play of the
-trial into the belief and records the divergence from the adversary's
-actual type distribution.  Under BNE selection the learner's best response
-is computed here, once per trial: it depends only on the belief's
-marginal, which changes only at the trial's refresh.  A fixed-policy
-evaluator produces the same metrics without adaptive selection or belief
-updates, as the baseline for utility comparisons.
+Each trial realizes a fixed number of plays, each of which is counted into
+the belief as it is realized, then refreshes the belief's marginal and
+records the divergence from the adversary's actual type distribution.
+Under BNE selection the learner's best response is computed here, once
+per trial: it depends only on the belief's marginal, which changes only at
+the trial's refresh.  A run's plays are one `Plays` record of arrays, and
+the run metrics are read off those arrays.  A fixed-policy evaluator
+produces the same metrics without adaptive selection or belief updates, as
+the baseline for utility comparisons.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .belief import (
     BeliefState,
     kl_divergence,
     max_componentwise_error,
-    record_observation,
     refresh_marginal,
 )
 from .game import (
@@ -31,11 +32,10 @@ from .game import (
     adversary_utilities,
 )
 from .oracle import ClassificationMode
-from .selection import SelectionMethod, bne_select
+from .selection import NodeStats, SelectionMethod, bne_select
 from .tree import (
     AdversaryMode,
-    PlayRecord,
-    PlayStats,
+    Plays,
     SearchContext,
     play_batch,
     proportional_choice,
@@ -90,15 +90,15 @@ class SelfPlayConfig:
 
 @dataclass(frozen=True)
 class SelfPlayResult:
-    """Aggregated metrics of one run.
+    """Aggregated metrics of one run, and its plays.
 
     selection_counts[i][j] counts the type-i queries answered by classifier
-    j; per_type_accuracy holds NaN for types that never appeared.
+    j; per_type_accuracy holds NaN for types that never appeared.  The final
+    belief is `belief_state.p_hat`.
     """
 
     per_trial_kl: np.ndarray
     per_trial_max_err: np.ndarray
-    final_belief: TypeDistribution
     belief_state: BeliefState
     selection_counts: np.ndarray
     per_type_accuracy: np.ndarray
@@ -106,7 +106,7 @@ class SelfPlayResult:
     mean_learner_utility: float
     mean_adversary_utility: float
     total_plays: int
-    plays: tuple[PlayRecord, ...]
+    plays: Plays
 
     def selection_percentages(self) -> np.ndarray:
         """Row-normalized selection_counts, in percent (NaN for empty rows)."""
@@ -115,38 +115,23 @@ class SelfPlayResult:
             return np.where(totals > 0, 100.0 * self.selection_counts / totals, np.nan)
 
 
-def _selection_counts(plays: list[PlayRecord], types: np.ndarray, n_types: int,
-                      n_classifiers: int) -> np.ndarray:
-    """counts[i, j]: the type-i queries answered by classifier j, from one
-    `bincount` over the (type, classifier) cells of the stacked plays.
-
-    A function of its own so that the stacked ids are freed before
-    `_aggregate` stacks the correctness rows: two live [P, q] blocks raised
-    peak memory measurably at q = 1000.
-    """
-    cells = np.stack([rec.per_query_classifier for rec in plays])
-    cells += n_classifiers * types[:, None]
-    return np.bincount(cells.ravel(), minlength=n_types * n_classifiers
-                       ).reshape(n_types, n_classifiers)
-
-
-def _aggregate(plays: list[PlayRecord], cfg: GameConfig,
-               per_trial_kl: list[float], per_trial_err: list[float],
-               belief: BeliefState) -> SelfPlayResult:
-    """Run metrics from the plays, stacked into [plays, q] arrays.
+def _aggregate(plays: Plays, cfg: GameConfig, per_trial_kl: list[float],
+               per_trial_err: list[float], belief: BeliefState) -> SelfPlayResult:
+    """Run metrics from the play arrays.
 
     The counts are one `bincount` over (type, classifier) cells.  Each
-    play's correctness sum is a row sum of the stacked array, which is bit
-    for bit the 1-d `sum()` of that play, and `np.add.at` folds them into
-    the per-type totals in play order, as a loop over the plays would.
+    play's correctness sum is a row sum of `plays.correct`, which is bit for
+    bit the 1-d `sum()` of that play, and `np.add.at` folds them into the
+    per-type totals in play order, as a loop over the plays would.
     """
     n_types, n_classifiers = cfg.n_types, cfg.n_classifiers
-    types = np.array([rec.realized_type for rec in plays])
-    counts = _selection_counts(plays, types, n_types, n_classifiers)
-    correct = np.stack([rec.per_query_correct for rec in plays])
+    types = plays.type
+    cells = plays.classifier + n_classifiers * types[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n_types * n_classifiers
+                         ).reshape(n_types, n_classifiers)
     correct_by_type = np.zeros(n_types)
-    np.add.at(correct_by_type, types, correct.sum(axis=1))
-    queries_by_type = np.bincount(types, minlength=n_types) * correct.shape[1]
+    np.add.at(correct_by_type, types, plays.correct.sum(axis=1))
+    queries_by_type = np.bincount(types, minlength=n_types) * plays.correct.shape[1]
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan
@@ -156,15 +141,14 @@ def _aggregate(plays: list[PlayRecord], cfg: GameConfig,
     return SelfPlayResult(
         per_trial_kl=np.array(per_trial_kl),
         per_trial_max_err=np.array(per_trial_err),
-        final_belief=belief.p_hat,
         belief_state=belief,
         selection_counts=counts,
         per_type_accuracy=per_type_accuracy,
         overall_accuracy=overall,
-        mean_learner_utility=float(np.mean([r.utilities.u_learner for r in plays])),
-        mean_adversary_utility=float(np.mean([r.utilities.u_adversary for r in plays])),
+        mean_learner_utility=float(np.mean(plays.u_learner)),
+        mean_adversary_utility=float(np.mean(plays.u_adversary)),
         total_plays=len(plays),
-        plays=tuple(plays),
+        plays=plays,
     )
 
 
@@ -172,30 +156,29 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
     Per trial: compute the best response to the belief once (under BNE
-    selection), realize `h` plays, record every play's (classifier, type)
-    pair into the belief, refresh the marginal, and log the KL divergence to
-    the actual type distribution.
+    selection), realize `h` plays, each counted into the belief as it is
+    realized, refresh the marginal, and log the KL divergence to the actual
+    type distribution.
     """
     run = run.resolved(cfg)
-    rng = np.random.default_rng(run.seed)
-    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
-    ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
-                        stats=PlayStats.fresh(cfg))
+    ctx = SearchContext(
+        rng=np.random.default_rng(run.seed),
+        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
+        learner=NodeStats.fresh(cfg.n_classifiers),
+        adversary=NodeStats.fresh(cfg.n_types),
+        plays=Plays.empty(run.n_trials * run.h, run.q),
+    )
     kl_curve: list[float] = []
     err_curve: list[float] = []
     for _ in range(run.n_trials):
         if run.selection is SelectionMethod.BNE:
-            ctx.best_response = bne_select(belief.p_hat, cfg)
-        trial_start = len(ctx.plays)
+            ctx.best_response = bne_select(ctx.belief.p_hat, cfg)
         for _ in range(run.h):
-            tree_traverse(ctx)
-        for rec in ctx.plays[trial_start:]:
-            belief = record_observation(belief, rec.chosen_action, rec.realized_type)
-        belief = refresh_marginal(belief)
-        ctx.belief = belief
-        kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
-        err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
-    return _aggregate(ctx.plays, cfg, kl_curve, err_curve, belief)
+            tree_traverse(cfg, run, ctx)
+        ctx.belief = refresh_marginal(ctx.belief)
+        kl_curve.append(kl_divergence(ctx.belief.p_hat, run.true_p))
+        err_curve.append(max_componentwise_error(ctx.belief.p_hat, run.true_p))
+    return _aggregate(ctx.plays, cfg, kl_curve, err_curve, ctx.belief)
 
 
 def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
@@ -212,13 +195,13 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
-    plays: list[PlayRecord] = []
-    for _ in range(run.n_trials * run.h):
+    plays = Plays.empty(run.n_trials * run.h, run.q)
+    for p in range(len(plays)):
         if run.adversary_mode is AdversaryMode.SAMPLED:
             theta = proportional_choice(rng, run.true_p)
         else:
             theta = br_type
-        plays.append(play_batch(policy, theta, cfg, run, rng))
+        play_batch(policy, theta, cfg, run, rng, plays, p)
     base_kl = kl_divergence(belief.p_hat, run.true_p)
     base_err = max_componentwise_error(belief.p_hat, run.true_p)
     return _aggregate(plays, cfg, [base_kl] * run.n_trials,

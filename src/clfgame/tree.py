@@ -5,33 +5,32 @@ configured selection rule, the adversary's type is realized, and a batch
 of q queries of that type is answered.  A query is its type id, so a play
 draws only what decides an outcome: the type (when sampled), the q
 classifiers and, in stochastic mode, their q correctness draws, all from
-one `numpy.random.Generator`.  `tree_traverse` realizes one play and logs
-it on the search context, so the caller feeds belief updates from realized
-plays only.
+one `numpy.random.Generator`.
 
+A run writes its plays into one `Plays` record, one row per play.
+`tree_traverse` is one self-play step: it realizes a play with
+`game_play` and counts the play's (classifier, type) pair into the belief.
 Under BNE selection the learner's best response depends on the belief's
-marginal only, which changes once per trial, at the refresh.  `self_play`
-computes it with `bne_select` at the start of each trial and keeps it on
-the search context; `game_play` computes it itself only when it is called
-without one.
+marginal only, which changes once per trial, at the refresh; `self_play`
+computes it at the start of each trial and `game_play` takes it from its
+caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .belief import BeliefState
-from .game import AdversaryTypeId, GameConfig, Strategy, TypeDistribution, UtilityPair
+from .belief import BeliefState, record_observation
+from .game import AdversaryTypeId, GameConfig, Strategy, TypeDistribution
 from .oracle import classify, generate_queries
 from .selection import (
     NodeStats,
     SelectionMethod,
-    bne_select,
     ucb_select_adversary,
     ucb_select_learner,
 )
@@ -49,49 +48,45 @@ class AdversaryMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class PlayRecord:
-    """Outcome of one realized game instance (a batch of q queries)."""
+class Plays:
+    """A run's plays as arrays, one row per play.
 
-    chosen_strategy: Strategy
-    realized_type: int
-    per_query_classifier: np.ndarray
-    per_query_correct: np.ndarray
-    utilities: UtilityPair
+    Row p holds the learner's chosen action (the strategy's argmax), the
+    realized type, the q per-query classifiers and correctness values, and
+    the two mean-per-query utilities.  `play_batch` writes one row.
+    """
 
-    @property
-    def chosen_action(self) -> int:
-        return self.chosen_strategy.argmax
-
-
-@dataclass
-class PlayStats:
-    """Running per-action statistics across the plays of a run; these are
-    the visit counts and utility sums the UCB rule scores against."""
-
-    learner: NodeStats
-    adversary: NodeStats
+    action: np.ndarray       # [P] int64
+    type: np.ndarray         # [P] int64
+    classifier: np.ndarray   # [P, q] int64
+    correct: np.ndarray      # [P, q] float64
+    u_learner: np.ndarray    # [P] float64
+    u_adversary: np.ndarray  # [P] float64
 
     @classmethod
-    def fresh(cls, cfg: GameConfig) -> "PlayStats":
-        return cls(NodeStats.fresh(cfg.n_classifiers), NodeStats.fresh(cfg.n_types))
+    def empty(cls, n_plays: int, q: int) -> "Plays":
+        """Unwritten rows for `n_plays` plays of q queries each."""
+        return cls(np.empty(n_plays, np.int64), np.empty(n_plays, np.int64),
+                   np.empty((n_plays, q), np.int64), np.empty((n_plays, q)),
+                   np.empty(n_plays), np.empty(n_plays))
+
+    def __len__(self) -> int:
+        return len(self.action)
 
 
 @dataclass
 class SearchContext:
-    """Everything a play step needs: game config, run parameters, the
-    learner's current belief, the random stream, play-level statistics and
-    the log of realized plays.
+    """The run's mutable state: its random stream, the learner's belief, the
+    per-action play statistics of both movers (the visit counts and utility
+    sums UCB scores against), the plays written so far and, under BNE
+    selection, the current trial's best response."""
 
-    `best_response` is None or `bne_select(belief.p_hat, cfg)` for the
-    current belief; `self_play` sets it at the start of each BNE trial.
-    """
-
-    cfg: GameConfig
-    run: "SelfPlayConfig"
-    belief: BeliefState
     rng: np.random.Generator
-    stats: PlayStats
-    plays: list[PlayRecord] = field(default_factory=list)
+    belief: BeliefState
+    learner: NodeStats
+    adversary: NodeStats
+    plays: Plays
+    n_played: int = 0
     best_response: Optional[tuple[Strategy, AdversaryTypeId]] = None
 
 
@@ -110,8 +105,11 @@ def proportional_choice(rng: np.random.Generator,
 
 
 def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
-               run: "SelfPlayConfig", rng: np.random.Generator) -> PlayRecord:
-    """Send one batch of q type-theta queries against a strategy.
+               run: "SelfPlayConfig", rng: np.random.Generator,
+               plays: Plays, p: int) -> tuple[float, float]:
+    """Send one batch of q type-theta queries against a strategy, write the
+    play into row `p` of `plays` and return its (learner, adversary)
+    utilities.
 
     Each query is answered by a classifier drawn from the strategy; both
     sides receive mean-per-query utilities so results are invariant to the
@@ -138,34 +136,33 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
     u_adversary = float((
         (1.0 - correct) * v_adversary.take(chosen) - c_type
     ).sum() / q)
-    return PlayRecord(
-        chosen_strategy=strategy,
-        realized_type=int(theta),
-        per_query_classifier=chosen,
-        per_query_correct=correct,
-        utilities=UtilityPair(u_learner, u_adversary),
-    )
+    plays.action[p] = strategy.argmax
+    plays.type[p] = theta
+    plays.classifier[p] = chosen
+    plays.correct[p] = correct
+    plays.u_learner[p] = u_learner
+    plays.u_adversary[p] = u_adversary
+    return u_learner, u_adversary
 
 
-def game_play(belief: BeliefState, cfg: GameConfig, run: "SelfPlayConfig",
-              rng: np.random.Generator, stats: PlayStats,
-              best_response: Optional[tuple[Strategy, AdversaryTypeId]] = None,
-              ) -> PlayRecord:
-    """Realize one game instance.
+def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
+              learner: NodeStats, adversary: NodeStats,
+              best_response: Optional[tuple[Strategy, AdversaryTypeId]],
+              plays: Plays, p: int) -> tuple[float, float]:
+    """Realize one game instance into row `p` of `plays` and return its
+    (learner, adversary) utilities.
 
-    The learner picks its strategy with the configured selection rule (best
-    response under the current belief, or UCB over the running play
-    statistics); the adversary's type is sampled from its actual
-    distribution or best-responds to the observed strategy.  The realized
-    utilities are folded back into the play statistics.  `best_response`
-    is `bne_select(belief.p_hat, cfg)` if the caller already holds it; it
-    is computed here otherwise.
+    The learner plays `best_response` (BNE selection; the caller computes
+    it with `bne_select` from the belief) or picks a classifier by UCB over
+    its running play statistics.  The adversary's type is sampled from its
+    actual distribution or best-responds to the observed strategy.  The
+    realized utilities are folded back into both movers' statistics.
     """
     if run.selection is SelectionMethod.BNE:
-        strategy, br_type = best_response or bne_select(belief.p_hat, cfg)
+        strategy, br_type = best_response
     else:
-        action = ucb_select_learner(stats.learner, run.ucb_c)
-        strategy = Strategy.pure(action, cfg.n_classifiers)
+        strategy = Strategy.pure(ucb_select_learner(learner, run.ucb_c),
+                                 cfg.n_classifiers)
         br_type = None
 
     if run.adversary_mode is AdversaryMode.SAMPLED:
@@ -173,26 +170,30 @@ def game_play(belief: BeliefState, cfg: GameConfig, run: "SelfPlayConfig",
     elif br_type is not None:
         theta = br_type
     else:
-        theta = ucb_select_adversary(stats.adversary, run.ucb_c)
+        theta = ucb_select_adversary(adversary, run.ucb_c)
 
-    record = play_batch(strategy, int(theta), cfg, run, rng)
-    stats.learner.record(record.chosen_action, record.utilities.u_learner)
-    stats.adversary.record(record.realized_type, record.utilities.u_adversary)
-    return record
+    u_learner, u_adversary = play_batch(strategy, theta, cfg, run, rng, plays, p)
+    learner.record(strategy.argmax, u_learner)
+    adversary.record(theta, u_adversary)
+    return u_learner, u_adversary
 
 
-def tree_traverse(ctx: SearchContext) -> UtilityPair:
-    """Realize one play and log its record on `ctx.plays`.
+def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig",
+                  ctx: SearchContext) -> tuple[float, float]:
+    """One self-play step: realize the next play with `game_play`, count
+    its (classifier, type) pair into the belief, and return its utilities.
 
-    This is the whole of a self-play step: one `game_play` call on the
-    context's belief, best response, play statistics and random stream.
-    It replaces a game-tree traversal whose descent and random-walk draws
-    never reached the play.  The name stays, as does this module's, because
-    the benchmark (`bench/tracer.py`, `bench/workloads.py`) counts
-    `tree_traverse` calls as one per play and times the `tree` layer by
-    them.
+    The count leaves `p_hat` as it is until the trial's refresh, so every
+    play of a trial sees the belief the trial started with.  The function
+    keeps its name, as does this module, because the benchmark
+    (`bench/tracer.py`, `bench/workloads.py`) counts `tree_traverse` calls
+    as one per play and times the `tree` layer by them.
     """
-    record = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats,
-                       ctx.best_response)
-    ctx.plays.append(record)
-    return record.utilities
+    p = ctx.n_played
+    plays = ctx.plays
+    utilities = game_play(cfg, run, ctx.rng, ctx.learner, ctx.adversary,
+                          ctx.best_response, plays, p)
+    ctx.belief = record_observation(ctx.belief, int(plays.action[p]),
+                                    int(plays.type[p]))
+    ctx.n_played = p + 1
+    return utilities

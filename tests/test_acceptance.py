@@ -189,7 +189,7 @@ def test_criterion_6_equilibrium_oracles():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cfg = GameConfig(
-                    nc, nt, AccuracyMatrix(rng.random((nc, nt))),
+                    AccuracyMatrix(rng.random((nc, nt))),
                     PayoffConfig(rng.random((nc, nt)), rng.random((nc, nt)),
                                  rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9

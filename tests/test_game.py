@@ -36,7 +36,7 @@ def random_config(rng, n_classifiers=None, n_types=None):
         c_classifier=rng.random(nc) * 0.5,
         c_type=rng.random(nt) * 0.5,
     )
-    return GameConfig(nc, nt, acc, payoff)
+    return GameConfig(acc, payoff)
 
 
 def random_simplex(rng, n):
@@ -54,7 +54,7 @@ class TestLearnerUtility:
             v_learner=np.zeros((3, 4)), v_adversary=np.ones((3, 4)),
             c_classifier=np.zeros(3), c_type=np.zeros(4),
         )
-        zero_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
+        zero_cfg = GameConfig(cfg.accuracy, payoff)
         for j in range(3):
             for theta in range(4):
                 assert learner_utility(Strategy.pure(j, 3), theta, zero_cfg) == 0.0
@@ -94,7 +94,7 @@ class TestExpectedLearnerUtility:
             v_learner=np.zeros((3, 4)), v_adversary=np.ones((3, 4)),
             c_classifier=np.full(3, 0.1), c_type=np.zeros(4),
         )
-        cost_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
+        cost_cfg = GameConfig(cfg.accuracy, payoff)
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = Strategy(random_simplex(rng, 3))
@@ -112,7 +112,7 @@ class TestAdversaryUtility:
             v_learner=np.ones((3, 4)), v_adversary=np.zeros((3, 4)),
             c_classifier=np.zeros(3), c_type=np.zeros(4),
         )
-        zero_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
+        zero_cfg = GameConfig(cfg.accuracy, payoff)
         rng = np.random.default_rng(5)
         for theta in range(4):
             s = Strategy(random_simplex(rng, 3))
@@ -123,7 +123,7 @@ class TestAdversaryUtility:
             v_learner=np.ones((3, 4)), v_adversary=np.ones((3, 4)),
             c_classifier=np.zeros(3), c_type=np.array([0.0, 0.0, 0.0, 0.1]),
         )
-        cost_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
+        cost_cfg = GameConfig(cfg.accuracy, payoff)
         got = adversary_utility(Strategy.pure(0, 3), 3, cost_cfg)
         assert got == pytest.approx((1 - 0.6814) - 0.1, abs=1e-12)
         assert got == pytest.approx(0.2186, abs=1e-12)
@@ -166,7 +166,7 @@ class TestLinearity:
             cfg = random_config(rng)
             k = float(rng.random() * 5 + 0.1)
             scaled = GameConfig(
-                cfg.n_classifiers, cfg.n_types, cfg.accuracy,
+                cfg.accuracy,
                 PayoffConfig(
                     v_learner=k * cfg.payoff.v_learner,
                     v_adversary=cfg.payoff.v_adversary,
@@ -242,9 +242,17 @@ class TestDomainTypes:
 
     def test_cross_dimension_checks(self, cfg):
         with pytest.raises(ConfigurationError):
-            GameConfig(2, 4, cfg.accuracy, cfg.payoff)
-        with pytest.raises(ConfigurationError):
-            GameConfig(3, 4, cfg.accuracy, PayoffConfig.unit(3, 5))
+            GameConfig(cfg.accuracy, PayoffConfig.unit(3, 5))
+
+    def test_dimensions_are_the_accuracy_shape(self, cfg):
+        """The constructor takes the matrix and the payoffs only; the
+        dimensions are read-only properties of the matrix's shape."""
+        game = GameConfig(AccuracyMatrix(np.full((2, 5), 0.5)), PayoffConfig.unit(2, 5))
+        assert (game.n_classifiers, game.n_types) == (2, 5)
+        with pytest.raises(AttributeError):
+            game.n_types = 4
+        with pytest.raises(TypeError):
+            GameConfig(3, 4, cfg.accuracy, cfg.payoff)
 
     def test_default_config_matches_bundled_matrix(self, cfg):
         assert cfg.n_classifiers == 3 and cfg.n_types == 4

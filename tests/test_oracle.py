@@ -41,8 +41,7 @@ class TestClassify:
 
     def test_certain_classifier_always_correct(self, cfg):
         from clfgame import AccuracyMatrix, GameConfig
-        sure = GameConfig(1, 1, AccuracyMatrix(np.ones((1, 1))),
-                          cfg.payoff.unit(1, 1))
+        sure = GameConfig(AccuracyMatrix(np.ones((1, 1))), cfg.payoff.unit(1, 1))
         zeros = np.zeros(20, dtype=np.int64)
         rng = np.random.default_rng(5)
         for mode in ClassificationMode:
@@ -65,7 +64,7 @@ class TestEmpiricalAccuracy:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            dead = GameConfig(1, 1, AccuracyMatrix(np.zeros((1, 1))),
+            dead = GameConfig(AccuracyMatrix(np.zeros((1, 1))),
                               PayoffConfig.unit(1, 1))
         assert empirical_accuracy(0, 0, 1000, dead, np.random.default_rng(17)) == 0.0
 

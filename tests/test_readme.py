@@ -1,6 +1,8 @@
-"""The README's example spec is a valid spec, so a deleted key cannot linger
-in the docs."""
+"""The README's example spec is a valid spec and its library quick start
+runs, so a deleted key or result field cannot linger in the docs."""
 
+import contextlib
+import io
 import json
 import re
 import warnings
@@ -25,3 +27,9 @@ def test_readme_spec_parses_and_round_trips():
             assert dumped[section][key] == value, f"{section}.{key}"
     for key in ("repetitions", "output_dir", "preset"):
         assert dumped[key] == data[key], key
+
+
+def test_readme_quick_start_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, str(README), "exec"), {})

@@ -43,7 +43,7 @@ def enumerate_best_response(belief, cfg):
 
 class TestBneSelect:
     def test_singleton_game(self):
-        cfg = GameConfig(1, 1, AccuracyMatrix(np.array([[0.7]])), PayoffConfig.unit(1, 1))
+        cfg = GameConfig(AccuracyMatrix(np.array([[0.7]])), PayoffConfig.unit(1, 1))
         s, theta = bne_select(TypeDistribution.uniform(1), cfg)
         assert s.probs.tolist() == [1.0]
         assert theta == 0
@@ -66,7 +66,7 @@ class TestBneSelect:
             nc, nt = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cfg = GameConfig(nc, nt, AccuracyMatrix(rng.random((nc, nt))),
+                cfg = GameConfig(AccuracyMatrix(rng.random((nc, nt))),
                                  PayoffConfig(rng.random((nc, nt)), rng.random((nc, nt)),
                                               rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9
@@ -87,7 +87,7 @@ class TestBneSelect:
             nc, nt = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cfg = GameConfig(nc, nt, AccuracyMatrix(rng.random((nc, nt))),
+                cfg = GameConfig(AccuracyMatrix(rng.random((nc, nt))),
                                  PayoffConfig(rng.random((nc, nt)), rng.random((nc, nt)),
                                               rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9

@@ -16,6 +16,7 @@ from clfgame import (
     SelfPlayConfig,
     Strategy,
     TypeDistribution,
+    adversary_utilities,
     default_config,
     evaluate_fixed_policy,
     kl_divergence,
@@ -65,16 +66,16 @@ class TestSelfPlayStructure:
         res = self_play(default_config(), run)
         assert res.selection_counts.sum() == res.total_plays * 6
         by_type = np.zeros(4, dtype=int)
-        for rec in res.plays:
-            by_type[rec.realized_type] += len(rec.per_query_classifier)
+        for theta, row in zip(res.plays.type, res.plays.classifier):
+            by_type[theta] += len(row)
         np.testing.assert_array_equal(res.selection_counts.sum(axis=1), by_type)
 
     def test_belief_counts_match_realized_plays(self):
         run = SelfPlayConfig(h=6, n_trials=5, q=3, seed=5)
         res = self_play(default_config(), run)
         recounted = np.zeros((3, 4), dtype=np.int64)
-        for rec in res.plays:
-            recounted[rec.chosen_action, rec.realized_type] += 1
+        for action, theta in zip(res.plays.action, res.plays.type):
+            recounted[action, theta] += 1
         np.testing.assert_array_equal(res.belief_state.joint_counts, recounted)
 
     def test_same_seed_bit_identical(self):
@@ -84,7 +85,7 @@ class TestSelfPlayStructure:
         np.testing.assert_array_equal(a.per_trial_kl, b.per_trial_kl)
         np.testing.assert_array_equal(a.selection_counts, b.selection_counts)
         assert a.mean_learner_utility == b.mean_learner_utility
-        assert a.final_belief.probs.tolist() == b.final_belief.probs.tolist()
+        assert a.belief_state.p_hat.probs.tolist() == b.belief_state.p_hat.probs.tolist()
 
     def test_different_seeds_differ(self):
         base = dict(h=6, n_trials=4, q=5)
@@ -112,7 +113,7 @@ class TestBeliefConvergence:
         for seed in range(10):
             run = SelfPlayConfig(true_p=true_p, seed=200 + seed)
             res = self_play(default_config(), run)
-            hits += res.final_belief.probs[0] >= 0.9
+            hits += res.belief_state.p_hat.probs[0] >= 0.9
         assert hits >= 8
 
     @pytest.mark.parametrize("h", [20, 40])
@@ -137,31 +138,30 @@ class TestSelectionBehavior:
                 [0.95, 0.90, 0.85],  # strictly dominant column-wise
                 [0.72, 0.65, 0.60],
             ]))
-        cfg = GameConfig(3, 3, acc, PayoffConfig.unit(3, 3))
+        cfg = GameConfig(acc, PayoffConfig.unit(3, 3))
         run = SelfPlayConfig(selection=SelectionMethod.BNE, n_trials=6, h=6,
                              true_p=TypeDistribution.uniform(3), seed=17)
         res = self_play(cfg, run)
-        late = res.plays[3 * run.h:]
-        frac = np.mean([rec.chosen_action == 1 for rec in late])
+        late = res.plays.action[3 * run.h:]
+        frac = np.mean(late == 1)
         assert frac >= 0.95
 
     def test_best_response_is_computed_once_per_trial(self, monkeypatch):
         import clfgame.selfplay
         import clfgame.tree
-        calls = {"selfplay": 0, "tree": 0}
+        assert not hasattr(clfgame.tree, "bne_select")  # plays take the caller's
+        calls = []
+        original = clfgame.selfplay.bne_select
 
-        def counting(module, original):
-            def wrapper(*args):
-                calls[module] += 1
-                return original(*args)
-            return wrapper
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        for name, module in (("selfplay", clfgame.selfplay), ("tree", clfgame.tree)):
-            monkeypatch.setattr(module, "bne_select", counting(name, module.bne_select))
+        monkeypatch.setattr(clfgame.selfplay, "bne_select", counting)
         run = SelfPlayConfig(selection=SelectionMethod.BNE, n_trials=7, h=5, seed=3,
                              adversary_mode=AdversaryMode.BEST_RESPONSE)
         res = self_play(default_config(), run)
-        assert calls == {"selfplay": 7, "tree": 0}
+        assert len(calls) == 7
         assert res.total_plays == 35
 
     def test_expectation_mode_utility_closed_form(self):
@@ -210,7 +210,7 @@ class TestFixedPolicy:
             v_learner=np.zeros((3, 4)), v_adversary=np.zeros((3, 4)),
             c_classifier=np.zeros(3), c_type=np.zeros(4),
         )
-        zero_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
+        zero_cfg = GameConfig(cfg.accuracy, payoff)
         run = SelfPlayConfig(seed=37)
         res = evaluate_fixed_policy(zero_cfg, run, Strategy.uniform(3))
         assert res.mean_learner_utility == 0.0
@@ -229,17 +229,84 @@ class TestFixedPolicy:
                                   Strategy.uniform(2))
 
 
+def reference_fixed_policy_rows(cfg, run, policy):
+    """`evaluate_fixed_policy`'s plays as a per-play loop of per-query draws,
+    as the bytes of each play's six fields.
+
+    Per play: the type by one `Generator.choice` (sampled adversary) or the
+    type that best responds to the policy, then per query one classifier by
+    `Generator.choice` and, in stochastic mode, per query one correctness
+    double.
+    """
+    run = run.resolved(cfg)
+    rng = np.random.default_rng(run.seed)
+    acc, payoff = cfg.accuracy.acc, cfg.payoff
+    br_type = int(np.argmax(adversary_utilities(policy, cfg)))
+    true_p = run.true_p.probs / run.true_p.probs.sum()
+    weights = policy.probs / policy.probs.sum()
+    rows = []
+    for _ in range(run.n_trials * run.h):
+        if run.adversary_mode is AdversaryMode.SAMPLED:
+            theta = int(rng.choice(cfg.n_types, p=true_p))
+        else:
+            theta = br_type
+        chosen = np.array([rng.choice(len(weights), p=weights) for _ in range(run.q)],
+                          dtype=np.int64)
+        if run.classification_mode is ClassificationMode.EXPECTATION:
+            correct = np.array([acc[j, theta] for j in chosen])
+        else:
+            correct = np.array([1.0 if rng.random() < acc[j, theta] else 0.0
+                                for j in chosen])
+        u_learner = np.mean(
+            correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen])
+        u_adversary = np.mean(
+            (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta])
+        rows.append((np.int64(np.argmax(policy.probs)).tobytes(), np.int64(theta).tobytes(),
+                     chosen.tobytes(), correct.tobytes(),
+                     np.float64(u_learner).tobytes(), np.float64(u_adversary).tobytes()))
+    return rows
+
+
+def row_bytes(plays, p):
+    """The bytes of every field of row p of a `Plays` record."""
+    return (plays.action[p].tobytes(), plays.type[p].tobytes(),
+            plays.classifier[p].tobytes(), plays.correct[p].tobytes(),
+            plays.u_learner[p].tobytes(), plays.u_adversary[p].tobytes())
+
+
+class TestFixedPolicyRows:
+    """Every row `evaluate_fixed_policy` writes is the play a per-play loop
+    realizes, byte for byte, so no row keeps `np.empty`'s contents."""
+
+    @pytest.mark.parametrize("q", [1, 3, 1000])
+    @pytest.mark.parametrize("adversary", list(AdversaryMode))
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_rows_match_per_play_loop(self, q, adversary, mode):
+        cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
+        h, n_trials = (2, 2) if q == 1000 else (5, 3)
+        cases = [(Strategy(np.array([0.2, 0.3, 0.5])), np.array([0.1, 0.2, 0.3, 0.4])),
+                 (Strategy(np.array([0.5, 0.0, 0.5])), np.array([0.0, 0.5, 0.0, 0.5]))]
+        for seed, (policy, true_p) in enumerate(cases):
+            run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, seed=seed,
+                                 adversary_mode=adversary, classification_mode=mode,
+                                 true_p=TypeDistribution(true_p))
+            res = evaluate_fixed_policy(cfg, run, policy)
+            assert len(res.plays) == res.total_plays == h * n_trials
+            assert [row_bytes(res.plays, p) for p in range(len(res.plays))] == \
+                reference_fixed_policy_rows(cfg, run, policy), (seed, policy.probs)
+
+
 def loop_aggregate(plays, cfg):
-    """The run metrics as the per-play loop computed them before `_aggregate`
-    stacked the plays."""
+    """The run metrics as a loop over the plays computes them, one row at a
+    time."""
     counts = np.zeros((cfg.n_types, cfg.n_classifiers), dtype=np.int64)
     correct_by_type = np.zeros(cfg.n_types)
     queries_by_type = np.zeros(cfg.n_types, dtype=np.int64)
-    for rec in plays:
-        counts[rec.realized_type] += np.bincount(
-            rec.per_query_classifier, minlength=cfg.n_classifiers)
-        correct_by_type[rec.realized_type] += rec.per_query_correct.sum()
-        queries_by_type[rec.realized_type] += len(rec.per_query_correct)
+    for p in range(len(plays)):
+        theta, correct = plays.type[p], plays.correct[p]
+        counts[theta] += np.bincount(plays.classifier[p], minlength=cfg.n_classifiers)
+        correct_by_type[theta] += correct.sum()
+        queries_by_type[theta] += len(correct)
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan)
@@ -248,7 +315,7 @@ def loop_aggregate(plays, cfg):
 
 
 class TestAggregateMatchesPlayLoop:
-    """`_aggregate` from stacked arrays gives the loop's metrics bit for bit."""
+    """`_aggregate` over the play arrays gives the loop's metrics bit for bit."""
 
     @pytest.mark.parametrize("q", [1, 10, 1000])
     @pytest.mark.parametrize("mode", list(ClassificationMode))

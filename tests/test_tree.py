@@ -9,12 +9,14 @@ from clfgame import (
     ClassificationMode,
     PayoffConfig,
     GameConfig,
-    PlayStats,
+    NodeStats,
+    Plays,
     SearchContext,
     SelectionMethod,
     SelfPlayConfig,
     Strategy,
     TypeDistribution,
+    bne_select,
     default_config,
     game_play,
     play_batch,
@@ -24,29 +26,39 @@ from clfgame import (
 
 
 def make_ctx(cfg=None, seed=0, **run_kwargs):
+    """A resolved run and a fresh search context with room for its plays."""
     cfg = cfg or default_config()
     run_kwargs.setdefault("true_p", TypeDistribution.uniform(cfg.n_types))
     run = SelfPlayConfig(seed=seed, **run_kwargs).resolved(cfg)
-    return SearchContext(
-        cfg=cfg,
-        run=run,
-        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
+    ctx = SearchContext(
         rng=np.random.default_rng(seed),
-        stats=PlayStats.fresh(cfg),
+        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
+        learner=NodeStats.fresh(cfg.n_classifiers),
+        adversary=NodeStats.fresh(cfg.n_types),
+        plays=Plays.empty(run.n_trials * run.h, run.q),
     )
+    return cfg, run, ctx
+
+
+def first_play(cfg, run, ctx):
+    """`game_play` into row 0, with the best response `self_play` computes
+    for a fresh belief under BNE selection."""
+    best = bne_select(ctx.belief.p_hat, cfg) if run.selection is SelectionMethod.BNE else None
+    return game_play(cfg, run, ctx.rng, ctx.learner, ctx.adversary, best, ctx.plays, 0)
 
 
 class TestGamePlay:
     def test_expectation_mode_pure_strategy_exact_utilities(self):
-        cfg = default_config()
-        ctx = make_ctx(cfg, classification_mode=ClassificationMode.EXPECTATION,
-                       true_p=TypeDistribution.degenerate(0, 4))
-        rec = game_play(ctx.belief, cfg, ctx.run, ctx.rng, ctx.stats)
+        cfg, run, ctx = make_ctx(classification_mode=ClassificationMode.EXPECTATION,
+                                 true_p=TypeDistribution.degenerate(0, 4))
+        utilities = first_play(cfg, run, ctx)
+        plays = ctx.plays
         # UCB with fresh stats picks classifier 0; type is degenerate clean
-        assert rec.chosen_action == 0
-        assert rec.realized_type == 0
-        assert rec.utilities.u_learner == pytest.approx(0.9392, abs=1e-12)
-        assert rec.utilities.u_adversary == pytest.approx(0.0608, abs=1e-12)
+        assert plays.action[0] == 0
+        assert plays.type[0] == 0
+        assert plays.u_learner[0] == pytest.approx(0.9392, abs=1e-12)
+        assert plays.u_adversary[0] == pytest.approx(0.0608, abs=1e-12)
+        assert utilities == (plays.u_learner[0], plays.u_adversary[0])
 
     def test_certain_classifier_full_payoff(self):
         import warnings
@@ -58,10 +70,10 @@ class TestGamePlay:
             v_learner=np.full((2, 2), 0.7), v_adversary=np.ones((2, 2)),
             c_classifier=np.array([0.2, 0.0]), c_type=np.zeros(2),
         )
-        cfg = GameConfig(2, 2, acc, payoff)
-        ctx = make_ctx(cfg, q=1, true_p=TypeDistribution.uniform(2))
-        rec = game_play(ctx.belief, cfg, ctx.run, ctx.rng, ctx.stats)
-        assert rec.utilities.u_learner == pytest.approx(0.7 - 0.2, abs=1e-12)
+        cfg, run, ctx = make_ctx(GameConfig(acc, payoff), q=1,
+                                 true_p=TypeDistribution.uniform(2))
+        u_learner, _ = first_play(cfg, run, ctx)
+        assert u_learner == pytest.approx(0.7 - 0.2, abs=1e-12)
 
     def test_cost_only_payoffs(self):
         cfg = default_config()
@@ -69,59 +81,64 @@ class TestGamePlay:
             v_learner=np.zeros((3, 4)), v_adversary=np.zeros((3, 4)),
             c_classifier=np.full(3, 0.05), c_type=np.full(4, 0.02),
         )
-        cost_cfg = GameConfig(3, 4, cfg.accuracy, payoff)
-        ctx = make_ctx(cost_cfg)
-        rec = game_play(ctx.belief, cost_cfg, ctx.run, ctx.rng, ctx.stats)
-        assert rec.utilities.u_learner == pytest.approx(-0.05, abs=1e-12)
-        assert rec.utilities.u_adversary == pytest.approx(-0.02, abs=1e-12)
+        cost_cfg, run, ctx = make_ctx(GameConfig(cfg.accuracy, payoff))
+        u_learner, u_adversary = first_play(cost_cfg, run, ctx)
+        assert u_learner == pytest.approx(-0.05, abs=1e-12)
+        assert u_adversary == pytest.approx(-0.02, abs=1e-12)
 
     def test_play_updates_running_stats(self):
-        ctx = make_ctx()
-        rec = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats)
-        assert ctx.stats.learner.parent_visits == 1
-        assert ctx.stats.learner.action_visits[rec.chosen_action] == 1
-        assert ctx.stats.adversary.action_visits[rec.realized_type] == 1
+        cfg, run, ctx = make_ctx()
+        first_play(cfg, run, ctx)
+        assert ctx.learner.parent_visits == 1
+        assert ctx.learner.action_visits[ctx.plays.action[0]] == 1
+        assert ctx.adversary.action_visits[ctx.plays.type[0]] == 1
 
     def test_batch_length_matches_q(self):
-        ctx = make_ctx(q=7)
-        rec = game_play(ctx.belief, ctx.cfg, ctx.run, ctx.rng, ctx.stats)
-        assert len(rec.per_query_classifier) == 7
-        assert len(rec.per_query_correct) == 7
+        cfg, run, ctx = make_ctx(q=7)
+        first_play(cfg, run, ctx)
+        assert ctx.plays.classifier.shape == (run.n_trials * run.h, 7)
+        assert ctx.plays.correct.shape == (run.n_trials * run.h, 7)
 
     def test_best_response_adversary_targets_weak_spot(self):
-        cfg = default_config()
-        ctx = make_ctx(cfg, adversary_mode=AdversaryMode.BEST_RESPONSE,
-                       selection=SelectionMethod.BNE)
-        rec = game_play(ctx.belief, cfg, ctx.run, ctx.rng, ctx.stats)
+        cfg, run, ctx = make_ctx(adversary_mode=AdversaryMode.BEST_RESPONSE,
+                                 selection=SelectionMethod.BNE)
+        first_play(cfg, run, ctx)
         # uniform belief best response is the most hardened classifier; the
         # strongest perturbation then maximizes its miss probability
-        assert rec.chosen_action == 2
-        assert rec.realized_type == 3
+        assert ctx.plays.action[0] == 2
+        assert ctx.plays.type[0] == 3
 
 
 class TestTraverse:
     def test_each_step_logs_one_play(self):
-        ctx = make_ctx(h=4, seed=3)
+        cfg, run, ctx = make_ctx(h=4, seed=3)
+        plays = ctx.plays
         for k in range(1, 6):
-            value = tree_traverse(ctx)
-            assert len(ctx.plays) == k
-            assert value == ctx.plays[-1].utilities
-        assert ctx.stats.learner.parent_visits == 5
+            value = tree_traverse(cfg, run, ctx)
+            assert ctx.n_played == k
+            assert value == (plays.u_learner[k - 1], plays.u_adversary[k - 1])
+            assert ctx.belief.total_observations == k
+        recounted = np.zeros((3, 4), dtype=np.int64)
+        np.add.at(recounted, (plays.action[:5], plays.type[:5]), 1)
+        np.testing.assert_array_equal(ctx.belief.joint_counts, recounted)
+        # the marginal moves only at the trial's refresh
+        assert ctx.belief.p_hat is ctx.belief.prior
+        assert ctx.learner.parent_visits == 5
 
     def test_fixed_seed_reproduces_utilities(self):
         def run_once():
-            ctx = make_ctx(h=4, seed=1234)
-            return [tree_traverse(ctx) for _ in range(25)]
+            cfg, run, ctx = make_ctx(h=4, seed=1234)
+            return [tree_traverse(cfg, run, ctx) for _ in range(25)]
 
         first, second = run_once(), run_once()
         assert first == second
 
     def test_degenerate_opponent_model_pins_adversary_moves(self):
-        ctx = make_ctx(h=2, seed=37, true_p=TypeDistribution.degenerate(0, 4))
+        cfg, run, ctx = make_ctx(h=2, seed=37, true_p=TypeDistribution.degenerate(0, 4))
         for _ in range(20):
-            tree_traverse(ctx)
-        assert len(ctx.plays) == 20
-        assert all(rec.realized_type == 0 for rec in ctx.plays)
+            tree_traverse(cfg, run, ctx)
+        assert ctx.n_played == len(ctx.plays) == 20
+        assert ctx.plays.type.tolist() == [0] * 20
 
 
 class TestProportionalChoice:
@@ -137,9 +154,10 @@ class TestPlayBatch:
         cfg = default_config()
         run = SelfPlayConfig(q=50, true_p=TypeDistribution.uniform(4)).resolved(cfg)
         policy = Strategy(np.array([0.5, 0.0, 0.5]))
-        rec = play_batch(policy, 1, cfg, run, np.random.default_rng(43))
-        assert 1 not in set(rec.per_query_classifier.tolist())
-        assert rec.realized_type == 1
+        plays = Plays.empty(1, run.q)
+        play_batch(policy, 1, cfg, run, np.random.default_rng(43), plays, 0)
+        assert 1 not in set(plays.classifier[0].tolist())
+        assert plays.type[0] == 1
 
 
 def reference_choice(rng, weights):
@@ -224,12 +242,14 @@ class TestStreamEquivalence:
             run = SelfPlayConfig(q=int(meta.integers(1, 60)), seed=seed,
                                  classification_mode=mode).resolved(cfg)
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            rec = play_batch(strategy, theta, cfg, run, ours)
-            chosen, correct, utilities = reference_play_batch(
+            plays = Plays.empty(1, run.q)
+            utilities = play_batch(strategy, theta, cfg, run, ours, plays, 0)
+            chosen, correct, want = reference_play_batch(
                 strategy, theta, cfg, run, theirs)
-            np.testing.assert_array_equal(rec.per_query_classifier, chosen)
-            np.testing.assert_array_equal(rec.per_query_correct, correct)
-            assert tuple(rec.utilities) == utilities
+            np.testing.assert_array_equal(plays.classifier[0], chosen)
+            np.testing.assert_array_equal(plays.correct[0], correct)
+            assert utilities == want
+            assert (plays.u_learner[0], plays.u_adversary[0]) == want
             assert ours.random() == theirs.random()
 
 
@@ -295,6 +315,7 @@ class TestCachedSampling:
         assert Strategy.uniform(3).argmax == 0
         cfg = default_config()
         run = SelfPlayConfig(q=5, true_p=TypeDistribution.uniform(4)).resolved(cfg)
-        rec = play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run,
-                         np.random.default_rng(3))
-        assert rec.chosen_action == 2
+        plays = Plays.empty(1, run.q)
+        play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run,
+                   np.random.default_rng(3), plays, 0)
+        assert plays.action[0] == 2

@@ -10,9 +10,12 @@ reference, with the tree draws and the label draws on a separate
 `tree_rng`, and checks that `self_play` realizes the same plays, byte for
 byte.  With `tree_rng` set to the run's own stream, the reference
 reproduces the selection counts the tree-based `self_play` produced, pinned
-below.
+below.  The reference keeps its plays as records of its own; `self_play`
+keeps them as the rows of a `Plays` record, and every field of every row
+is compared.
 """
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,14 +26,10 @@ from clfgame import (
     BeliefState,
     ClassificationMode,
     NodeStats,
-    PlayRecord,
-    PlayStats,
-    SearchContext,
     SelectionMethod,
     SelfPlayConfig,
     Strategy,
     TypeDistribution,
-    UtilityPair,
     bne_select,
     default_config,
     kl_divergence,
@@ -43,6 +42,34 @@ from clfgame import (
 )
 
 ROLLOUT_SHIFT_EPS = 1e-6
+
+
+@dataclass(frozen=True)
+class PlayRecord:
+    """One realized play, as the tree-based loop recorded it."""
+
+    chosen_strategy: Strategy
+    realized_type: int
+    per_query_classifier: np.ndarray
+    per_query_correct: np.ndarray
+    u_learner: float
+    u_adversary: float
+
+    @property
+    def chosen_action(self):
+        return int(np.argmax(self.chosen_strategy.probs))
+
+
+class Context:
+    """What a step of the tree-based loop read and wrote: the run, the
+    belief, the random stream, both movers' play statistics and the log of
+    realized plays."""
+
+    def __init__(self, cfg, run, belief, rng):
+        self.cfg, self.run, self.belief, self.rng = cfg, run, belief, rng
+        self.learner = NodeStats.fresh(cfg.n_classifiers)
+        self.adversary = NodeStats.fresh(cfg.n_types)
+        self.plays = []
 
 
 class Mover(Enum):
@@ -102,17 +129,16 @@ def old_play_batch(strategy, theta, cfg, run, rng, label_rng):
     u_adversary = float((
         (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta]
     ).sum() / run.q)
-    return PlayRecord(strategy, int(theta), chosen, correct,
-                      UtilityPair(u_learner, u_adversary))
+    return PlayRecord(strategy, int(theta), chosen, correct, u_learner, u_adversary)
 
 
 def terminal_play(ctx, tree_rng):
     """`game_play` as it was, with its label draw on `tree_rng`."""
-    run, stats = ctx.run, ctx.stats
+    run = ctx.run
     if run.selection is SelectionMethod.BNE:
         strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
     else:
-        action = ucb_select_learner(stats.learner, run.ucb_c)
+        action = ucb_select_learner(ctx.learner, run.ucb_c)
         strategy = Strategy.pure(action, ctx.cfg.n_classifiers)
         br_type = None
     if run.adversary_mode is AdversaryMode.SAMPLED:
@@ -120,12 +146,12 @@ def terminal_play(ctx, tree_rng):
     elif br_type is not None:
         theta = br_type
     else:
-        theta = ucb_select_adversary(stats.adversary, run.ucb_c)
+        theta = ucb_select_adversary(ctx.adversary, run.ucb_c)
     record = old_play_batch(strategy, theta, ctx.cfg, run, ctx.rng, tree_rng)
-    stats.learner.record(record.chosen_action, record.utilities.u_learner)
-    stats.adversary.record(record.realized_type, record.utilities.u_adversary)
+    ctx.learner.record(record.chosen_action, record.u_learner)
+    ctx.adversary.record(record.realized_type, record.u_adversary)
     ctx.plays.append(record)
-    return record.utilities
+    return record
 
 
 def select_best_child(node, ctx):
@@ -195,8 +221,7 @@ def reference_self_play(cfg, run, shared_stream):
     rng = np.random.default_rng(run.seed)
     tree_rng = rng if shared_stream else np.random.default_rng(run.seed + 1_000_003)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
-    ctx = SearchContext(cfg=cfg, run=run, belief=belief, rng=rng,
-                        stats=PlayStats.fresh(cfg))
+    ctx = Context(cfg, run, belief, rng)
     kl_curve = []
     for _ in range(run.n_trials):
         root = Node(0, Mover.LEARNER)
@@ -220,9 +245,22 @@ def selection_counts(plays, cfg):
 
 
 def play_bytes(rec):
-    return (rec.chosen_strategy.probs.tobytes(), rec.realized_type,
+    """The bytes of every field of a reference play, laid out as `row_bytes`
+    lays out a row.  Plays under UCB and BNE are pure, so the action is the
+    whole strategy."""
+    n_classifiers = len(rec.chosen_strategy)
+    assert rec.chosen_strategy.probs.tobytes() == \
+        Strategy.pure(rec.chosen_action, n_classifiers).probs.tobytes()
+    return (np.int64(rec.chosen_action).tobytes(), np.int64(rec.realized_type).tobytes(),
             rec.per_query_classifier.tobytes(), rec.per_query_correct.tobytes(),
-            np.array(tuple(rec.utilities)).tobytes())
+            np.float64(rec.u_learner).tobytes(), np.float64(rec.u_adversary).tobytes())
+
+
+def row_bytes(plays, p):
+    """The bytes of every field of row p of a `Plays` record."""
+    return (plays.action[p].tobytes(), plays.type[p].tobytes(),
+            plays.classifier[p].tobytes(), plays.correct[p].tobytes(),
+            plays.u_learner[p].tobytes(), plays.u_adversary[p].tobytes())
 
 
 COSTS = [0.0, 0.01, 0.02]
@@ -250,7 +288,7 @@ class TestFlatLoopMatchesTree:
             run = grid_run(*config)
             plays, counts, kl_curve = reference_self_play(cfg, run, shared_stream=False)
             res = self_play(cfg, run)
-            assert [play_bytes(r) for r in res.plays] == \
+            assert [row_bytes(res.plays, p) for p in range(len(res.plays))] == \
                 [play_bytes(r) for r in plays], config
             np.testing.assert_array_equal(res.selection_counts, counts)
             assert res.per_trial_kl.tobytes() == np.array(kl_curve).tobytes(), config
