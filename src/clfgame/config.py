@@ -5,12 +5,21 @@ experiment-level keys; anything omitted, or set to null, takes the
 documented default (bundled 3x4 accuracy matrix, unit values, zero costs,
 h=20 plays per trial, n_trials=10, q=10, exploration constant ucb_c=2,
 uniform prior).  Each setting has one key: the game's dimensions are the
-accuracy matrix's shape.  Validation errors name the offending key.
+accuracy matrix's shape.
+
+Validation errors name the offending key.  This module checks only what
+is about JSON: unknown keys, object sections, integral numbers, numeric
+arrays, enum values, a scalar `ucb_c`, a string `output_dir` and the
+file's decoding.  Every other rule is the domain type's (`GameConfig`,
+`SelfPlayConfig`, ...), whose error names the field; this module puts the
+section (`game.`, `run.`) or the key (`game.accuracy: `) in front.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -18,12 +27,14 @@ from typing import Any, Optional
 import numpy as np
 
 from .game import (
+    REPR_LIMIT,  # noqa: F401  (re-exported: callers read config.REPR_LIMIT)
     AccuracyMatrix,
     ConfigurationError,
     DEFAULT_ACCURACY,
     GameConfig,
     PayoffConfig,
     TypeDistribution,
+    _shown,
 )
 from .oracle import ClassificationMode
 from .selection import SelectionMethod
@@ -31,9 +42,6 @@ from .selfplay import SelfPlayConfig
 from .tree import AdversaryMode
 
 PRESETS = ("selection_table", "kl_convergence", "utility_comparison", "accuracy_check")
-
-#: Characters of a refused value's repr that an error message shows.
-REPR_LIMIT = 80
 
 #: The keys each part of a spec may set; any other key is refused.
 _GAME_KEYS = {"accuracy", "v_learner", "v_adversary", "c_classifier", "c_type"}
@@ -61,7 +69,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ConfigurationError("repetitions: must be >= 1")
+            raise ConfigurationError(
+                f"repetitions: must be >= 1, got {_shown(self.repetitions)}")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigurationError(
                 f"preset: must be one of {PRESETS}, got {_shown(self.preset)}")
@@ -73,11 +82,13 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigurationError(f"{key}: {message}")
 
 
-def _shown(value: Any) -> str:
-    """A refused value's repr for an error message, cut to REPR_LIMIT
-    characters plus "..." so a deeply nested value keeps the line short."""
-    text = repr(value)
-    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+@contextmanager
+def _prefixed(prefix: str):
+    """Put the spec's key path in front of a domain type's error."""
+    try:
+        yield
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{prefix}{err}") from err
 
 
 def _present(section: dict, prefix: str, known: set[str]) -> dict:
@@ -96,88 +107,59 @@ def _section(data: dict, key: str) -> dict:
     return section
 
 
-def _integer(value: Any, key: str, minimum: int) -> int:
+def _integer(value: Any, key: str) -> int:
     """An integral JSON number (20 or 20.0, not 20.7, "20" or true)."""
     integral = (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and float(value).is_integer())
     _require(integral, key, f"must be an integer, got {_shown(value)}")
-    _require(value >= minimum, key, f"must be >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
 def _reals(data: Any, key: str) -> np.ndarray:
-    """A finite number or (nested) array of finite numbers, as floats."""
+    """A number or (nested) array of numbers, as floats."""
     try:
         arr = np.asarray(data)
     except ValueError:  # ragged nesting
         arr = None
     _require(arr is not None and arr.dtype.kind in "iuf", key,
              "must be a number or an array of numbers")
-    arr = arr.astype(float)
-    _require(bool(np.isfinite(arr).all()), key, "entries must be finite")
-    return arr
-
-
-def _broadcast(data: Any, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A number broadcast to `shape`, or an array that has that shape."""
-    arr = _reals(data, key)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    _require(arr.shape == shape, key,
-             f"expected shape {shape}, got {arr.shape}")
-    return arr
+    return arr.astype(float)
 
 
 def _game_from_dict(section: dict) -> GameConfig:
-    """The game; its dimensions are the accuracy matrix's shape."""
+    """The game; its dimensions are the accuracy matrix's shape.  A payoff
+    key set to a number means that number in every entry."""
     section = _present(section, "game.", _GAME_KEYS)
-    user_matrix = "accuracy" in section
-    if user_matrix:
-        raw = _reals(section["accuracy"], "game.accuracy")
-        _require(raw.ndim == 2, "game.accuracy", "must be a 2-d matrix")
-        _require(min(raw.shape) >= 1, "game.accuracy",
-                 f"must have a row and a column, got shape {raw.shape}")
-    else:
-        raw = DEFAULT_ACCURACY
-    n_classifiers, n_types = raw.shape
-
-    try:
-        import warnings
-        with warnings.catch_warnings():
-            if not user_matrix:
-                # the bundled defaults are known to dip on the clean column
-                warnings.simplefilter("ignore")
-            accuracy = AccuracyMatrix(raw)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"game.accuracy: {err}") from err
-
+    raw = _reals(section["accuracy"], "game.accuracy") if "accuracy" in section else None
+    with _prefixed("game.accuracy: "), warnings.catch_warnings():
+        if raw is None:
+            # the bundled defaults are known to dip on the clean column
+            warnings.simplefilter("ignore")
+            raw = DEFAULT_ACCURACY
+        accuracy = AccuracyMatrix(raw)
+    n_classifiers, n_types = accuracy.acc.shape
     payoff_kwargs = {}
-    for key, shape in (
-        ("v_learner", (n_classifiers, n_types)),
-        ("v_adversary", (n_classifiers, n_types)),
-        ("c_classifier", (n_classifiers,)),
-        ("c_type", (n_types,)),
+    for key, shape, default in (
+        ("v_learner", (n_classifiers, n_types), 1.0),
+        ("v_adversary", (n_classifiers, n_types), 1.0),
+        ("c_classifier", (n_classifiers,), 0.0),
+        ("c_type", (n_types,), 0.0),
     ):
-        default = np.ones(shape) if key.startswith("v_") else np.zeros(shape)
-        payoff_kwargs[key] = (
-            _broadcast(section[key], f"game.{key}", shape) if key in section else default
-        )
-    try:
-        payoff = PayoffConfig(**payoff_kwargs)
-        return GameConfig(accuracy, payoff)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"game: {err}") from err
+        value = _reals(section[key], f"game.{key}") if key in section else default
+        payoff_kwargs[key] = np.full(shape, value) if np.ndim(value) == 0 else value
+    with _prefixed("game."):
+        return GameConfig(accuracy, PayoffConfig(**payoff_kwargs))
 
 
-def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
+def _run_from_dict(section: dict, game: GameConfig) -> SelfPlayConfig:
     section = _present(section, "run.", _RUN_KEYS)
     kwargs: dict[str, Any] = {}
     for key in ("h", "n_trials", "q", "seed"):
         if key in section:
-            kwargs[key] = _integer(section[key], f"run.{key}", 0 if key == "seed" else 1)
+            kwargs[key] = _integer(section[key], f"run.{key}")
     if "ucb_c" in section:
         ucb_c = _reals(section["ucb_c"], "run.ucb_c")
-        _require(ucb_c.ndim == 0 and ucb_c >= 0, "run.ucb_c", "must be a number >= 0")
+        _require(ucb_c.ndim == 0, "run.ucb_c", "must be a number")
         kwargs["ucb_c"] = float(ucb_c)
     for key, enum_cls in _ENUM_KEYS.items():
         if key in section:
@@ -187,29 +169,22 @@ def _run_from_dict(section: dict, n_types: int) -> SelfPlayConfig:
             kwargs[key] = enum_cls(raw)
     if "true_p" in section:
         probs = _reals(section["true_p"], "run.true_p")
-        _require(probs.shape == (n_types,), "run.true_p",
-                 f"expected {n_types} entries, got shape {probs.shape}")
-        # the simplex check tolerates -1e-9, but a draw refuses any negative
-        _require(bool((probs >= 0).all()), "run.true_p",
-                 f"entries must be >= 0, got {probs.tolist()}")
-        try:
+        with _prefixed("run.true_p: "):
             kwargs["true_p"] = TypeDistribution(probs)
-        except ConfigurationError as err:
-            raise ConfigurationError(f"run.true_p: {err}") from err
-    try:
-        return SelfPlayConfig(**kwargs)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"run: {err}") from err
+    with _prefixed("run."):
+        run = SelfPlayConfig(**kwargs)
+        run.resolved(game)  # checks true_p's length; the spec keeps None
+    return run
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build a validated spec from a parsed JSON object."""
     data = _present(data, "", _SPEC_KEYS)
     game = _game_from_dict(_section(data, "game"))
-    run = _run_from_dict(_section(data, "run"), game.n_types)
+    run = _run_from_dict(_section(data, "run"), game)
     kwargs: dict[str, Any] = {}
     if "repetitions" in data:
-        kwargs["repetitions"] = _integer(data["repetitions"], "repetitions", 1)
+        kwargs["repetitions"] = _integer(data["repetitions"], "repetitions")
     if "output_dir" in data:
         _require(isinstance(data["output_dir"], str), "output_dir", "must be a string")
         kwargs["output_dir"] = Path(data["output_dir"])
@@ -266,11 +241,10 @@ def with_overrides(spec: ExperimentSpec, seed: Optional[int] = None,
                    repetitions: Optional[int] = None) -> ExperimentSpec:
     """Apply command-line overrides on top of a loaded spec."""
     if seed is not None:
-        _require(seed >= 0, "run.seed", f"must be >= 0, got {seed}")
-        spec = replace(spec, run=replace(spec.run, seed=seed))
+        with _prefixed("run."):
+            spec = replace(spec, run=replace(spec.run, seed=seed))
     if output_dir is not None:
         spec = replace(spec, output_dir=Path(output_dir))
     if repetitions is not None:
-        _require(repetitions >= 1, "repetitions", f"must be >= 1, got {repetitions}")
         spec = replace(spec, repetitions=repetitions)
     return spec

@@ -10,6 +10,10 @@ shape gives the game's numbers of classifiers and types, and both sides'
 expected-utility functions.  The two distribution types are immutable, so
 each caches the sampling CDF its draws search.
 
+Each type checks its own validity rules when it is built, once, and its
+`ConfigurationError` names the refused field and shows the value on one
+line; `clfgame.config` adds the spec key's path in front.
+
 A realized play takes the per-play path in `clfgame.tree`: `game_play`
 picks the strategy and the type, and `play_batch` draws the q classifiers
 on the strategy's cached CDF, classifies the batch and gathers its
@@ -37,7 +41,23 @@ SIMPLEX_ATOL = 1e-9
 
 class ConfigurationError(ValueError):
     """Raised when a config, strategy or belief has inconsistent dimensions
-    or out-of-range entries."""
+    or out-of-range entries.
+
+    The message starts with the name of the refused field (`h: must be >=
+    1, got 0`), or of the value type itself (`accuracy out of [0,1], ...`),
+    and shows the refused value through `_shown`, so it is one line."""
+
+
+#: Characters of a refused value's repr that an error message shows.
+REPR_LIMIT = 80
+
+
+def _shown(value) -> str:
+    """A refused value's repr for an error message, cut to REPR_LIMIT
+    characters plus "..." so a long or nested value keeps the line short.
+    Pass an array as `tolist()`: numpy's repr spans lines."""
+    text = repr(value)
+    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
 def _as_readonly_array(values, ndim: int, name: str) -> np.ndarray:
@@ -49,17 +69,18 @@ def _as_readonly_array(values, ndim: int, name: str) -> np.ndarray:
 
 
 def _validate_simplex(probs: np.ndarray, name: str) -> None:
+    """Refuse a vector unless every entry lies in [0, 1] and the entries sum
+    to one within SIMPLEX_ATOL.  A negative entry is refused outright, so
+    every distribution is one `Generator.choice` accepts."""
     # phrased so that NaN entries fail too; the range test runs on Python
     # floats, the sum stays numpy's (pairwise from 8 entries up)
-    if not all(-SIMPLEX_ATOL <= p <= 1 + SIMPLEX_ATOL for p in probs.tolist()):
-        raise ConfigurationError(f"{name} entries must lie in [0, 1], got {probs}")
+    if not all(0.0 <= p <= 1 + SIMPLEX_ATOL for p in probs.tolist()):
+        raise ConfigurationError(
+            f"{name} entries must lie in [0, 1], got {_shown(probs.tolist())}")
     total = float(probs.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
-        raise ConfigurationError(f"{name} entries must sum to 1 (got {total:.12f})")
-
-
-#: `Generator.choice`'s tolerance on the sum of its probabilities.
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+        raise ConfigurationError(
+            f"{name} entries must sum to 1, got {_shown(probs.tolist())} (sum {total!r})")
 
 
 def _choice_cdf(probs: np.ndarray) -> np.ndarray:
@@ -67,15 +88,10 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
 
     Built with choice's own arithmetic, so `cdf.searchsorted(u,
     side="right")` on the double u that choice would draw returns choice's
-    index.  Raises ValueError where choice does: on NaN or negative
-    probabilities, or ones that do not sum to one.
+    index.  Only vectors that passed `_validate_simplex` reach it, so the
+    NaN, negative and sum refusals of choice cannot apply and none is made.
     """
-    p = probs / probs.sum()
-    if not p.min() >= 0.0:  # NaN compares false
-        raise ValueError(f"probabilities must be non-negative, not NaN: {p}")
-    cdf = p.cumsum()
-    if abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
-        raise ValueError(f"probabilities do not sum to 1: {p}")
+    cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
 
@@ -89,9 +105,9 @@ class _Sampled:
     def cdf(self) -> np.ndarray:
         """Read-only `Generator.choice` CDF of `probs`, built on first use.
 
-        The probabilities never change, so one CDF serves every draw.  Its
-        first use raises `_choice_cdf`'s ValueError on an entry that the
-        simplex check tolerates but choice refuses (a slightly negative one).
+        The probabilities never change, so one CDF serves every draw.  The
+        constructor's simplex check has refused every vector choice refuses,
+        so building it raises nothing.
         """
         cdf = _choice_cdf(self.probs)
         cdf.flags.writeable = False
@@ -166,10 +182,17 @@ class TypeDistribution(_Sampled):
                      mass: float = 0.98) -> "TypeDistribution":
         """Distribution with `mass` on one type and the remainder split
         uniformly; the last non-focus entry absorbs rounding so the vector
-        sums to one exactly (e.g. (0.98, 0.00667, 0.00667, 0.00666))."""
+        sums to one exactly (e.g. (0.98, 0.00667, 0.00667, 0.00666)).
+
+        The split is rounded to 5 decimals.  Where rounding up would leave
+        the last entry negative (71 types is the first such count), the
+        split is not rounded, so the last entry stays near the others.
+        """
         if n_types == 1:
             return cls(np.ones(1))
         share = round((1.0 - mass) / (n_types - 1), 5)
+        if share * (n_types - 2) > 1.0 - mass:
+            share = (1.0 - mass) / (n_types - 1)
         probs = np.full(n_types, share)
         probs[type_id] = mass
         others = [i for i in range(n_types) if i != type_id]
@@ -194,9 +217,10 @@ class AccuracyMatrix:
     acc: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "acc", _as_readonly_array(self.acc, 2, "AccuracyMatrix"))
+        object.__setattr__(self, "acc", _as_readonly_array(self.acc, 2, "accuracy"))
         if not np.all((self.acc >= 0) & (self.acc <= 1)):  # NaN fails too
-            raise ConfigurationError("accuracy out of [0,1]")
+            raise ConfigurationError(
+                f"accuracy out of [0,1], got {_shown(self.acc.tolist())}")
         drops = np.diff(self.acc, axis=0) < 0
         if drops.any():
             cells = [f"L{j + 1}<L{j} on type {i}" for j, i in zip(*np.nonzero(drops))]
@@ -204,14 +228,6 @@ class AccuracyMatrix:
                 "hardening monotonicity violated: " + ", ".join(cells),
                 stacklevel=2,
             )
-
-    @property
-    def n_classifiers(self) -> int:
-        return self.acc.shape[0]
-
-    @property
-    def n_types(self) -> int:
-        return self.acc.shape[1]
 
 
 @dataclass(frozen=True)
@@ -222,6 +238,7 @@ class PayoffConfig:
     on a type-i query.  v_adversary[j][i]: adversary's value for a
     misclassification.  c_classifier[j]: cost of deploying classifier j.
     c_type[i]: adversary's cost of generating a type-i query.
+    Their shapes are checked against the accuracy matrix by `GameConfig`.
     """
 
     v_learner: np.ndarray
@@ -230,15 +247,16 @@ class PayoffConfig:
     c_type: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v_learner", _as_readonly_array(self.v_learner, 2, "v_learner"))
-        object.__setattr__(self, "v_adversary", _as_readonly_array(self.v_adversary, 2, "v_adversary"))
-        object.__setattr__(self, "c_classifier", _as_readonly_array(self.c_classifier, 1, "c_classifier"))
-        object.__setattr__(self, "c_type", _as_readonly_array(self.c_type, 1, "c_type"))
         for name in ("v_learner", "v_adversary", "c_classifier", "c_type"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigurationError(f"{name} entries must be finite")
-        if np.any(self.c_classifier < 0) or np.any(self.c_type < 0):
-            raise ConfigurationError("costs must be non-negative")
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(
+                    f"{name}: entries must be finite, got {_shown(arr.tolist())}")
+            if name.startswith("c_") and (arr < 0).any():
+                raise ConfigurationError(
+                    f"{name}: entries must be >= 0, got {_shown(arr.tolist())}")
 
     @cached_property
     def by_type(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
@@ -275,17 +293,15 @@ class GameConfig:
     payoff: PayoffConfig
 
     def __post_init__(self):
-        if self.n_classifiers < 1 or self.n_types < 1:
-            raise ConfigurationError("need at least one classifier and one type")
-        p = self.payoff
-        if p.v_learner.shape != self.accuracy.acc.shape:
-            raise ConfigurationError("v_learner dimensions do not match game")
-        if p.v_adversary.shape != self.accuracy.acc.shape:
-            raise ConfigurationError("v_adversary dimensions do not match game")
-        if p.c_classifier.shape != (self.n_classifiers,):
-            raise ConfigurationError("c_classifier dimensions do not match game")
-        if p.c_type.shape != (self.n_types,):
-            raise ConfigurationError("c_type dimensions do not match game")
+        shape = self.accuracy.acc.shape
+        if min(shape) < 1:
+            raise ConfigurationError(
+                f"accuracy: must have a row and a column, got shape {shape}")
+        for name, want in (("v_learner", shape), ("v_adversary", shape),
+                           ("c_classifier", shape[:1]), ("c_type", shape[1:])):
+            got = getattr(self.payoff, name).shape
+            if got != want:
+                raise ConfigurationError(f"{name}: expected shape {want}, got {got}")
 
     @property
     def n_classifiers(self) -> int:

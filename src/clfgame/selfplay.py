@@ -13,6 +13,7 @@ the baseline for utility comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -29,6 +30,7 @@ from .game import (
     GameConfig,
     Strategy,
     TypeDistribution,
+    _shown,
     adversary_utilities,
 )
 from .oracle import ClassificationMode
@@ -50,6 +52,9 @@ class SelfPlayConfig:
     `h` is the number of plays one trial realizes.  No field picks a belief
     update rule: both rules give the same marginal (see
     `refresh_marginal`), so the rule only names a reported diagnostic.
+    The constructor refuses an out-of-range field with a
+    `ConfigurationError` that starts with the field's name (`h: must be
+    >= 1, got 0`); `resolved` checks `true_p` against the game.
     """
 
     h: int = 20
@@ -63,14 +68,12 @@ class SelfPlayConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ConfigurationError("plays per trial h must be >= 1")
-        if self.n_trials < 1 or self.q < 1:
-            raise ConfigurationError("n_trials and q must be >= 1")
-        if self.ucb_c < 0 or not np.isfinite(self.ucb_c):
-            raise ConfigurationError("ucb_c must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        for name, minimum in (("h", 1), ("n_trials", 1), ("q", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ConfigurationError(f"{name}: must be >= {minimum}, got {_shown(value)}")
+        if not 0 <= self.ucb_c < math.inf:  # NaN fails too
+            raise ConfigurationError(f"ucb_c: must be finite and >= 0, got {_shown(self.ucb_c)}")
 
     @property
     def traversals_per_trial(self) -> int:
@@ -84,7 +87,8 @@ class SelfPlayConfig:
         if self.true_p is None:
             return replace(self, true_p=TypeDistribution.uniform(cfg.n_types))
         if len(self.true_p) != cfg.n_types:
-            raise ConfigurationError("true_p length does not match the game's type count")
+            raise ConfigurationError(
+                f"true_p: expected {cfg.n_types} entries, got {len(self.true_p)}")
         return self
 
 
@@ -190,10 +194,9 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     the KL column reports the prior's divergence for every trial.
     """
     run = run.resolved(cfg)
-    if len(policy) != cfg.n_classifiers:
-        raise ConfigurationError("policy length does not match the game's classifier count")
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
+    # adversary_utilities also refuses a policy of the wrong length
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
     plays = Plays.empty(run.n_trials * run.h, run.q)
     for p in range(len(plays)):

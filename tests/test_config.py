@@ -11,12 +11,17 @@ from clfgame import (
     AdversaryMode,
     ClassificationMode,
     ConfigurationError,
+    GameConfig,
     PayoffConfig,
     SelectionMethod,
     SelfPlayConfig,
+    Strategy,
     TypeDistribution,
+    default_config,
 )
 from clfgame.config import (
+    PRESETS,
+    REPR_LIMIT,
     ExperimentSpec,
     load_spec,
     serialize_spec,
@@ -462,3 +467,88 @@ class TestErrorLength:
     def test_short_values_are_shown_whole(self):
         with pytest.raises(ConfigurationError, match=r"^run\.h: must be an integer, got 'abc'$"):
             spec_from_dict({"run": {"h": "abc"}})
+
+
+#: A probability vector whose repr is longer than REPR_LIMIT.
+LONG_PROBS = [1.5] + [0.001] * 11
+
+
+def payoff(**changed):
+    """A valid 2x3 PayoffConfig with some fields replaced."""
+    fields = dict(v_learner=np.ones((2, 3)), v_adversary=np.ones((2, 3)),
+                  c_classifier=np.zeros(2), c_type=np.zeros(3))
+    return PayoffConfig(**{**fields, **changed})
+
+
+#: (domain type, the field its error names, a construction it refuses,
+#: the error message).  A container type's message starts "field: "; a
+#: value type's starts with its own name.
+DOMAIN_ERRORS = [
+    ("SelfPlayConfig", "h", lambda: SelfPlayConfig(h=0), "h: must be >= 1, got 0"),
+    ("SelfPlayConfig", "n_trials", lambda: SelfPlayConfig(n_trials=-2),
+     "n_trials: must be >= 1, got -2"),
+    ("SelfPlayConfig", "q", lambda: SelfPlayConfig(q=0), "q: must be >= 1, got 0"),
+    ("SelfPlayConfig", "seed", lambda: SelfPlayConfig(seed=-1), "seed: must be >= 0, got -1"),
+    ("SelfPlayConfig", "ucb_c", lambda: SelfPlayConfig(ucb_c=NAN),
+     "ucb_c: must be finite and >= 0, got nan"),
+    ("SelfPlayConfig", "true_p",
+     lambda: SelfPlayConfig(true_p=TypeDistribution.uniform(2)).resolved(default_config()),
+     "true_p: expected 4 entries, got 2"),
+    ("ExperimentSpec", "repetitions",
+     lambda: ExperimentSpec(default_config(), SelfPlayConfig(), repetitions=0),
+     "repetitions: must be >= 1, got 0"),
+    ("ExperimentSpec", "preset",
+     lambda: ExperimentSpec(default_config(), SelfPlayConfig(), preset="p" * 100),
+     f"preset: must be one of {PRESETS}, got {repr('p' * 100)[:REPR_LIMIT]}..."),
+    ("PayoffConfig", "v_adversary", lambda: payoff(v_adversary=np.full((2, 3), NAN)),
+     "v_adversary: entries must be finite, got [[nan, nan, nan], [nan, nan, nan]]"),
+    ("PayoffConfig", "c_type", lambda: payoff(c_type=np.array([0.0, -0.5, 0.0])),
+     "c_type: entries must be >= 0, got [0.0, -0.5, 0.0]"),
+    ("GameConfig", "v_learner",
+     lambda: GameConfig(AccuracyMatrix(np.full((2, 3), 0.5)), PayoffConfig.unit(2, 4)),
+     "v_learner: expected shape (2, 3), got (2, 4)"),
+    ("GameConfig", "c_classifier",
+     lambda: GameConfig(AccuracyMatrix(np.full((2, 3), 0.5)), payoff(c_classifier=np.zeros(3))),
+     "c_classifier: expected shape (2,), got (3,)"),
+    ("GameConfig", "accuracy",
+     lambda: GameConfig(AccuracyMatrix(np.zeros((1, 0))), PayoffConfig.unit(1, 0)),
+     "accuracy: must have a row and a column, got shape (1, 0)"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix(np.array([[0.5, 1.2]])),
+     "accuracy out of [0,1], got [[0.5, 1.2]]"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix(np.array([0.5])),
+     "accuracy must be 2-dimensional, got shape (1,)"),
+    ("Strategy", "Strategy", lambda: Strategy(np.array([1.2, -0.2])),
+     "Strategy entries must lie in [0, 1], got [1.2, -0.2]"),
+    ("Strategy", "Strategy", lambda: Strategy(np.array([0.5, 0.25])),
+     "Strategy entries must sum to 1, got [0.5, 0.25] (sum 0.75)"),
+    ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution(np.array(LONG_PROBS)),
+     "TypeDistribution entries must lie in [0, 1], got "
+     + repr(LONG_PROBS)[:REPR_LIMIT] + "..."),
+]
+
+
+class TestDomainErrors:
+    """Each domain type checks its own rules and names the refused field in
+    a one-line error; the spec layer only puts the key path in front."""
+
+    @pytest.mark.parametrize("kind, field, build, message", DOMAIN_ERRORS,
+                             ids=[f"{kind}-{field}-{k}" for k, (kind, field, _, _)
+                                  in enumerate(DOMAIN_ERRORS)])
+    def test_error_names_the_field(self, kind, field, build, message):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert str(err.value) == message
+        assert message.startswith(field) and "\n" not in message
+
+    def test_long_true_p_is_one_cut_line(self, tmp_path, capsys):
+        """A refused probability vector is shown cut to REPR_LIMIT on the
+        CLI's one error line, not as numpy's multi-line repr."""
+        from clfgame.cli import main
+        path = write_spec(tmp_path, {"game": {"accuracy": [[0.5] * 12, [0.6] * 12]},
+                                     "run": {"true_p": LONG_PROBS}})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: run.true_p: TypeDistribution entries must lie in [0, 1], got "
+            + repr(LONG_PROBS)[:REPR_LIMIT] + "..."]
+        assert captured.out == ""

@@ -219,6 +219,39 @@ class TestDomainTypes:
         np.testing.assert_allclose(p.probs, [0.98, 0.00667, 0.00667, 0.00666])
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @staticmethod
+    def rounded_split(type_id, n_types, mass=0.98):
+        """`concentrated` before large type counts were handled: the split
+        rounded to 5 decimals, the last non-focus entry the remainder,
+        which is negative for 132 of the counts from 2 to 399."""
+        share = round((1.0 - mass) / (n_types - 1), 5)
+        probs = np.full(n_types, share)
+        probs[type_id] = mass
+        others = [i for i in range(n_types) if i != type_id]
+        probs[others[-1]] = 1.0 - mass - share * (len(others) - 1)
+        return probs
+
+    def test_concentrated_is_a_distribution_for_every_type_count(self):
+        """Where the rounded split is a distribution the bits are unchanged;
+        elsewhere the entries are non-negative with 0.98 on the focus."""
+        from clfgame.game import SIMPLEX_ATOL
+        changed = set()
+        for n in range(1, 401):
+            for focus in {0, n // 2, n - 1}:
+                probs = TypeDistribution.concentrated(focus, n).probs
+                assert probs.min() >= 0.0, (n, focus)
+                assert abs(probs.sum() - 1.0) <= SIMPLEX_ATOL, (n, focus)
+                if n == 1:
+                    assert probs.tolist() == [1.0]
+                    continue
+                assert probs[focus] == 0.98, (n, focus)
+                rounded = self.rounded_split(focus, n)
+                if rounded.min() >= 0.0:
+                    assert probs.tobytes() == rounded.tobytes(), (n, focus)
+                else:
+                    changed.add(n)
+        assert min(changed) == 71 and len(changed) == 132
+
     def test_accuracy_entries_bounded(self):
         with pytest.raises(ConfigurationError, match=r"accuracy out of \[0,1\]"):
             AccuracyMatrix(np.array([[0.5, 1.2]]))

@@ -1,5 +1,6 @@
-"""The README's example spec is a valid spec and its library quick start
-runs, so a deleted key or result field cannot linger in the docs."""
+"""The README's example spec is a valid spec, its library quick start
+runs and its quoted errors are the ones raised, so a deleted key, result
+field or message cannot linger in the docs."""
 
 import contextlib
 import io
@@ -8,6 +9,9 @@ import re
 import warnings
 from pathlib import Path
 
+import pytest
+
+from clfgame import ConfigurationError, SelfPlayConfig
 from clfgame.config import serialize_spec, spec_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -33,3 +37,28 @@ def test_readme_quick_start_runs():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(block, str(README), "exec"), {})
+
+
+#: Each error the README quotes, with the spec or call that raises it.
+QUOTED_ERRORS = {
+    "game.accuracy: accuracy out of [0,1], got [[0.5, 1.2], [0.4, 0.6]]":
+        lambda: spec_from_dict({"game": {"accuracy": [[0.5, 1.2], [0.4, 0.6]]}}),
+    "run.depth: unknown key": lambda: spec_from_dict({"run": {"depth": 3}}),
+    "h: must be >= 1, got 0": lambda: SelfPlayConfig(h=0),
+    "run.h: must be >= 1, got 0": lambda: spec_from_dict({"run": {"h": 0}}),
+    "game.n_classifiers: unknown key": lambda: spec_from_dict({"game": {"n_classifiers": 3}}),
+}
+
+
+def test_readme_quotes_every_checked_error():
+    """Every quoted `key: message` in the README is one of QUOTED_ERRORS."""
+    quoted = re.findall(r"`((?:game\.|run\.)?\w+: [^`]+)`",
+                        " ".join(README.read_text(encoding="utf-8").split()))
+    assert sorted(quoted) == sorted(QUOTED_ERRORS)
+
+
+@pytest.mark.parametrize("message", QUOTED_ERRORS)
+def test_readme_quoted_error_is_raised(message):
+    with pytest.raises(ConfigurationError) as err:
+        QUOTED_ERRORS[message]()
+    assert str(err.value) == message

@@ -7,6 +7,7 @@ from clfgame import (
     AdversaryMode,
     BeliefState,
     ClassificationMode,
+    ConfigurationError,
     PayoffConfig,
     GameConfig,
     NodeStats,
@@ -217,11 +218,14 @@ class TestStreamEquivalence:
         [np.inf, 1.0, 0.0],
     ])
     def test_invalid_weights_still_raise(self, weights):
-        """The cached CDF is refused where `Generator.choice` refuses."""
-        from clfgame.game import _choice_cdf
+        """Weights `Generator.choice` refuses are refused when a distribution
+        is built from them, naming the type, so no cached CDF is built from
+        them."""
+        for kind in (Strategy, TypeDistribution):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{kind.__name__} entries must lie in \[0, 1\], got "):
+                kind(np.array(weights))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError):
-                _choice_cdf(np.array(weights))
             with pytest.raises(ValueError):
                 reference_choice(np.random.default_rng(0), np.array(weights))
 
@@ -301,14 +305,15 @@ class TestCachedSampling:
                 want = int(dist.cdf.searchsorted(u, side="right"))
                 assert proportional_choice(Fixed(u), dist) == want, (probs, u)
 
-    def test_negative_entry_within_tolerance_raises_at_draw(self):
+    def test_negative_entry_within_tolerance_is_refused(self):
+        """An entry in [-SIMPLEX_ATOL, 0), which `Generator.choice` refuses,
+        is refused when the distribution is built, not at its first draw."""
         probs = np.array([1.0000000005, -5e-10, 0.0, 0.0])
         for kind in (Strategy, TypeDistribution):
-            dist = kind(probs)  # the simplex check tolerates it
-            with pytest.raises(ValueError, match="non-negative"):
-                proportional_choice(np.random.default_rng(0), dist)
-            with pytest.raises(ValueError, match="non-negative"):
-                dist.cdf
+            with pytest.raises(ConfigurationError, match=(
+                    rf"^{kind.__name__} entries must lie in \[0, 1\], "
+                    r"got \[1.0000000005, -5e-10, 0.0, 0.0\]$")):
+                kind(probs)
 
     def test_argmax_breaks_ties_toward_the_lowest_index(self):
         assert Strategy(np.array([0.2, 0.4, 0.4])).argmax == 1
