@@ -40,7 +40,6 @@ from .oracle import (
     generate_queries,
 )
 from .selection import (
-    NodeStats,
     SelectionMethod,
     bne_select,
     ucb_select_adversary,
@@ -55,7 +54,6 @@ from .selfplay import (
 from .tree import (
     AdversaryMode,
     Plays,
-    SearchContext,
     game_play,
     play_batch,
     proportional_choice,

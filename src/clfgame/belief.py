@@ -9,7 +9,7 @@ reconstruction from action-given-type likelihoods.  They are diagnostics,
 not a setting: both mix into the same marginal, so no run depends on the
 rule.  `UpdateRule` names the rule whose conditional a report shows.  KL
 divergence against the adversary's actual distribution is the convergence
-metric.
+metric.  UCB's visit counts are the belief's row and column count sums.
 
 These run once per play (`record_observation`) or once per trial, on
 vectors of a few entries, so their checks and scalar arithmetic run on
@@ -48,7 +48,8 @@ class BeliefState:
     """Current marginal belief plus the count statistics that feed updates.
 
     joint_counts[j][i] counts how often type i was realized in a play where
-    the learner had selected classifier j; action_counts derives from it.
+    the learner had selected classifier j; its row sums (action_counts) and
+    column sums (type_counts) are the visit counts UCB scores.
     Updates return new states, so a BeliefState can be shared freely.
     """
 
@@ -81,6 +82,11 @@ class BeliefState:
     def action_counts(self) -> np.ndarray:
         """Times each classifier was selected; row sums of joint_counts."""
         return self.joint_counts.sum(axis=1)
+
+    @property
+    def type_counts(self) -> np.ndarray:
+        """Times each type was realized; column sums of joint_counts."""
+        return self.joint_counts.sum(axis=0)
 
     @property
     def total_observations(self) -> int:
@@ -121,7 +127,7 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     current `p_hat`.  A zero denominator (classifier absent from every
     type's history) falls back to the prior.
     """
-    type_totals = b.joint_counts.sum(axis=0)
+    type_totals = b.type_counts
     with np.errstate(invalid="ignore"):
         likelihood = np.where(type_totals > 0, b.joint_counts[action] / np.maximum(type_totals, 1), 0.0)
     weighted = likelihood * b.p_hat.probs
@@ -145,7 +151,7 @@ def refresh_marginal(b: BeliefState) -> BeliefState:
     conditionals stay available as diagnostics (`fp_conditional`,
     `bu_conditional`).  With no observations the belief stays at the prior.
     """
-    type_totals = b.joint_counts.sum(axis=0)
+    type_totals = b.type_counts
     total = sum(type_totals.tolist())
     p_hat = b.prior if total == 0 else TypeDistribution(type_totals / total)
     return BeliefState(p_hat, b.joint_counts, b.prior)

@@ -38,6 +38,10 @@ AdversaryTypeId = int
 #: Tolerance for "this probability vector sums to one".
 SIMPLEX_ATOL = 1e-9
 
+#: Largest payoff magnitude: with `selfplay.MAX_RUN_QUERIES` queries per run,
+#: every utility sum stays below about 1e20, far from float64 overflow.
+MAX_PAYOFF = 1e12
+
 
 class ConfigurationError(ValueError):
     """Raised when a config, strategy or belief has inconsistent dimensions
@@ -254,6 +258,9 @@ class PayoffConfig:
             if not np.isfinite(arr).all():
                 raise ConfigurationError(
                     f"{name}: entries must be finite, got {_shown(arr.tolist())}")
+            if (np.abs(arr) > MAX_PAYOFF).any():
+                raise ConfigurationError(
+                    f"{name}: magnitudes must be <= {MAX_PAYOFF:g}, got {_shown(arr.tolist())}")
             if name.startswith("c_") and (arr < 0).any():
                 raise ConfigurationError(
                     f"{name}: entries must be >= 0, got {_shown(arr.tolist())}")

@@ -144,7 +144,7 @@ def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
                 rows.append(ReportRow(exp, spec.run.seed, -1,
                                       f"selection_count_L{j}",
                                       float(counts[:, j].sum())))
-            weights = np.array([r.total_plays for r in results], dtype=float)
+            weights = np.array([len(r.plays) for r in results], dtype=float)
             accuracy = float(np.average(
                 [r.overall_accuracy for r in results], weights=weights))
             utility = float(np.average(

@@ -5,10 +5,11 @@ the belief as it is realized, then refreshes the belief's marginal and
 records the divergence from the adversary's actual type distribution.
 Under BNE selection the learner's best response is computed here, once
 per trial: it depends only on the belief's marginal, which changes only at
-the trial's refresh.  A run's plays are one `Plays` record of arrays, and
-the run metrics are read off those arrays.  A fixed-policy evaluator
-produces the same metrics without adaptive selection or belief updates, as
-the baseline for utility comparisons.
+the trial's refresh.  UCB scores the belief's counts and two utility-sum
+lists, all the UCB state a run keeps.  A run's plays are one `Plays`
+record of arrays, and the run metrics are read off those arrays.  A
+fixed-policy evaluator produces the same metrics without adaptive
+selection or belief updates, as the baseline for utility comparisons.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ from .game import (
     adversary_utilities,
 )
 from .oracle import ClassificationMode
-from .selection import NodeStats, SelectionMethod, bne_select
-from .tree import (
-    AdversaryMode,
-    Plays,
-    SearchContext,
-    play_batch,
-    proportional_choice,
-    tree_traverse,
-)
+from .selection import SelectionMethod, bne_select
+from .tree import AdversaryMode, Plays, play_batch, proportional_choice, tree_traverse
+
+
+#: Most queries one run may answer, `n_trials * h * q`: a run's play arrays
+#: take 16 bytes per query, so a run stays under about 160 MB.
+MAX_RUN_QUERIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,10 @@ class SelfPlayConfig:
     `h` is the number of plays one trial realizes.  No field picks a belief
     update rule: both rules give the same marginal (see
     `refresh_marginal`), so the rule only names a reported diagnostic.
-    The constructor refuses an out-of-range field with a
-    `ConfigurationError` that starts with the field's name (`h: must be
-    >= 1, got 0`); `resolved` checks `true_p` against the game.
+    The constructor refuses an out-of-range field, or more than
+    `MAX_RUN_QUERIES` queries, with a `ConfigurationError` that starts with
+    the field's name (`h: must be >= 1, got 0`); `resolved` checks `true_p`
+    against the game.
     """
 
     h: int = 20
@@ -74,6 +74,9 @@ class SelfPlayConfig:
                 raise ConfigurationError(f"{name}: must be >= {minimum}, got {_shown(value)}")
         if not 0 <= self.ucb_c < math.inf:  # NaN fails too
             raise ConfigurationError(f"ucb_c: must be finite and >= 0, got {_shown(self.ucb_c)}")
+        if (queries := self.n_trials * self.h * self.q) > MAX_RUN_QUERIES:
+            raise ConfigurationError(
+                f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {queries}")
 
     @property
     def traversals_per_trial(self) -> int:
@@ -109,7 +112,6 @@ class SelfPlayResult:
     overall_accuracy: float
     mean_learner_utility: float
     mean_adversary_utility: float
-    total_plays: int
     plays: Plays
 
     def selection_percentages(self) -> np.ndarray:
@@ -151,7 +153,6 @@ def _aggregate(plays: Plays, cfg: GameConfig, per_trial_kl: list[float],
         overall_accuracy=overall,
         mean_learner_utility=float(np.mean(plays.u_learner)),
         mean_adversary_utility=float(np.mean(plays.u_adversary)),
-        total_plays=len(plays),
         plays=plays,
     )
 
@@ -165,24 +166,21 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     type distribution.
     """
     run = run.resolved(cfg)
-    ctx = SearchContext(
-        rng=np.random.default_rng(run.seed),
-        belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
-        learner=NodeStats.fresh(cfg.n_classifiers),
-        adversary=NodeStats.fresh(cfg.n_types),
-        plays=Plays.empty(run.n_trials * run.h, run.q),
-    )
+    rng = np.random.default_rng(run.seed)
+    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
+    sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
+    plays = Plays.empty(run.n_trials * run.h, run.q)
     kl_curve: list[float] = []
     err_curve: list[float] = []
-    for _ in range(run.n_trials):
-        if run.selection is SelectionMethod.BNE:
-            ctx.best_response = bne_select(ctx.belief.p_hat, cfg)
-        for _ in range(run.h):
-            tree_traverse(cfg, run, ctx)
-        ctx.belief = refresh_marginal(ctx.belief)
-        kl_curve.append(kl_divergence(ctx.belief.p_hat, run.true_p))
-        err_curve.append(max_componentwise_error(ctx.belief.p_hat, run.true_p))
-    return _aggregate(ctx.plays, cfg, kl_curve, err_curve, ctx.belief)
+    for trial in range(run.n_trials):
+        best_response = (bne_select(belief.p_hat, cfg)
+                         if run.selection is SelectionMethod.BNE else None)
+        for p in range(trial * run.h, (trial + 1) * run.h):
+            belief = tree_traverse(cfg, run, rng, belief, sums, best_response, plays, p)
+        belief = refresh_marginal(belief)
+        kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
+        err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
+    return _aggregate(plays, cfg, kl_curve, err_curve, belief)
 
 
 def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,

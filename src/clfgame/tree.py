@@ -10,10 +10,11 @@ one `numpy.random.Generator`.
 A run writes its plays into one `Plays` record, one row per play.
 `tree_traverse` is one self-play step: it realizes a play with
 `game_play` and counts the play's (classifier, type) pair into the belief.
-Under BNE selection the learner's best response depends on the belief's
-marginal only, which changes once per trial, at the refresh; `self_play`
-computes it at the start of each trial and `game_play` takes it from its
-caller.
+Under UCB selection a play scores the belief's counts and the run's two
+utility-sum lists, which `game_play` adds to.  Under BNE selection the
+learner's best response depends on the belief's marginal only, which
+changes once per trial, at the refresh; `self_play` computes it at the
+start of each trial and `game_play` takes it from its caller.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ import numpy as np
 from .belief import BeliefState, record_observation
 from .game import AdversaryTypeId, GameConfig, Strategy, TypeDistribution
 from .oracle import classify, generate_queries
-from .selection import (
-    NodeStats,
-    SelectionMethod,
-    ucb_select_adversary,
-    ucb_select_learner,
-)
+from .selection import SelectionMethod, ucb_select_adversary, ucb_select_learner
 
 if TYPE_CHECKING:
     from .selfplay import SelfPlayConfig
@@ -72,22 +68,6 @@ class Plays:
 
     def __len__(self) -> int:
         return len(self.action)
-
-
-@dataclass
-class SearchContext:
-    """The run's mutable state: its random stream, the learner's belief, the
-    per-action play statistics of both movers (the visit counts and utility
-    sums UCB scores against), the plays written so far and, under BNE
-    selection, the current trial's best response."""
-
-    rng: np.random.Generator
-    belief: BeliefState
-    learner: NodeStats
-    adversary: NodeStats
-    plays: Plays
-    n_played: int = 0
-    best_response: Optional[tuple[Strategy, AdversaryTypeId]] = None
 
 
 def proportional_choice(rng: np.random.Generator,
@@ -146,7 +126,7 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
 
 
 def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
-              learner: NodeStats, adversary: NodeStats,
+              belief: BeliefState, sums: tuple[list[float], list[float]],
               best_response: Optional[tuple[Strategy, AdversaryTypeId]],
               plays: Plays, p: int) -> tuple[float, float]:
     """Realize one game instance into row `p` of `plays` and return its
@@ -154,15 +134,16 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
 
     The learner plays `best_response` (BNE selection; the caller computes
     it with `bne_select` from the belief) or picks a classifier by UCB over
-    its running play statistics.  The adversary's type is sampled from its
-    actual distribution or best-responds to the observed strategy.  The
-    realized utilities are folded back into both movers' statistics.
+    the belief's action counts and `sums[0]`.  The adversary's type is
+    sampled from its actual distribution or best-responds to the observed
+    strategy (by UCB over the type counts and `sums[1]` under UCB
+    selection).  The utilities are added to both movers' sums.
     """
     if run.selection is SelectionMethod.BNE:
         strategy, br_type = best_response
     else:
-        strategy = Strategy.pure(ucb_select_learner(learner, run.ucb_c),
-                                 cfg.n_classifiers)
+        action = ucb_select_learner(belief.action_counts.tolist(), sums[0], run.ucb_c)
+        strategy = Strategy.pure(action, cfg.n_classifiers)
         br_type = None
 
     if run.adversary_mode is AdversaryMode.SAMPLED:
@@ -170,18 +151,20 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
     elif br_type is not None:
         theta = br_type
     else:
-        theta = ucb_select_adversary(adversary, run.ucb_c)
+        theta = ucb_select_adversary(belief.type_counts.tolist(), sums[1], run.ucb_c)
 
     u_learner, u_adversary = play_batch(strategy, theta, cfg, run, rng, plays, p)
-    learner.record(strategy.argmax, u_learner)
-    adversary.record(theta, u_adversary)
+    sums[0][strategy.argmax] += u_learner
+    sums[1][theta] += u_adversary
     return u_learner, u_adversary
 
 
-def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig",
-                  ctx: SearchContext) -> tuple[float, float]:
-    """One self-play step: realize the next play with `game_play`, count
-    its (classifier, type) pair into the belief, and return its utilities.
+def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
+                  belief: BeliefState, sums: tuple[list[float], list[float]],
+                  best_response: Optional[tuple[Strategy, AdversaryTypeId]],
+                  plays: Plays, p: int) -> BeliefState:
+    """One self-play step: realize play `p` with `game_play` and return the
+    belief with its (classifier, type) pair counted.
 
     The count leaves `p_hat` as it is until the trial's refresh, so every
     play of a trial sees the belief the trial started with.  The function
@@ -189,11 +172,5 @@ def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig",
     (`bench/tracer.py`, `bench/workloads.py`) counts `tree_traverse` calls
     as one per play and times the `tree` layer by them.
     """
-    p = ctx.n_played
-    plays = ctx.plays
-    utilities = game_play(cfg, run, ctx.rng, ctx.learner, ctx.adversary,
-                          ctx.best_response, plays, p)
-    ctx.belief = record_observation(ctx.belief, int(plays.action[p]),
-                                    int(plays.type[p]))
-    ctx.n_played = p + 1
-    return utilities
+    game_play(cfg, run, rng, belief, sums, best_response, plays, p)
+    return record_observation(belief, int(plays.action[p]), int(plays.type[p]))

@@ -17,7 +17,6 @@ from clfgame import (
     AccuracyMatrix,
     ClassificationMode,
     GameConfig,
-    NodeStats,
     PayoffConfig,
     SelectionMethod,
     SelfPlayConfig,
@@ -259,14 +258,12 @@ def test_criterion_7_property_suites():
             n = int(rng.integers(1, 6))
             visits = rng.integers(1, 9, size=n)
             sums = rng.normal(size=n)
-            stats = NodeStats(int(visits.sum()), visits, sums)
-            assert ucb_select_learner(stats, 0.0) == int(np.argmax(sums))
+            assert ucb_select_learner(visits.tolist(), sums.tolist(), 0.0) == int(np.argmax(sums))
             gap = rng.integers(n)
             visits2 = visits.copy()
             visits2[gap] = 0
-            stats2 = NodeStats(int(visits2.sum()) + 1, visits2, sums)
             first_zero = int(np.nonzero(visits2 == 0)[0][0])
-            assert ucb_select_learner(stats2, 2.0) == first_zero
+            assert ucb_select_learner(visits2.tolist(), sums.tolist(), 2.0) == first_zero
 
         # belief count bookkeeping
         b = BeliefState.fresh(3, 4)

@@ -28,6 +28,8 @@ from clfgame.config import (
     spec_from_dict,
     with_overrides,
 )
+from clfgame.game import MAX_PAYOFF
+from clfgame.selfplay import MAX_RUN_QUERIES
 
 
 def write_spec(tmp_path, data):
@@ -524,6 +526,11 @@ DOMAIN_ERRORS = [
     ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution(np.array(LONG_PROBS)),
      "TypeDistribution entries must lie in [0, 1], got "
      + repr(LONG_PROBS)[:REPR_LIMIT] + "..."),
+    ("SelfPlayConfig", "n_trials * h * q", lambda: SelfPlayConfig(h=10**6, n_trials=2, q=10),
+     "n_trials * h * q: must be <= 10000000, got 20000000"),
+    ("PayoffConfig", "v_learner", lambda: payoff(v_learner=np.array([[1.0, -2e12, 0.0]] * 2)),
+     "v_learner: magnitudes must be <= 1e+12, "
+     "got [[1.0, -2000000000000.0, 0.0], [1.0, -2000000000000.0, 0.0]]"),
 ]
 
 
@@ -552,3 +559,44 @@ class TestDomainErrors:
             "error: run.true_p: TypeDistribution entries must lie in [0, 1], got "
             + repr(LONG_PROBS)[:REPR_LIMIT] + "..."]
         assert captured.out == ""
+
+
+class TestSizeCaps:
+    """A run's size and the payoffs' magnitudes are capped, so no accepted
+    spec runs out of memory or overflows a utility sum into inf or NaN."""
+
+    def test_run_cap_is_inclusive(self):
+        SelfPlayConfig(h=10**5, n_trials=10, q=10)
+        with pytest.raises(ConfigurationError, match=r"^n_trials \* h \* q: must be <= "):
+            SelfPlayConfig(h=10**5 + 1, n_trials=10, q=10)
+        assert MAX_RUN_QUERIES == 10**7
+
+    def test_payoff_cap_is_inclusive(self):
+        payoff(v_adversary=np.full((2, 3), -MAX_PAYOFF), c_type=np.full(3, MAX_PAYOFF))
+        with pytest.raises(ConfigurationError, match=r"^c_classifier: magnitudes must be <= "):
+            payoff(c_classifier=np.array([0.0, np.nextafter(MAX_PAYOFF, np.inf)]))
+
+    def test_huge_run_is_one_cli_error_line(self, tmp_path, capsys):
+        from clfgame.cli import main
+        path = write_spec(tmp_path, {"run": {"h": 1e18}, "repetitions": 1})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: run.n_trials * h * q: must be <= 10000000, got 100000000000000000000"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_payoffs_are_refused(self, tmp_path, capsys):
+        """Values near the float64 maximum used to overflow a play's
+        utility into a NaN report row; the spec is refused instead."""
+        from clfgame.cli import main
+        data = {"game": {"v_learner": [[1e308] * 4, [-1e308] * 4, [1] * 4]},
+                "run": {"classification_mode": "expectation"}}
+        with pytest.raises(ConfigurationError, match=r"^game\.v_learner: magnitudes must be <= "):
+            spec_from_dict(data)
+        path = write_spec(tmp_path, data)
+        assert main(["run", str(path), "--reps", "1", "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: game.v_learner: "), lines
+        assert not (tmp_path / "out").exists()

@@ -1,8 +1,10 @@
 """The README's example spec is a valid spec, its library quick start
-runs and its quoted errors are the ones raised, so a deleted key, result
-field or message cannot linger in the docs."""
+runs, its quoted errors are the ones raised and its module table names
+only what each module holds, so a deleted key, result field, message or
+public name cannot linger in the docs."""
 
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -62,3 +64,30 @@ def test_readme_quoted_error_is_raised(message):
     with pytest.raises(ConfigurationError) as err:
         QUOTED_ERRORS[message]()
     assert str(err.value) == message
+
+
+def module_table_rows():
+    """(modules, names) per row of the "What's inside" table: the row's
+    backticked module names and the undotted identifiers its text quotes."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = line.strip().strip("|").split("|")
+        modules = re.findall(r"`(clfgame(?:\.\w+)?)`", cells[0])
+        if len(cells) == 2 and modules:
+            names = re.findall(r"`([A-Za-z_]\w*)`", cells[1])
+            rows.append((modules, names))
+    return rows
+
+
+def test_module_table_names_exist():
+    """Every identifier a row of the module table quotes is an attribute of
+    one of that row's modules; dotted names (`numpy.random.Generator`) are
+    skipped."""
+    rows = module_table_rows()
+    assert len(rows) >= 7, rows
+    for modules, names in rows:
+        loaded = [importlib.import_module(name) for name in modules]
+        for name in names:
+            assert any(hasattr(module, name) for module in loaded), (modules, name)

@@ -8,9 +8,7 @@ import pytest
 
 from clfgame import (
     AccuracyMatrix,
-    ConfigurationError,
     GameConfig,
-    NodeStats,
     PayoffConfig,
     Strategy,
     TypeDistribution,
@@ -100,13 +98,11 @@ class TestBneSelect:
 
 class TestUcbSelect:
     def test_all_unvisited_picks_first(self):
-        stats = NodeStats.fresh(3)
-        assert ucb_select_learner(stats, 2.0) == 0
-        assert ucb_select_adversary(stats, 2.0) == 0
+        assert ucb_select_learner([0, 0, 0], [0.0, 0.0, 0.0], 2.0) == 0
+        assert ucb_select_adversary([0, 0, 0], [0.0, 0.0, 0.0], 2.0) == 0
 
     def test_unvisited_beats_any_visited(self):
-        stats = NodeStats(5, np.array([2, 0, 3]), np.array([10.0, 0.0, 10.0]))
-        assert ucb_select_learner(stats, 2.0) == 1
+        assert ucb_select_learner([2, 0, 3], [10.0, 0.0, 10.0], 2.0) == 1
 
     def test_zero_c_is_greedy(self):
         rng = np.random.default_rng(47)
@@ -114,24 +110,21 @@ class TestUcbSelect:
             n = int(rng.integers(1, 7))
             visits = rng.integers(1, 10, size=n)
             sums = rng.normal(size=n)
-            stats = NodeStats(int(visits.sum()), visits, sums)
-            assert ucb_select_learner(stats, 0.0) == int(np.argmax(sums))
+            assert ucb_select_learner(visits.tolist(), sums.tolist(), 0.0) == int(np.argmax(sums))
 
     def test_hand_computed_learner_example(self):
-        stats = NodeStats(4, np.array([1, 3]), np.array([0.5, 0.5]))
         b0 = 2 * math.sqrt(2 * math.log(4) / 1)
         b1 = 2 * math.sqrt(2 * math.log(4) / 3)
         assert b0 == pytest.approx(3.330, abs=5e-4)
         assert b1 == pytest.approx(1.923, abs=5e-4)
-        assert ucb_select_learner(stats, 2.0) == 0
+        assert ucb_select_learner([1, 3], [0.5, 0.5], 2.0) == 0
 
     def test_hand_computed_adversary_example(self):
-        stats = NodeStats(6, np.array([5, 1]), np.array([0.2, 0.9]))
         b0 = 2 * math.sqrt(2 * math.log(6) / 5)
         b1 = 2 * math.sqrt(2 * math.log(6) / 1)
         assert 0.2 + b0 == pytest.approx(1.893, abs=2e-3)
         assert 0.9 + b1 == pytest.approx(4.686, abs=2e-3)
-        assert ucb_select_adversary(stats, 2.0) == 1
+        assert ucb_select_adversary([5, 1], [0.2, 0.9], 2.0) == 1
 
     def test_uniform_shift_invariance_at_equal_visits(self):
         rng = np.random.default_rng(53)
@@ -140,42 +133,20 @@ class TestUcbSelect:
             v = int(rng.integers(1, 8))
             sums = rng.normal(size=n)
             shift = float(rng.normal() * 10)
-            stats = NodeStats(n * v, np.full(n, v), sums)
-            shifted = NodeStats(n * v, np.full(n, v), sums + shift)
+            visits = [v] * n
             c = float(rng.random() * 4)
-            assert ucb_select_learner(stats, c) == ucb_select_learner(shifted, c)
-
-    def test_zero_parent_with_all_visited_is_logic_error(self):
-        # counts below are mutually inconsistent; construct around validation
-        stats = NodeStats(1, np.array([1, 1]), np.array([0.0, 0.0]))
-        stats.parent_visits = 0
-        with pytest.raises(RuntimeError):
-            ucb_select_learner(stats, 2.0)
-
-    def test_stats_validation(self):
-        with pytest.raises(ConfigurationError):
-            NodeStats(1, np.array([2, 0]), np.array([0.0, 0.0]))
-        with pytest.raises(ConfigurationError):
-            NodeStats(3, np.array([-1, 2]), np.array([0.0, 0.0]))
-        with pytest.raises(ConfigurationError):
-            NodeStats(3, np.array([1, 2]), np.array([0.0]))
-
-    def test_record_accumulates(self):
-        stats = NodeStats.fresh(2)
-        stats.record(1, 0.5)
-        stats.record(1, 0.25)
-        assert stats.parent_visits == 2
-        assert stats.action_visits.tolist() == [0, 2]
-        assert stats.action_value_sums.tolist() == [0.0, 0.75]
+            assert ucb_select_learner(visits, sums.tolist(), c) == \
+                ucb_select_learner(visits, (sums + shift).tolist(), c)
 
 
-def numpy_ucb_pick(stats, c):
-    """The UCB pick as numpy computed it before it moved to Python floats."""
-    unvisited = np.nonzero(stats.action_visits == 0)[0]
+def numpy_ucb_pick(visits, sums, c):
+    """The UCB pick as numpy computed it before it moved to Python floats,
+    with the visits' total as the parent count."""
+    unvisited = np.nonzero(visits == 0)[0]
     if len(unvisited):
         return int(unvisited[0])
-    bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits) / stats.action_visits)
-    return int(np.argmax(stats.action_value_sums + bonus))
+    bonus = c * np.sqrt(2.0 * math.log(int(visits.sum())) / visits)
+    return int(np.argmax(sums + bonus))
 
 
 class TestUcbScalarScores:
@@ -193,28 +164,31 @@ class TestUcbScalarScores:
         else:            # play-like: mean utilities in [-1, 1] summed
             visits = rng.integers(1, 400, size=n)
             sums = visits * rng.uniform(-1, 1, size=n)
-        parent = int(visits.sum()) + int(rng.integers(0, 3))
-        return NodeStats(parent, visits, sums)
+        rng.integers(0, 3)  # the dropped parent offset's draw: keeps seed 2024's cases
+        return visits, sums
 
     def test_matches_numpy_on_random_stats(self):
         rng = np.random.default_rng(2024)
         ties = unvisited = 0
         for k in range(2000):
-            stats = self.random_stats(rng)
+            visits, sums = self.random_stats(rng)
             c = (0.0, 2.0, float(rng.uniform(0, 5)))[k % 3]
-            want = numpy_ucb_pick(stats, c)
-            assert ucb_select_learner(stats, c) == want, (stats, c)
-            assert ucb_select_adversary(stats, c) == want, (stats, c)
-            unvisited += bool((stats.action_visits == 0).any())
-            if stats.action_visits.all():
-                bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits)
-                                    / stats.action_visits)
-                scores = stats.action_value_sums + bonus
+            want = numpy_ucb_pick(visits, sums, c)
+            args = (visits.tolist(), sums.tolist(), c)
+            assert ucb_select_learner(*args) == want, args
+            assert ucb_select_adversary(*args) == want, args
+            unvisited += bool((visits == 0).any())
+            if visits.all():
+                scores = sums + c * np.sqrt(2.0 * math.log(int(visits.sum())) / visits)
                 ties += int((scores == scores.max()).sum()) > 1
-        assert ties > 100 and unvisited > 100, (ties, unvisited)
+        # 100 of these cases tie; a 101st tied only at a parent above the
+        # visits' total (case 1294), which the counts can no longer express
+        assert ties >= 100 and unvisited > 100, (ties, unvisited)
 
     def test_ties_go_to_the_lowest_index(self):
-        stats = NodeStats(9, np.array([2, 3, 2, 2]), np.array([0.5, 0.1, 0.5, 0.5]))
-        assert ucb_select_learner(stats, 2.0) == 0 == numpy_ucb_pick(stats, 2.0)
-        stats = NodeStats(6, np.array([3, 3]), np.array([0.0, 0.0]))
-        assert ucb_select_learner(stats, 0.0) == 0 == numpy_ucb_pick(stats, 0.0)
+        visits, sums = np.array([2, 3, 2, 2]), np.array([0.5, 0.1, 0.5, 0.5])
+        assert ucb_select_learner(visits.tolist(), sums.tolist(), 2.0) == 0 \
+            == numpy_ucb_pick(visits, sums, 2.0)
+        visits, sums = np.array([3, 3]), np.array([0.0, 0.0])
+        assert ucb_select_learner(visits.tolist(), sums.tolist(), 0.0) == 0 \
+            == numpy_ucb_pick(visits, sums, 0.0)

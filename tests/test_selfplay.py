@@ -29,12 +29,12 @@ class TestSelfPlayStructure:
         run = SelfPlayConfig(h=1, n_trials=1, q=2, seed=0)
         res = self_play(default_config(), run)
         assert len(res.per_trial_kl) == 1
-        assert res.total_plays == 1
+        assert len(res.plays) == 1
 
     def test_plays_per_trial_equals_traversal_budget(self):
         run = SelfPlayConfig(h=5, n_trials=3, q=2, seed=1)
         res = self_play(default_config(), run)
-        assert res.total_plays == 15
+        assert len(res.plays) == 15
 
     @pytest.mark.parametrize("h", [1, 4, 20])
     def test_plays_per_trial_equals_h(self, h):
@@ -48,7 +48,7 @@ class TestSelfPlayStructure:
             SelfPlayConfig(h=h, traversals_per_trial=h + 1)
         res = self_play(default_config(), run)
         fixed = evaluate_fixed_policy(default_config(), run, Strategy.uniform(3))
-        assert res.total_plays == fixed.total_plays == 3 * h
+        assert len(res.plays) == len(fixed.plays) == 3 * h
         assert res.belief_state.total_observations == 3 * h
         assert len(res.per_trial_kl) == 3
 
@@ -64,7 +64,7 @@ class TestSelfPlayStructure:
     def test_selection_counts_cover_every_query(self):
         run = SelfPlayConfig(h=5, n_trials=4, q=6, seed=4)
         res = self_play(default_config(), run)
-        assert res.selection_counts.sum() == res.total_plays * 6
+        assert res.selection_counts.sum() == len(res.plays) * 6
         by_type = np.zeros(4, dtype=int)
         for theta, row in zip(res.plays.type, res.plays.classifier):
             by_type[theta] += len(row)
@@ -162,7 +162,7 @@ class TestSelectionBehavior:
                              adversary_mode=AdversaryMode.BEST_RESPONSE)
         res = self_play(default_config(), run)
         assert len(calls) == 7
-        assert res.total_plays == 35
+        assert len(res.plays) == 35
 
     def test_expectation_mode_utility_closed_form(self):
         """Zero costs, unit values, expectation mode: the mean learner
@@ -291,7 +291,7 @@ class TestFixedPolicyRows:
                                  adversary_mode=adversary, classification_mode=mode,
                                  true_p=TypeDistribution(true_p))
             res = evaluate_fixed_policy(cfg, run, policy)
-            assert len(res.plays) == res.total_plays == h * n_trials
+            assert len(res.plays) == h * n_trials
             assert [row_bytes(res.plays, p) for p in range(len(res.plays))] == \
                 reference_fixed_policy_rows(cfg, run, policy), (seed, policy.probs)
 
@@ -336,4 +336,4 @@ class TestAggregateMatchesPlayLoop:
                 assert res.per_type_accuracy.tobytes() == per_type.tobytes()
                 assert np.array(res.overall_accuracy).tobytes() == \
                     np.array(overall).tobytes()
-                assert res.total_plays == len(res.plays) == 5 * per_trial
+                assert len(res.plays) == 5 * per_trial

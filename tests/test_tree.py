@@ -1,5 +1,7 @@
 """Plays, the self-play step, proportional draws and their random stream."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,7 @@ from clfgame import (
     ConfigurationError,
     PayoffConfig,
     GameConfig,
-    NodeStats,
     Plays,
-    SearchContext,
     SelectionMethod,
     SelfPlayConfig,
     Strategy,
@@ -27,15 +27,15 @@ from clfgame import (
 
 
 def make_ctx(cfg=None, seed=0, **run_kwargs):
-    """A resolved run and a fresh search context with room for its plays."""
+    """A resolved run and the locals `self_play` keeps for it: a fresh
+    stream, belief and utility sums, and room for the run's plays."""
     cfg = cfg or default_config()
     run_kwargs.setdefault("true_p", TypeDistribution.uniform(cfg.n_types))
     run = SelfPlayConfig(seed=seed, **run_kwargs).resolved(cfg)
-    ctx = SearchContext(
+    ctx = SimpleNamespace(
         rng=np.random.default_rng(seed),
         belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
-        learner=NodeStats.fresh(cfg.n_classifiers),
-        adversary=NodeStats.fresh(cfg.n_types),
+        sums=([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types),
         plays=Plays.empty(run.n_trials * run.h, run.q),
     )
     return cfg, run, ctx
@@ -45,7 +45,13 @@ def first_play(cfg, run, ctx):
     """`game_play` into row 0, with the best response `self_play` computes
     for a fresh belief under BNE selection."""
     best = bne_select(ctx.belief.p_hat, cfg) if run.selection is SelectionMethod.BNE else None
-    return game_play(cfg, run, ctx.rng, ctx.learner, ctx.adversary, best, ctx.plays, 0)
+    return game_play(cfg, run, ctx.rng, ctx.belief, ctx.sums, best, ctx.plays, 0)
+
+
+def traverse(cfg, run, ctx, p):
+    """`tree_traverse` of play `p` under UCB selection, keeping the belief
+    it returns, as `self_play` does."""
+    ctx.belief = tree_traverse(cfg, run, ctx.rng, ctx.belief, ctx.sums, None, ctx.plays, p)
 
 
 class TestGamePlay:
@@ -89,10 +95,11 @@ class TestGamePlay:
 
     def test_play_updates_running_stats(self):
         cfg, run, ctx = make_ctx()
-        first_play(cfg, run, ctx)
-        assert ctx.learner.parent_visits == 1
-        assert ctx.learner.action_visits[ctx.plays.action[0]] == 1
-        assert ctx.adversary.action_visits[ctx.plays.type[0]] == 1
+        u_learner, u_adversary = first_play(cfg, run, ctx)
+        learner, adversary = [0.0] * 3, [0.0] * 4
+        learner[ctx.plays.action[0]] = u_learner
+        adversary[ctx.plays.type[0]] = u_adversary
+        assert ctx.sums == (learner, adversary)
 
     def test_batch_length_matches_q(self):
         cfg, run, ctx = make_ctx(q=7)
@@ -114,31 +121,34 @@ class TestTraverse:
     def test_each_step_logs_one_play(self):
         cfg, run, ctx = make_ctx(h=4, seed=3)
         plays = ctx.plays
+        learner = [0.0] * 3
         for k in range(1, 6):
-            value = tree_traverse(cfg, run, ctx)
-            assert ctx.n_played == k
-            assert value == (plays.u_learner[k - 1], plays.u_adversary[k - 1])
+            traverse(cfg, run, ctx, k - 1)
+            learner[plays.action[k - 1]] += plays.u_learner[k - 1]
+            assert ctx.sums[0] == learner
             assert ctx.belief.total_observations == k
         recounted = np.zeros((3, 4), dtype=np.int64)
         np.add.at(recounted, (plays.action[:5], plays.type[:5]), 1)
         np.testing.assert_array_equal(ctx.belief.joint_counts, recounted)
         # the marginal moves only at the trial's refresh
         assert ctx.belief.p_hat is ctx.belief.prior
-        assert ctx.learner.parent_visits == 5
+        assert sum(ctx.belief.action_counts.tolist()) == 5
 
     def test_fixed_seed_reproduces_utilities(self):
         def run_once():
             cfg, run, ctx = make_ctx(h=4, seed=1234)
-            return [tree_traverse(cfg, run, ctx) for _ in range(25)]
+            for p in range(25):
+                traverse(cfg, run, ctx, p)
+            return ctx.plays.u_learner[:25].tolist(), ctx.plays.u_adversary[:25].tolist()
 
         first, second = run_once(), run_once()
         assert first == second
 
     def test_degenerate_opponent_model_pins_adversary_moves(self):
         cfg, run, ctx = make_ctx(h=2, seed=37, true_p=TypeDistribution.degenerate(0, 4))
-        for _ in range(20):
-            tree_traverse(cfg, run, ctx)
-        assert ctx.n_played == len(ctx.plays) == 20
+        for p in range(20):
+            traverse(cfg, run, ctx, p)
+        assert ctx.belief.total_observations == len(ctx.plays) == 20
         assert ctx.plays.type.tolist() == [0] * 20
 
 

@@ -10,11 +10,14 @@ reference, with the tree draws and the label draws on a separate
 `tree_rng`, and checks that `self_play` realizes the same plays, byte for
 byte.  With `tree_rng` set to the run's own stream, the reference
 reproduces the selection counts the tree-based `self_play` produced, pinned
-below.  The reference keeps its plays as records of its own; `self_play`
+below.  The reference keeps its own per-mover play statistics
+(`NodeStats`) and scores them with the numpy UCB expression, as the
+tree-based loop did; `self_play` reads its visit counts off the belief.  The reference keeps its plays as records of its own; `self_play`
 keeps them as the rows of a `Plays` record, and every field of every row
 is compared.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +28,6 @@ from clfgame import (
     AdversaryMode,
     BeliefState,
     ClassificationMode,
-    NodeStats,
     SelectionMethod,
     SelfPlayConfig,
     Strategy,
@@ -37,8 +39,6 @@ from clfgame import (
     record_observation,
     refresh_marginal,
     self_play,
-    ucb_select_adversary,
-    ucb_select_learner,
 )
 
 ROLLOUT_SHIFT_EPS = 1e-6
@@ -58,6 +58,35 @@ class PlayRecord:
     @property
     def chosen_action(self):
         return int(np.argmax(self.chosen_strategy.probs))
+
+
+class NodeStats:
+    """Visit counts and utility sums of one mover's actions, with a parent
+    visit count of their own."""
+
+    def __init__(self, parent_visits, action_visits, action_value_sums):
+        self.parent_visits = parent_visits
+        self.action_visits = np.asarray(action_visits, dtype=np.int64)
+        self.action_value_sums = np.asarray(action_value_sums, dtype=float)
+
+    @classmethod
+    def fresh(cls, n_actions):
+        return cls(0, np.zeros(n_actions, dtype=np.int64), np.zeros(n_actions))
+
+    def record(self, action, value):
+        self.parent_visits += 1
+        self.action_visits[action] += 1
+        self.action_value_sums[action] += value
+
+
+def ucb_pick(stats, c):
+    """The UCB pick as a numpy expression: the first unvisited action, else
+    the argmax of value sum plus c * sqrt(2 ln(parent visits) / visits)."""
+    unvisited = np.nonzero(stats.action_visits == 0)[0]
+    if len(unvisited):
+        return int(unvisited[0])
+    bonus = c * np.sqrt(2.0 * math.log(stats.parent_visits) / stats.action_visits)
+    return int(np.argmax(stats.action_value_sums + bonus))
 
 
 class Context:
@@ -138,7 +167,7 @@ def terminal_play(ctx, tree_rng):
     if run.selection is SelectionMethod.BNE:
         strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
     else:
-        action = ucb_select_learner(ctx.learner, run.ucb_c)
+        action = ucb_pick(ctx.learner, run.ucb_c)
         strategy = Strategy.pure(action, ctx.cfg.n_classifiers)
         br_type = None
     if run.adversary_mode is AdversaryMode.SAMPLED:
@@ -146,7 +175,7 @@ def terminal_play(ctx, tree_rng):
     elif br_type is not None:
         theta = br_type
     else:
-        theta = ucb_select_adversary(ctx.adversary, run.ucb_c)
+        theta = ucb_pick(ctx.adversary, run.ucb_c)
     record = old_play_batch(strategy, theta, ctx.cfg, run, ctx.rng, tree_rng)
     ctx.learner.record(record.chosen_action, record.u_learner)
     ctx.adversary.record(record.realized_type, record.u_adversary)
@@ -169,9 +198,7 @@ def select_best_child(node, ctx):
             for a in actions
         ]),
     )
-    if node.mover is Mover.LEARNER:
-        return node.children[actions[ucb_select_learner(stats, ctx.run.ucb_c)]]
-    return node.children[actions[ucb_select_adversary(stats, ctx.run.ucb_c)]]
+    return node.children[actions[ucb_pick(stats, ctx.run.ucb_c)]]
 
 
 def rollout(node, ctx, tree_rng):
