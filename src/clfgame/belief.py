@@ -11,6 +11,10 @@ rule.  `UpdateRule` names the rule whose conditional a report shows.  KL
 divergence against the adversary's actual distribution is the convergence
 metric.  UCB's visit counts are the belief's row and column count sums.
 
+A run keeps one `BeliefState`, validated once and updated in place by
+`record_observation` and `refresh_marginal`.  With no observations the
+marginal is uniform, as is each conditional's fallback.
+
 These run once per play (`record_observation`) or once per trial, on
 vectors of a few entries, so their checks and scalar arithmetic run on
 Python numbers.  Two numpy calls stay because Python's would round
@@ -43,40 +47,34 @@ class UpdateRule(str, Enum):
     BAYESIAN_UPDATE = "bu"
 
 
-@dataclass(frozen=True)
+@dataclass
 class BeliefState:
     """Current marginal belief plus the count statistics that feed updates.
 
     joint_counts[j][i] counts how often type i was realized in a play where
     the learner had selected classifier j; its row sums (action_counts) and
-    column sums (type_counts) are the visit counts UCB scores.
-    Updates return new states, so a BeliefState can be shared freely.
+    column sums (type_counts) are the visit counts UCB scores.  It keeps
+    its own int64 copy of the counts, which the updates change in place.
     """
 
     p_hat: TypeDistribution
     joint_counts: np.ndarray
-    prior: TypeDistribution
 
     def __post_init__(self):
-        counts = np.asarray(self.joint_counts, dtype=np.int64)
+        counts = np.array(self.joint_counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ConfigurationError("joint_counts must be a 2-d matrix")
         if counts.size and min(counts.ravel().tolist()) < 0:
             raise ConfigurationError("counts must be non-negative")
-        counts.flags.writeable = False
-        object.__setattr__(self, "joint_counts", counts)
-        if len(self.p_hat) != counts.shape[1] or len(self.prior) != counts.shape[1]:
+        if len(self.p_hat) != counts.shape[1]:
             raise ConfigurationError("belief dimensions do not match count matrix")
+        self.joint_counts = counts
 
     @classmethod
     def fresh(cls, n_classifiers: int, n_types: int) -> "BeliefState":
-        """Observation-free state; the belief starts at the uniform prior."""
-        prior = TypeDistribution.uniform(n_types)
-        return cls(
-            p_hat=prior,
-            joint_counts=np.zeros((n_classifiers, n_types), dtype=np.int64),
-            prior=prior,
-        )
+        """Observation-free state; the belief starts uniform."""
+        return cls(TypeDistribution.uniform(n_types),
+                   np.zeros((n_classifiers, n_types), dtype=np.int64))
 
     @property
     def action_counts(self) -> np.ndarray:
@@ -94,28 +92,26 @@ class BeliefState:
 
 
 def record_observation(b: BeliefState, action: ClassifierId,
-                       theta: AdversaryTypeId) -> BeliefState:
-    """Count one realized (classifier, type) pair; p_hat is untouched until
-    `refresh_marginal` is called."""
+                       theta: AdversaryTypeId) -> None:
+    """Count one realized (classifier, type) pair into `b`; p_hat is
+    untouched until `refresh_marginal` is called."""
     n_classifiers, n_types = b.joint_counts.shape
     if not 0 <= action < n_classifiers:
         raise ConfigurationError(f"classifier index {action} out of range")
     if not 0 <= theta < n_types:
         raise ConfigurationError(f"type index {theta} out of range")
-    counts = b.joint_counts.copy()
-    counts[action, theta] += 1
-    return BeliefState(b.p_hat, counts, b.prior)
+    b.joint_counts[action, theta] += 1
 
 
 def fp_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     """Empirical type frequencies among plays of one classifier.
 
-    Falls back to the prior for a classifier that was never selected.
+    Falls back to uniform for a classifier that was never selected.
     """
     row = b.joint_counts[action]
     total = int(row.sum())
     if total == 0:
-        return b.prior
+        return TypeDistribution.uniform(len(row))
     return TypeDistribution(row / total)
 
 
@@ -125,7 +121,7 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     Likelihood P(action | type) is the fraction of type-i observations in
     which this classifier was the one selected; the prior over types is the
     current `p_hat`.  A zero denominator (classifier absent from every
-    type's history) falls back to the prior.
+    type's history) falls back to uniform.
     """
     type_totals = b.type_counts
     with np.errstate(invalid="ignore"):
@@ -133,12 +129,12 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     weighted = likelihood * b.p_hat.probs
     denom = weighted.sum()
     if denom <= 0.0:
-        return b.prior
+        return TypeDistribution.uniform(len(weighted))
     return TypeDistribution(weighted / denom)
 
 
-def refresh_marginal(b: BeliefState) -> BeliefState:
-    """Recompute p_hat from the counts: the empirical type distribution.
+def refresh_marginal(b: BeliefState) -> None:
+    """Set `b.p_hat` from the counts: the empirical type distribution.
 
     Both conditional rules give this marginal.  Each defines it as the
     action-frequency-weighted mixture of per-action conditionals,
@@ -149,12 +145,12 @@ def refresh_marginal(b: BeliefState) -> BeliefState:
     prior would stall the update: the learner moves before the type is
     realized, so the likelihoods carry no information of their own.)  The
     conditionals stay available as diagnostics (`fp_conditional`,
-    `bu_conditional`).  With no observations the belief stays at the prior.
+    `bu_conditional`).  With no observations the belief is uniform.
     """
     type_totals = b.type_counts
     total = sum(type_totals.tolist())
-    p_hat = b.prior if total == 0 else TypeDistribution(type_totals / total)
-    return BeliefState(p_hat, b.joint_counts, b.prior)
+    b.p_hat = (TypeDistribution.uniform(len(type_totals)) if total == 0
+               else TypeDistribution(type_totals / total))
 
 
 def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:

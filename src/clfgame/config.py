@@ -12,7 +12,8 @@ is about JSON: unknown keys, object sections, integral numbers, numeric
 arrays, enum values, a scalar `ucb_c`, a string `output_dir` and the
 file's decoding.  Every other rule is the domain type's (`GameConfig`,
 `SelfPlayConfig`, ...), whose error names the field; this module puts the
-section (`game.`, `run.`) or the key (`game.accuracy: `) in front.
+section (`game.`, `run.`) or the key (`game.accuracy: `) in front.  The
+accuracy matrix's monotonicity warning gets the same `game.accuracy: `.
 """
 
 from __future__ import annotations
@@ -131,12 +132,12 @@ def _game_from_dict(section: dict) -> GameConfig:
     key set to a number means that number in every entry."""
     section = _present(section, "game.", _GAME_KEYS)
     raw = _reals(section["accuracy"], "game.accuracy") if "accuracy" in section else None
-    with _prefixed("game.accuracy: "), warnings.catch_warnings():
-        if raw is None:
-            # the bundled defaults are known to dip on the clean column
-            warnings.simplefilter("ignore")
-            raw = DEFAULT_ACCURACY
-        accuracy = AccuracyMatrix(raw)
+    with _prefixed("game.accuracy: "), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        accuracy = AccuracyMatrix(DEFAULT_ACCURACY if raw is None else raw)
+    if raw is not None:  # the bundled defaults are known to dip on the clean column
+        for warning in caught:
+            warnings.warn(f"game.accuracy: {warning.message}", warning.category, stacklevel=3)
     n_classifiers, n_types = accuracy.acc.shape
     payoff_kwargs = {}
     for key, shape, default in (

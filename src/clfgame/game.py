@@ -230,7 +230,7 @@ class AccuracyMatrix:
             cells = [f"L{j + 1}<L{j} on type {i}" for j, i in zip(*np.nonzero(drops))]
             warnings.warn(
                 "hardening monotonicity violated: " + ", ".join(cells),
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 

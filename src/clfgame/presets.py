@@ -25,7 +25,7 @@ from .game import Strategy, TypeDistribution
 from .oracle import empirical_accuracy
 from .reports import ReportRow, write_report
 from .selection import SelectionMethod
-from .selfplay import SelfPlayResult, evaluate_fixed_policy, self_play
+from .selfplay import evaluate_fixed_policy, self_play
 
 ACCURACY_CHECK_SAMPLES = 50_000
 
@@ -111,15 +111,19 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
 
 
 def _concentrated_runs(spec: ExperimentSpec, focus: int,
-                       method: SelectionMethod,
-                       stream: np.random.Generator) -> list[SelfPlayResult]:
+                       method: SelectionMethod, stream: np.random.Generator):
+    """What the table and utility presets report of each run of one cell:
+    selection counts, play count, accuracy and both mean utilities.  Only
+    one run's plays are held at a time, however many `repetitions`."""
     true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
-    results = []
     for _ in range(spec.repetitions):
         run = replace(spec.run, selection=method, true_p=true_p,
                       seed=_next_seed(stream))
-        results.append(self_play(spec.game, run))
-    return results
+        result = self_play(spec.game, run)
+        reported = (result.selection_counts, len(result.plays), result.overall_accuracy,
+                    result.mean_learner_utility, result.mean_adversary_utility)
+        del result
+        yield reported
 
 
 def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
@@ -133,8 +137,9 @@ def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
     rows: list[ReportRow] = []
     for method in (SelectionMethod.UCB, SelectionMethod.BNE):
         for focus in range(spec.game.n_types):
-            results = _concentrated_runs(spec, focus, method, stream)
-            counts = np.sum([r.selection_counts for r in results], axis=0)
+            counts, n_plays, accuracy, utility, _ = zip(
+                *_concentrated_runs(spec, focus, method, stream))
+            counts = np.sum(counts, axis=0)
             total = counts.sum()
             exp = f"table:{method.value}:T{focus}"
             for j in range(spec.game.n_classifiers):
@@ -144,11 +149,9 @@ def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
                 rows.append(ReportRow(exp, spec.run.seed, -1,
                                       f"selection_count_L{j}",
                                       float(counts[:, j].sum())))
-            weights = np.array([len(r.plays) for r in results], dtype=float)
-            accuracy = float(np.average(
-                [r.overall_accuracy for r in results], weights=weights))
-            utility = float(np.average(
-                [r.mean_learner_utility for r in results], weights=weights))
+            weights = np.array(n_plays, dtype=float)
+            accuracy = float(np.average(accuracy, weights=weights))
+            utility = float(np.average(utility, weights=weights))
             rows.append(ReportRow(exp, spec.run.seed, -1, "accuracy", accuracy))
             rows.append(ReportRow(exp, spec.run.seed, -1,
                                   "mean_learner_utility", utility))
@@ -177,9 +180,9 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
     for focus in range(spec.game.n_types):
         true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
         for method in (SelectionMethod.UCB, SelectionMethod.BNE):
-            results = _concentrated_runs(spec, focus, method, stream)
-            utility = float(np.mean([r.mean_learner_utility for r in results]))
-            adversary = float(np.mean([r.mean_adversary_utility for r in results]))
+            *_, learner, adversary = zip(*_concentrated_runs(spec, focus, method, stream))
+            utility = float(np.mean(learner))
+            adversary = float(np.mean(adversary))
             exp = f"utility:{method.value}:T{focus}"
             rows.append(ReportRow(exp, spec.run.seed, -1,
                                   "mean_learner_utility", utility))

@@ -1,8 +1,8 @@
 """CSV report rows and run manifests.
 
 Every preset emits one long-format CSV — one metric value per row — plus a
-manifest JSON capturing the fully resolved spec and seed, so a report can
-be regenerated byte-for-byte from its manifest alone.
+manifest JSON capturing the fully resolved spec, seed and preset, so
+`clfgame run` on a manifest's spec regenerates its report byte-for-byte.
 
 Metric names are drawn from a closed set of patterns:
 
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .config import ExperimentSpec, serialize_spec
+from .config import PRESETS, ExperimentSpec, serialize_spec
 
 
 class ReportRow(NamedTuple):
@@ -65,7 +65,7 @@ def write_report(rows: list[ReportRow], spec: ExperimentSpec, name: str,
     manifest = {
         "name": name,
         "version": __version__,
-        "spec": serialize_spec(spec),
+        "spec": {**serialize_spec(spec), "preset": name if name in PRESETS else None},
         "n_rows": len(rows),
         "notes": notes or [],
     }

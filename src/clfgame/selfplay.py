@@ -1,15 +1,15 @@
 """Outer self-play loop: repeated trials of plays plus belief updates.
 
-Each trial realizes a fixed number of plays, each of which is counted into
-the belief as it is realized, then refreshes the belief's marginal and
-records the divergence from the adversary's actual type distribution.
+Each trial realizes a fixed number of plays, each counted into the run's
+one belief, in place, as it is realized, then refreshes the belief's
+marginal and records the divergence from the actual type distribution.
 Under BNE selection the learner's best response is computed here, once
 per trial: it depends only on the belief's marginal, which changes only at
 the trial's refresh.  UCB scores the belief's counts and two utility-sum
 lists, all the UCB state a run keeps.  A run's plays are one `Plays`
 record of arrays, and the run metrics are read off those arrays.  A
-fixed-policy evaluator produces the same metrics without adaptive
-selection or belief updates, as the baseline for utility comparisons.
+fixed-policy evaluator plays the same game instances with the learner's
+move fixed, as the baseline for utility comparisons.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .game import (
 )
 from .oracle import ClassificationMode
 from .selection import SelectionMethod, bne_select
-from .tree import AdversaryMode, Plays, play_batch, proportional_choice, tree_traverse
+from .tree import AdversaryMode, Plays, game_play, tree_traverse
 
 
 #: Most queries one run may answer, `n_trials * h * q`: a run's play arrays
@@ -176,8 +176,8 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
         best_response = (bne_select(belief.p_hat, cfg)
                          if run.selection is SelectionMethod.BNE else None)
         for p in range(trial * run.h, (trial + 1) * run.h):
-            belief = tree_traverse(cfg, run, rng, belief, sums, best_response, plays, p)
-        belief = refresh_marginal(belief)
+            tree_traverse(cfg, run, rng, belief, sums, best_response, plays, p)
+        refresh_marginal(belief)
         kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
         err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
     return _aggregate(plays, cfg, kl_curve, err_curve, belief)
@@ -187,22 +187,19 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
                           policy: Strategy) -> SelfPlayResult:
     """Metrics for a fixed learner strategy over the same play schedule.
 
-    No adaptive selection and no belief updates: every play draws its
-    per-query classifiers from `policy`.  The belief stays at the prior, so
-    the KL column reports the prior's divergence for every trial.
+    No adaptive selection and no belief updates: every play is a
+    `game_play` with `policy` as the learner's move.  The belief stays
+    uniform, so the KL column reports its divergence for every trial.
     """
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
+    sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
     # adversary_utilities also refuses a policy of the wrong length
-    br_type = int(np.argmax(adversary_utilities(policy, cfg)))
+    move = (policy, int(np.argmax(adversary_utilities(policy, cfg))))
     plays = Plays.empty(run.n_trials * run.h, run.q)
     for p in range(len(plays)):
-        if run.adversary_mode is AdversaryMode.SAMPLED:
-            theta = proportional_choice(rng, run.true_p)
-        else:
-            theta = br_type
-        play_batch(policy, theta, cfg, run, rng, plays, p)
+        game_play(cfg, run, rng, belief, sums, move, plays, p)
     base_kl = kl_divergence(belief.p_hat, run.true_p)
     base_err = max_componentwise_error(belief.p_hat, run.true_p)
     return _aggregate(plays, cfg, [base_kl] * run.n_trials,

@@ -9,12 +9,11 @@ one `numpy.random.Generator`.
 
 A run writes its plays into one `Plays` record, one row per play.
 `tree_traverse` is one self-play step: it realizes a play with
-`game_play` and counts the play's (classifier, type) pair into the belief.
-Under UCB selection a play scores the belief's counts and the run's two
-utility-sum lists, which `game_play` adds to.  Under BNE selection the
-learner's best response depends on the belief's marginal only, which
-changes once per trial, at the refresh; `self_play` computes it at the
-start of each trial and `game_play` takes it from its caller.
+`game_play` and counts the play's (classifier, type) pair into the belief,
+in place.  Under UCB selection a play scores the belief's counts and the
+run's two utility-sum lists, which `game_play` adds to.  A learner move
+the caller gives is played as it is: the BNE best response `self_play`
+computes once per trial, or the fixed-policy baseline's policy.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from .belief import BeliefState, record_observation
 from .game import AdversaryTypeId, GameConfig, Strategy, TypeDistribution
 from .oracle import classify, generate_queries
-from .selection import SelectionMethod, ucb_select_adversary, ucb_select_learner
+from .selection import ucb_select_adversary, ucb_select_learner
 
 if TYPE_CHECKING:
     from .selfplay import SelfPlayConfig
@@ -132,14 +131,15 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
     """Realize one game instance into row `p` of `plays` and return its
     (learner, adversary) utilities.
 
-    The learner plays `best_response` (BNE selection; the caller computes
-    it with `bne_select` from the belief) or picks a classifier by UCB over
-    the belief's action counts and `sums[0]`.  The adversary's type is
-    sampled from its actual distribution or best-responds to the observed
-    strategy (by UCB over the type counts and `sums[1]` under UCB
-    selection).  The utilities are added to both movers' sums.
+    The learner plays the strategy of `best_response` when it is given (a
+    BNE pick the caller computes with `bne_select` from the belief, or a
+    fixed policy), else picks a classifier by UCB over the belief's action
+    counts and `sums[0]`.  The adversary's type is sampled from its actual
+    distribution, or best-responds to the observed strategy: the type of
+    `best_response`, or by UCB over the type counts and `sums[1]`.  The
+    utilities are added to both movers' sums.
     """
-    if run.selection is SelectionMethod.BNE:
+    if best_response is not None:
         strategy, br_type = best_response
     else:
         action = ucb_select_learner(belief.action_counts.tolist(), sums[0], run.ucb_c)
@@ -162,15 +162,15 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
 def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
                   belief: BeliefState, sums: tuple[list[float], list[float]],
                   best_response: Optional[tuple[Strategy, AdversaryTypeId]],
-                  plays: Plays, p: int) -> BeliefState:
-    """One self-play step: realize play `p` with `game_play` and return the
-    belief with its (classifier, type) pair counted.
+                  plays: Plays, p: int) -> None:
+    """One self-play step: realize play `p` with `game_play` and count its
+    (classifier, type) pair into `belief`.
 
     The count leaves `p_hat` as it is until the trial's refresh, so every
-    play of a trial sees the belief the trial started with.  The function
+    play of a trial sees the marginal the trial started with.  The function
     keeps its name, as does this module, because the benchmark
     (`bench/tracer.py`, `bench/workloads.py`) counts `tree_traverse` calls
     as one per play and times the `tree` layer by them.
     """
     game_play(cfg, run, rng, belief, sums, best_response, plays, p)
-    return record_observation(belief, int(plays.action[p]), int(plays.type[p]))
+    record_observation(belief, int(plays.action[p]), int(plays.type[p]))

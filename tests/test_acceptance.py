@@ -219,7 +219,8 @@ def test_criterion_6_equilibrium_oracles():
             action = int(rng.integers(nc))
             got = bu_conditional(b, action).probs
             want = brute_force_bayes(counts, action, prior)
-            want = b.prior.probs if want is None else np.asarray(want)
+            want = (TypeDistribution.uniform(nt).probs if want is None
+                    else np.asarray(want))
             bu_max_err = max(bu_max_err, float(np.max(np.abs(got - want))))
     ok = bne_mismatches == 0 and bu_max_err <= 1e-12 and timer.elapsed < 10
     report(6, "equilibrium oracles", ok,
@@ -268,7 +269,7 @@ def test_criterion_7_property_suites():
         # belief count bookkeeping
         b = BeliefState.fresh(3, 4)
         for _ in range(200):
-            b = record_observation(b, int(rng.integers(3)), int(rng.integers(4)))
+            record_observation(b, int(rng.integers(3)), int(rng.integers(4)))
             assert (b.action_counts == b.joint_counts.sum(axis=1)).all()
 
         # seed determinism, bit identical

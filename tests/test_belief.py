@@ -28,7 +28,7 @@ def state_with_counts(counts, p_hat=None):
     for j in range(counts.shape[0]):
         for i in range(n_types):
             for _ in range(int(counts[j, i])):
-                b = record_observation(b, j, i)
+                record_observation(b, j, i)
     return b
 
 
@@ -50,33 +50,34 @@ def brute_force_bayes(counts, action, prior):
 class TestRecording:
     def test_single_observation(self):
         b = BeliefState.fresh(3, 4)
-        b = record_observation(b, 0, 1)
+        record_observation(b, 0, 1)
         assert b.joint_counts[0, 1] == 1
         assert b.action_counts.tolist() == [1, 0, 0]
 
     def test_repeat_pair_counts_twice(self):
         b = BeliefState.fresh(3, 4)
-        b = record_observation(record_observation(b, 2, 3), 2, 3)
+        record_observation(b, 2, 3)
+        record_observation(b, 2, 3)
         assert b.joint_counts[2, 3] == 2
 
     def test_action_counts_track_rows(self):
         b = BeliefState.fresh(3, 4)
-        b = record_observation(b, 1, 0)
-        b = record_observation(b, 0, 0)
+        record_observation(b, 1, 0)
+        record_observation(b, 0, 0)
         assert b.action_counts.tolist() == [1, 1, 0]
 
     def test_row_sum_invariant_under_random_histories(self):
         rng = np.random.default_rng(61)
         b = BeliefState.fresh(3, 4)
         for _ in range(300):
-            b = record_observation(b, int(rng.integers(3)), int(rng.integers(4)))
+            record_observation(b, int(rng.integers(3)), int(rng.integers(4)))
             np.testing.assert_array_equal(b.action_counts, b.joint_counts.sum(axis=1))
         assert b.total_observations == 300
 
     def test_p_hat_untouched_until_refresh(self):
         b = BeliefState.fresh(2, 2)
         before = b.p_hat.probs.copy()
-        b = record_observation(b, 0, 1)
+        record_observation(b, 0, 1)
         np.testing.assert_array_equal(b.p_hat.probs, before)
 
     def test_state_validation(self):
@@ -85,13 +86,12 @@ class TestRecording:
             counts = np.arange(6).reshape(2, 3)
             counts[divmod(k, 3)] = -1
             with pytest.raises(ConfigurationError, match="non-negative"):
-                BeliefState(prior, counts, prior)
+                BeliefState(prior, counts)
         with pytest.raises(ConfigurationError, match="2-d"):
-            BeliefState(prior, np.zeros(3), prior)
+            BeliefState(prior, np.zeros(3))
         with pytest.raises(ConfigurationError, match="dimensions"):
-            BeliefState(prior, np.zeros((2, 4)), prior)
-        empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)),
-                            TypeDistribution.uniform(1))
+            BeliefState(prior, np.zeros((2, 4)))
+        empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)))
         assert empty.total_observations == 0
 
     def test_out_of_range_rejected(self):
@@ -100,6 +100,23 @@ class TestRecording:
             record_observation(b, 2, 0)
         with pytest.raises(ConfigurationError):
             record_observation(b, 0, 5)
+
+
+    def test_refused_observation_counts_nothing(self):
+        b = state_with_counts([[1, 0], [0, 2]])
+        before = b.joint_counts.copy()
+        for action, theta in ((2, 0), (0, 5), (-1, 0), (0, -1)):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                record_observation(b, action, theta)
+            np.testing.assert_array_equal(b.joint_counts, before)
+
+    def test_state_keeps_its_own_counts(self):
+        counts = np.array([[1, 0], [0, 2]])
+        b = BeliefState(TypeDistribution.uniform(2), counts)
+        counts[0, 0] = 7
+        record_observation(b, 1, 0)
+        assert b.joint_counts.tolist() == [[1, 0], [1, 2]]
+        assert counts.tolist() == [[7, 0], [0, 2]]
 
 
 class TestFictitiousPlayConditional:
@@ -114,7 +131,8 @@ class TestFictitiousPlayConditional:
 
     def test_unplayed_action_falls_back_to_prior(self):
         b = state_with_counts([[1, 2, 0, 0], [0, 0, 0, 0]])
-        np.testing.assert_array_equal(fp_conditional(b, 1).probs, b.prior.probs)
+        np.testing.assert_array_equal(fp_conditional(b, 1).probs,
+                                      TypeDistribution.uniform(4).probs)
 
     def test_sums_to_one_on_random_histories(self):
         rng = np.random.default_rng(67)
@@ -142,7 +160,8 @@ class TestBayesConditional:
 
     def test_zero_denominator_falls_back_to_prior(self):
         b = state_with_counts([[0, 0], [1, 3]])
-        np.testing.assert_array_equal(bu_conditional(b, 0).probs, b.prior.probs)
+        np.testing.assert_array_equal(bu_conditional(b, 0).probs,
+                                      TypeDistribution.uniform(2).probs)
 
     def test_matches_brute_force_on_random_counts(self):
         rng = np.random.default_rng(71)
@@ -156,7 +175,7 @@ class TestBayesConditional:
             got = bu_conditional(b, action)
             want = brute_force_bayes(counts, action, prior)
             if want is None:
-                np.testing.assert_array_equal(got.probs, b.prior.probs)
+                np.testing.assert_array_equal(got.probs, TypeDistribution.uniform(nt).probs)
             else:
                 np.testing.assert_allclose(got.probs, want, atol=1e-12)
             assert got.probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -164,17 +183,18 @@ class TestBayesConditional:
 
 class TestRefreshMarginal:
     def test_no_observations_keeps_prior(self):
-        b = refresh_marginal(BeliefState.fresh(3, 4))
-        np.testing.assert_array_equal(b.p_hat.probs, b.prior.probs)
+        b = BeliefState.fresh(3, 4)
+        refresh_marginal(b)
+        np.testing.assert_array_equal(b.p_hat.probs, TypeDistribution.uniform(4).probs)
 
     def test_single_action_history_uses_its_conditional(self):
         b = state_with_counts([[3, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        b = refresh_marginal(b)
+        refresh_marginal(b)
         np.testing.assert_allclose(b.p_hat.probs, [0.75, 0.25, 0, 0])
 
     def test_two_actions_mix_by_frequency(self):
         b = state_with_counts([[2, 0], [0, 2]])
-        b = refresh_marginal(b)
+        refresh_marginal(b)
         np.testing.assert_allclose(b.p_hat.probs, [0.5, 0.5])
 
     def test_fp_marginal_is_empirical_distribution(self):
@@ -183,7 +203,8 @@ class TestRefreshMarginal:
             counts = rng.integers(0, 10, size=(3, 4))
             if counts.sum() == 0:
                 continue
-            b = refresh_marginal(state_with_counts(counts))
+            b = state_with_counts(counts)
+            refresh_marginal(b)
             np.testing.assert_allclose(
                 b.p_hat.probs, counts.sum(axis=0) / counts.sum(), atol=1e-12)
 
@@ -208,7 +229,8 @@ class TestRefreshMarginal:
             if counts.any():
                 sparse.append(counts)
         for counts in dense + sparse:
-            b = refresh_marginal(state_with_counts(counts))
+            b = state_with_counts(counts)
+            refresh_marginal(b)
             np.testing.assert_allclose(b.p_hat.probs, mixture(b, fp_conditional),
                                        atol=1e-12)
             # the Bayes mixture takes the count-consistent marginal as prior
@@ -228,9 +250,9 @@ class TestRefreshMarginal:
             p = raw / raw.sum()
             b = BeliefState.fresh(3, 4)
             for _ in range(1000):
-                b = record_observation(b, int(rng.integers(3)),
-                                       int(rng.choice(4, p=p)))
-            b = refresh_marginal(b)
+                record_observation(b, int(rng.integers(3)),
+                                   int(rng.choice(4, p=p)))
+            refresh_marginal(b)
             if kl_divergence(b.p_hat, TypeDistribution(p)) <= 0.05:
                 passes += 1
         assert passes >= 19  # 0.95 of seeds

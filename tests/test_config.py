@@ -122,6 +122,20 @@ class TestValidation:
             spec_from_dict({"game": {"accuracy": accuracy}})
 
 
+class TestMonotonicityWarning:
+    def test_spec_warning_names_the_key(self):
+        with pytest.warns(UserWarning) as caught:
+            spec_from_dict({"game": {"accuracy": [[0.9, 0.5], [0.85, 0.6]]}})
+        assert [str(w.message) for w in caught] == [
+            "game.accuracy: hardening monotonicity violated: L1<L0 on type 0"]
+
+    def test_default_matrix_loads_silently(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec_from_dict({})
+            load_spec(write_spec(tmp_path, {"game": {"accuracy": None}}))
+
+
 class TestDimensionsFromMatrix:
     """A spec's classifier and type counts are its accuracy matrix's shape."""
 

@@ -260,6 +260,11 @@ class TestDomainTypes:
         with pytest.warns(UserWarning, match="monotonicity"):
             AccuracyMatrix(np.array([[0.9, 0.5], [0.85, 0.6]]))
 
+    def test_hardening_dip_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="monotonicity") as caught:
+            AccuracyMatrix(np.array([[0.9, 0.5], [0.85, 0.6]]))
+        assert [w.filename for w in caught] == [__file__]
+
     def test_monotone_matrix_is_silent(self):
         import warnings
         with warnings.catch_warnings():

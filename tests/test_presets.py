@@ -1,6 +1,7 @@
 """Preset report content, CLI surface, and byte-level reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,59 @@ class TestCli:
             assert main([command, str(spec_path), "--out", str(out)]) == 0
             assert (out / f"{name}.csv").exists()
             assert (out / f"{name}_manifest.json").exists()
+
+
+    @pytest.mark.parametrize("command, name", [
+        ("acc-check", "accuracy_check"), ("kl", "kl_convergence"),
+        ("table", "selection_table"), ("utility", "utility_comparison")])
+    def test_manifest_spec_reruns_its_report(self, tmp_path, capsys, command, name):
+        """`clfgame run` on the spec a manifest records writes the same
+        CSV, into another directory.  The spec spells out the bundled
+        accuracy matrix, whose dip on the clean column warns."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"run": {"h": 3, "n_trials": 2, "q": 2},
+                                         "repetitions": 1}))
+        first = tmp_path / "first"
+        assert main([command, str(spec_path), "--seed", "5", "--out", str(first)]) == 0
+        manifest = json.loads((first / f"{name}_manifest.json").read_text())
+        assert manifest["spec"]["preset"] == name
+        saved = tmp_path / "manifest_spec.json"
+        saved.write_text(json.dumps(manifest["spec"]))
+        again = tmp_path / "again"
+        with pytest.warns(UserWarning, match="^game.accuracy: hardening"):
+            assert main(["run", str(saved), "--out", str(again)]) == 0
+        assert (again / f"{name}.csv").read_bytes() == (first / f"{name}.csv").read_bytes()
+
+    def test_plain_run_manifest_names_no_preset(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"run": {"h": 3, "n_trials": 2, "q": 2},
+                                         "repetitions": 1}))
+        assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["spec"]["preset"] is None
+
+
+class TestPresetMemory:
+    @staticmethod
+    def traced_peak(preset, tmp_path, reps):
+        spec = fast_spec(tmp_path, run={"h": 4, "n_trials": 5, "q": 1000},
+                         repetitions=reps)
+        tracemalloc.start()
+        try:
+            preset(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("preset", [preset_selection_table,
+                                        preset_utility_comparison])
+    def test_peak_does_not_grow_with_repetitions(self, tmp_path, preset):
+        """A cell's runs are kept one at a time, so 8 repetitions peak no
+        higher than 2 do (within 20 %)."""
+        self.traced_peak(preset, tmp_path, 1)  # first-call caches and imports
+        two = self.traced_peak(preset, tmp_path, 2)
+        eight = self.traced_peak(preset, tmp_path, 8)
+        assert eight <= 1.2 * two, (two, eight)
 
 
 class TestReportSchema:

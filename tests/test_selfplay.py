@@ -8,6 +8,7 @@ import pytest
 from clfgame import (
     AccuracyMatrix,
     AdversaryMode,
+    BeliefState,
     ClassificationMode,
     ConfigurationError,
     GameConfig,
@@ -59,7 +60,27 @@ class TestSelfPlayStructure:
         assert kl_divergence(uniform, uniform) == 0.0
         run = SelfPlayConfig(h=1, n_trials=1, q=1, true_p=uniform, seed=3)
         res = self_play(default_config(), run)
-        np.testing.assert_array_equal(res.belief_state.prior.probs, uniform.probs)
+        np.testing.assert_array_equal(TypeDistribution.uniform(4).probs, uniform.probs)
+
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    def test_one_belief_per_run(self, monkeypatch, selection):
+        """A run builds and validates one `BeliefState` and counts every
+        play into it: its final counts are the plays' (action, type)
+        tally."""
+        built = []
+        check = BeliefState.__post_init__
+
+        def counted(b):
+            built.append(b)
+            check(b)
+
+        monkeypatch.setattr(BeliefState, "__post_init__", counted)
+        run = SelfPlayConfig(h=6, n_trials=5, q=3, selection=selection, seed=8)
+        res = self_play(default_config(), run)
+        assert len(built) == 1
+        plays = res.plays
+        tally = np.bincount(plays.action * 4 + plays.type, minlength=12).reshape(3, 4)
+        assert res.belief_state.joint_counts.tolist() == tally.tolist()
 
     def test_selection_counts_cover_every_query(self):
         run = SelfPlayConfig(h=5, n_trials=4, q=6, seed=4)

@@ -49,9 +49,9 @@ def first_play(cfg, run, ctx):
 
 
 def traverse(cfg, run, ctx, p):
-    """`tree_traverse` of play `p` under UCB selection, keeping the belief
-    it returns, as `self_play` does."""
-    ctx.belief = tree_traverse(cfg, run, ctx.rng, ctx.belief, ctx.sums, None, ctx.plays, p)
+    """`tree_traverse` of play `p` under UCB selection, counting into the
+    belief in place, as `self_play` does."""
+    tree_traverse(cfg, run, ctx.rng, ctx.belief, ctx.sums, None, ctx.plays, p)
 
 
 class TestGamePlay:
@@ -121,6 +121,7 @@ class TestTraverse:
     def test_each_step_logs_one_play(self):
         cfg, run, ctx = make_ctx(h=4, seed=3)
         plays = ctx.plays
+        start = ctx.belief.p_hat
         learner = [0.0] * 3
         for k in range(1, 6):
             traverse(cfg, run, ctx, k - 1)
@@ -131,7 +132,7 @@ class TestTraverse:
         np.add.at(recounted, (plays.action[:5], plays.type[:5]), 1)
         np.testing.assert_array_equal(ctx.belief.joint_counts, recounted)
         # the marginal moves only at the trial's refresh
-        assert ctx.belief.p_hat is ctx.belief.prior
+        assert ctx.belief.p_hat is start
         assert sum(ctx.belief.action_counts.tolist()) == 5
 
     def test_fixed_seed_reproduces_utilities(self):

@@ -256,9 +256,8 @@ def reference_self_play(cfg, run, shared_stream):
         for _ in range(run.traversals_per_trial):
             traverse(root, ctx, tree_rng)
         for rec in ctx.plays[trial_start:]:
-            belief = record_observation(belief, rec.chosen_action, rec.realized_type)
-        belief = refresh_marginal(belief)
-        ctx.belief = belief
+            record_observation(belief, rec.chosen_action, rec.realized_type)
+        refresh_marginal(belief)
         kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
     return ctx.plays, selection_counts(ctx.plays, cfg), kl_curve
 
