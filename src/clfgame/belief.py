@@ -47,7 +47,7 @@ class UpdateRule(str, Enum):
     BAYESIAN_UPDATE = "bu"
 
 
-@dataclass
+@dataclass(eq=False)
 class BeliefState:
     """Current marginal belief plus the count statistics that feed updates.
 
@@ -55,6 +55,8 @@ class BeliefState:
     the learner had selected classifier j; its row sums (action_counts) and
     column sums (type_counts) are the visit counts UCB scores.  It keeps
     its own int64 copy of the counts, which the updates change in place.
+    Two beliefs are equal only when they are the same object: a mutable
+    state with array fields has no element-wise `==` worth defining.
     """
 
     p_hat: TypeDistribution

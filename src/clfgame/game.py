@@ -15,10 +15,12 @@ Each type checks its own validity rules when it is built, once, and its
 line; `clfgame.config` adds the spec key's path in front.
 
 A realized play takes the per-play path in `clfgame.tree`: `game_play`
-picks the strategy and the type, and `play_batch` draws the q classifiers
-on the strategy's cached CDF, classifies the batch and gathers its
-utilities from `PayoffConfig.by_type`.  `tree.proportional_choice` draws a
-sampled type on the type distribution's cached CDF.
+picks the strategy and the type, and `play_batch` searches the q
+classifiers' doubles on the strategy's cached CDF, classifies the batch and
+gathers both sides' utilities with one `take` and one `sum` from the
+per-type utility tables `GameConfig` caches (`realized_utilities`,
+`expected_utilities`).  `tree.proportional_choice` searches a sampled
+type's double on the type distribution's cached CDF.
 """
 
 from __future__ import annotations
@@ -265,18 +267,6 @@ class PayoffConfig:
                 raise ConfigurationError(
                     f"{name}: entries must be >= 0, got {_shown(arr.tolist())}")
 
-    @cached_property
-    def by_type(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-        """Per adversary type i: `(v_learner[:, i], v_adversary[:, i],
-        c_type[i])`, the columns as contiguous read-only rows.
-
-        Built on first use; `tree.play_batch` gathers a play's values from
-        them with `take`, which costs less than indexing the 2-d matrices.
-        """
-        v_learner, v_adversary = self.v_learner.T.copy(), self.v_adversary.T.copy()
-        v_learner.flags.writeable = v_adversary.flags.writeable = False
-        return tuple(zip(v_learner, v_adversary, self.c_type.tolist()))
-
     @classmethod
     def unit(cls, n_classifiers: int, n_types: int) -> "PayoffConfig":
         """All-ones values, zero costs (the documented default)."""
@@ -325,6 +315,49 @@ class GameConfig:
     def check_type(self, i: AdversaryTypeId) -> None:
         if not 0 <= i < self.n_types:
             raise ConfigurationError(f"type index {i} out of range")
+
+    @cached_property
+    def realized_utilities(self) -> tuple[np.ndarray, ...]:
+        """Per adversary type theta, the utilities of one stochastically
+        answered query: a read-only [2, 2 * n_classifiers] table whose row
+        0 is the learner's and row 1 the adversary's, and whose column
+        `2*j + b` is classifier j answering with correctness b (0 or 1).
+
+        The learner's entry is `b * v_learner[j, theta] - c_classifier[j]`
+        and the adversary's `(1.0 - b) * v_adversary[j, theta] -
+        c_type[theta]`, with b a float: the expressions a play once
+        evaluated query by query, so each entry is that query's term bit
+        for bit, `-0.0` included.  A play's two utilities are one `take`
+        of its columns and one `sum` along the rows.  Built on first use.
+        """
+        b = np.array([0.0, 1.0])
+        payoff = self.payoff
+        learner = b * payoff.v_learner.T[:, :, None] - payoff.c_classifier[:, None]
+        adversary = ((1.0 - b) * payoff.v_adversary.T[:, :, None]
+                     - payoff.c_type[:, None, None])
+        return _tables(learner.reshape(self.n_types, -1), adversary.reshape(self.n_types, -1))
+
+    @cached_property
+    def expected_utilities(self) -> tuple[np.ndarray, ...]:
+        """Per adversary type theta, the utilities of one query answered in
+        expectation: a read-only [2, n_classifiers] table whose column j
+        holds classifier j's learner entry `acc[j, theta] * v_learner[j,
+        theta] - c_classifier[j]` and adversary entry `(1.0 - acc[j,
+        theta]) * v_adversary[j, theta] - c_type[theta]`.  Built on first
+        use, like `realized_utilities`.
+        """
+        acc, payoff = self.accuracy.acc.T, self.payoff
+        learner = acc * payoff.v_learner.T - payoff.c_classifier
+        adversary = (1.0 - acc) * payoff.v_adversary.T - payoff.c_type[:, None]
+        return _tables(learner, adversary)
+
+
+def _tables(learner: np.ndarray, adversary: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stack two [n_types, n] utility tables into one contiguous read-only
+    [2, n] table per type: learner row first, adversary row second."""
+    tables = np.ascontiguousarray(np.stack([learner, adversary], axis=1))
+    tables.flags.writeable = False
+    return tuple(tables)
 
 
 #: Measured test accuracy of three increasingly hardened classifiers

@@ -4,14 +4,14 @@ Queries carry no features: once per-type accuracies are measured, a
 classifier's behavior on a type-i query collapses to a Bernoulli draw with
 the matrix entry as its success probability (or the entry itself, in
 expectation mode, for variance-free runs).  So a query is its type id, and
-a batch of queries is an int array of type ids.  Every draw comes from a
-plain `numpy.random.Generator` seeded by the caller, so runs replay bit for
-bit.
+a batch of queries is an int array of type ids: one shared read-only array
+per type and batch size.
 
 `classify` answers a whole batch with one range-checked lookup and, in
-stochastic mode, one `random` call.  That call yields the same doubles, in
-the same order, as one call per query did, so a seed reproduces the
-reports of the per-query code.
+stochastic mode, one comparison with the uniform doubles its caller drew
+from a plain seeded `numpy.random.Generator`, one per query.  A caller that
+draws them with one `random(n)` call gets the doubles n single draws give,
+in the same order, so runs replay bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +28,27 @@ class ClassificationMode(str, Enum):
     EXPECTATION = "expectation"
 
 
+#: The query batches `generate_queries` has built for one batch size, keyed
+#: by (type, q); a call with another q drops them.
+_QUERY_BATCHES: dict[tuple[AdversaryTypeId, int], np.ndarray] = {}
+
+
 def generate_queries(theta: AdversaryTypeId, q: int) -> np.ndarray:
     """Batch of q type-theta queries: a read-only int array of type ids.
 
-    Draws nothing: an answer depends on a query's type only.
+    Draws nothing: an answer depends on a query's type only.  One array per
+    (theta, q) is built and then shared, which is safe because it is
+    read-only.  Only the current q's arrays are kept, so a run of huge
+    batches leaves none behind once the batch size changes.
     """
-    queries = np.empty(q, dtype=np.int64)
-    queries.fill(theta)
-    queries.flags.writeable = False
+    key = (theta, q)
+    queries = _QUERY_BATCHES.get(key)
+    if queries is None:
+        if any(size != q for _, size in _QUERY_BATCHES):
+            _QUERY_BATCHES.clear()
+        queries = np.full(q, theta, dtype=np.int64)
+        queries.flags.writeable = False
+        _QUERY_BATCHES[key] = queries
     return queries
 
 
@@ -46,13 +59,14 @@ def _check_range(ids: np.ndarray, check) -> None:
 
 
 def classify(chosen: np.ndarray, queries: np.ndarray, cfg: GameConfig,
-             mode: ClassificationMode, rng: np.random.Generator) -> np.ndarray:
+             mode: ClassificationMode, u: np.ndarray) -> np.ndarray:
     """Correctness of each classifier in `chosen` on the matching query.
 
     `chosen` holds classifier ids and `queries` query type ids, as int
-    arrays of one shape.  Stochastic mode returns 1.0 where one
-    `rng.random(shape)` double falls below acc[chosen, queries], else 0.0;
-    expectation mode returns those accuracy entries and draws nothing.
+    arrays of one shape.  Stochastic mode returns a bool array, True where
+    the matching uniform double of `u` (an array of that shape too) falls
+    below acc[chosen, queries]; expectation mode returns those accuracy
+    entries and reads no double, so `u` may be empty.
 
     Both ranges are checked in the one pass that turns the id pairs into
     flat indexes of the accuracy matrix; only a batch that fails it pays
@@ -71,7 +85,10 @@ def classify(chosen: np.ndarray, queries: np.ndarray, cfg: GameConfig,
     p_correct = acc.take(cells)
     if mode is ClassificationMode.EXPECTATION:
         return p_correct
-    return (rng.random(chosen.shape) < p_correct).astype(float)
+    if u.shape != chosen.shape:
+        raise ValueError(f"shape mismatch: {u.shape} doubles for "
+                         f"{chosen.shape} queries")
+    return u < p_correct
 
 
 def empirical_accuracy(j: ClassifierId, i: AdversaryTypeId, n: int,
@@ -81,5 +98,5 @@ def empirical_accuracy(j: ClassifierId, i: AdversaryTypeId, n: int,
     Sanity harness: reconstructs an accuracy-matrix cell from the oracle.
     """
     correct = classify(np.full(n, j), np.full(n, i), cfg,
-                       ClassificationMode.STOCHASTIC, rng)
+                       ClassificationMode.STOCHASTIC, rng.random(n))
     return float(correct.mean())

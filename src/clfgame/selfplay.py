@@ -40,7 +40,9 @@ from .tree import AdversaryMode, Plays, game_play, tree_traverse
 
 
 #: Most queries one run may answer, `n_trials * h * q`: a run's play arrays
-#: take 16 bytes per query, so a run stays under about 160 MB.
+#: take 16 bytes per query, and a trial's uniform doubles up to 16 more (a
+#: classifier double and, in stochastic mode, a correctness double per
+#: query), so a run stays under about 320 MB.
 MAX_RUN_QUERIES = 10**7
 
 
@@ -77,6 +79,14 @@ class SelfPlayConfig:
         if (queries := self.n_trials * self.h * self.q) > MAX_RUN_QUERIES:
             raise ConfigurationError(
                 f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {queries}")
+
+    @property
+    def draws_per_play(self) -> int:
+        """Uniform doubles one play reads: one for the type when it is
+        sampled, then one per query for its classifier and, in stochastic
+        mode, one per query for its correctness (see `tree.game_play`)."""
+        per_query = 2 if self.classification_mode is ClassificationMode.STOCHASTIC else 1
+        return (self.adversary_mode is AdversaryMode.SAMPLED) + per_query * self.q
 
     @property
     def traversals_per_trial(self) -> int:
@@ -161,9 +171,12 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
     Per trial: compute the best response to the belief once (under BNE
-    selection), realize `h` plays, each counted into the belief as it is
-    realized, refresh the marginal, and log the KL divergence to the actual
-    type distribution.
+    selection), draw the trial's uniform doubles with one `random((h,
+    draws_per_play))` call, realize `h` plays, one row of doubles each and
+    each counted into the belief as it is realized, refresh the marginal,
+    and log the KL divergence to the actual type distribution.  The one
+    call draws the doubles the plays' single draws once did, in the same
+    order, so a seed's reports are unchanged.
     """
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
@@ -175,8 +188,9 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     for trial in range(run.n_trials):
         best_response = (bne_select(belief.p_hat, cfg)
                          if run.selection is SelectionMethod.BNE else None)
-        for p in range(trial * run.h, (trial + 1) * run.h):
-            tree_traverse(cfg, run, rng, belief, sums, best_response, plays, p)
+        draws = rng.random((run.h, run.draws_per_play))
+        for p, u in enumerate(draws, trial * run.h):
+            tree_traverse(cfg, run, u, belief, sums, best_response, plays, p)
         refresh_marginal(belief)
         kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
         err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
@@ -188,7 +202,8 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     """Metrics for a fixed learner strategy over the same play schedule.
 
     No adaptive selection and no belief updates: every play is a
-    `game_play` with `policy` as the learner's move.  The belief stays
+    `game_play` with `policy` as the learner's move, on a row of the
+    trial's doubles, drawn as `self_play` draws them.  The belief stays
     uniform, so the KL column reports its divergence for every trial.
     """
     run = run.resolved(cfg)
@@ -198,8 +213,10 @@ def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
     # adversary_utilities also refuses a policy of the wrong length
     move = (policy, int(np.argmax(adversary_utilities(policy, cfg))))
     plays = Plays.empty(run.n_trials * run.h, run.q)
-    for p in range(len(plays)):
-        game_play(cfg, run, rng, belief, sums, move, plays, p)
+    for trial in range(run.n_trials):
+        draws = rng.random((run.h, run.draws_per_play))
+        for p, u in enumerate(draws, trial * run.h):
+            game_play(cfg, run, u, belief, sums, move, plays, p)
     base_kl = kl_divergence(belief.p_hat, run.true_p)
     base_err = max_componentwise_error(belief.p_hat, run.true_p)
     return _aggregate(plays, cfg, [base_kl] * run.n_trials,

@@ -3,9 +3,12 @@
 A play is one game instance: the learner picks a strategy with the
 configured selection rule, the adversary's type is realized, and a batch
 of q queries of that type is answered.  A query is its type id, so a play
-draws only what decides an outcome: the type (when sampled), the q
-classifiers and, in stochastic mode, their q correctness draws, all from
-one `numpy.random.Generator`.
+reads only doubles that decide an outcome: one for the type (when
+sampled), one per query for its classifier and, in stochastic mode, one
+per query for its correctness.  Every play of a run reads that same number
+of doubles, so the caller draws a trial's doubles with one
+`Generator.random((h, k))` call and hands each play its row, the doubles
+k single draws would give in the same order.
 
 A run writes its plays into one `Plays` record, one row per play.
 `tree_traverse` is one self-play step: it realizes a play with
@@ -13,7 +16,9 @@ A run writes its plays into one `Plays` record, one row per play.
 in place.  Under UCB selection a play scores the belief's counts and the
 run's two utility-sum lists, which `game_play` adds to.  A learner move
 the caller gives is played as it is: the BNE best response `self_play`
-computes once per trial, or the fixed-policy baseline's policy.
+computes once per trial, or the fixed-policy baseline's policy.  A play's
+two utilities are one `take` and one `sum` on the per-type utility table
+`GameConfig` caches.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .belief import BeliefState, record_observation
 from .game import AdversaryTypeId, GameConfig, Strategy, TypeDistribution
-from .oracle import classify, generate_queries
+from .oracle import ClassificationMode, classify, generate_queries
 from .selection import ucb_select_adversary, ucb_select_learner
 
 if TYPE_CHECKING:
@@ -69,22 +74,23 @@ class Plays:
         return len(self.action)
 
 
-def proportional_choice(rng: np.random.Generator,
-                        dist: Strategy | TypeDistribution) -> int:
-    """Draw an index of `dist` with probability equal to its mass.
+def proportional_choice(u: float, dist: Strategy | TypeDistribution) -> int:
+    """The index of `dist` that the uniform double `u` draws: each index is
+    drawn with probability equal to its mass.
 
-    Zero-mass entries are never drawn.  The draw is one `random()` double
-    searched on the distribution's cached `cdf`, which is the draw
-    `Generator.choice(len(dist), p=dist.probs)` makes.  The search is
+    Zero-mass entries are never drawn.  The index is `u` searched on the
+    distribution's cached `cdf`, which is the draw
+    `Generator.choice(len(dist), p=dist.probs)` makes from the double it
+    would draw.  The search is
     `bisect_right` on the CDF's Python floats: it returns the index
     `cdf.searchsorted(u, side="right")` does, without numpy's per-call cost
     on a vector of a few entries.
     """
-    return bisect_right(dist.cdf.tolist(), rng.random())
+    return bisect_right(dist.cdf.tolist(), u)
 
 
 def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
-               run: "SelfPlayConfig", rng: np.random.Generator,
+               run: "SelfPlayConfig", u: np.ndarray,
                plays: Plays, p: int) -> tuple[float, float]:
     """Send one batch of q type-theta queries against a strategy, write the
     play into row `p` of `plays` and return its (learner, adversary)
@@ -94,27 +100,29 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
     sides receive mean-per-query utilities so results are invariant to the
     batch size.
 
-    The draw order is pinned: one `random(q)` call for the q classifiers,
-    searched on the strategy's cached `cdf` (the CDF `proportional_choice`
-    draws on), then one `classify` call for correctness.  These are the
-    doubles a per-query loop of q `proportional_choice` and q single-query
-    classifications drew.  Each mean is `sum() / q`, which is how `np.mean`
-    computes a float64 mean, so the utilities are bit for bit the same.
-    The values are gathered with `take` from the payoff's cached per-type
-    rows, the entries `v[chosen, theta]` would index.
+    `u` holds the play's uniform doubles after its type's: the q classifier
+    doubles, searched on the strategy's cached `cdf` (the CDF
+    `proportional_choice` draws on), then in stochastic mode the q doubles
+    `classify` compares with the accuracies.  Each query's utility term is
+    a column of the type's cached utility table: column `2*j + b` of
+    `cfg.realized_utilities` for classifier j answering with correctness
+    b, column j of `cfg.expected_utilities` in expectation mode.  Those
+    are the terms a per-query loop computed, in query order.  Each row of
+    the taken [2, q] array is contiguous, so its `sum` is the pairwise sum
+    a 1-d `sum()` makes, and each mean, that sum `/ q` as `np.mean`
+    computes a float64 mean (a correctly rounded division, in Python as in
+    numpy), is bit for bit the loop's.
     """
     q = run.q
     queries = generate_queries(theta, q)
-    chosen = strategy.cdf.searchsorted(rng.random(q), side="right")
-    correct = classify(chosen, queries, cfg, run.classification_mode, rng)
-    payoff = cfg.payoff
-    v_learner, v_adversary, c_type = payoff.by_type[theta]
-    u_learner = float((
-        correct * v_learner.take(chosen) - payoff.c_classifier[chosen]
-    ).sum() / q)
-    u_adversary = float((
-        (1.0 - correct) * v_adversary.take(chosen) - c_type
-    ).sum() / q)
+    chosen = strategy.cdf.searchsorted(u[:q], side="right")
+    correct = classify(chosen, queries, cfg, run.classification_mode, u[q:])
+    if run.classification_mode is ClassificationMode.STOCHASTIC:
+        table, cells = cfg.realized_utilities[theta], 2 * chosen + correct
+    else:
+        table, cells = cfg.expected_utilities[theta], chosen
+    learner_sum, adversary_sum = table.take(cells, axis=1).sum(axis=1).tolist()
+    u_learner, u_adversary = learner_sum / q, adversary_sum / q
     plays.action[p] = strategy.argmax
     plays.type[p] = theta
     plays.classifier[p] = chosen
@@ -124,20 +132,21 @@ def play_batch(strategy: Strategy, theta: int, cfg: GameConfig,
     return u_learner, u_adversary
 
 
-def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
+def game_play(cfg: GameConfig, run: "SelfPlayConfig", u: np.ndarray,
               belief: BeliefState, sums: tuple[list[float], list[float]],
               best_response: Optional[tuple[Strategy, AdversaryTypeId]],
               plays: Plays, p: int) -> tuple[float, float]:
-    """Realize one game instance into row `p` of `plays` and return its
-    (learner, adversary) utilities.
+    """Realize one game instance from its row `u` of uniform doubles into
+    row `p` of `plays` and return its (learner, adversary) utilities.
 
     The learner plays the strategy of `best_response` when it is given (a
     BNE pick the caller computes with `bne_select` from the belief, or a
     fixed policy), else picks a classifier by UCB over the belief's action
     counts and `sums[0]`.  The adversary's type is sampled from its actual
-    distribution, or best-responds to the observed strategy: the type of
-    `best_response`, or by UCB over the type counts and `sums[1]`.  The
-    utilities are added to both movers' sums.
+    distribution with the row's first double, or best-responds to the
+    observed strategy: the type of `best_response`, or by UCB over the type
+    counts and `sums[1]`.  The rest of the row is the batch's
+    (`play_batch`).  The utilities are added to both movers' sums.
     """
     if best_response is not None:
         strategy, br_type = best_response
@@ -147,24 +156,26 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
         br_type = None
 
     if run.adversary_mode is AdversaryMode.SAMPLED:
-        theta = proportional_choice(rng, run.true_p)
+        theta = proportional_choice(u.item(0), run.true_p)
+        u = u[1:]
     elif br_type is not None:
         theta = br_type
     else:
         theta = ucb_select_adversary(belief.type_counts.tolist(), sums[1], run.ucb_c)
 
-    u_learner, u_adversary = play_batch(strategy, theta, cfg, run, rng, plays, p)
+    u_learner, u_adversary = play_batch(strategy, theta, cfg, run, u, plays, p)
     sums[0][strategy.argmax] += u_learner
     sums[1][theta] += u_adversary
     return u_learner, u_adversary
 
 
-def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generator,
+def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig", u: np.ndarray,
                   belief: BeliefState, sums: tuple[list[float], list[float]],
                   best_response: Optional[tuple[Strategy, AdversaryTypeId]],
                   plays: Plays, p: int) -> None:
-    """One self-play step: realize play `p` with `game_play` and count its
-    (classifier, type) pair into `belief`.
+    """One self-play step: realize play `p` from its row `u` of uniform
+    doubles with `game_play` and count its (classifier, type) pair into
+    `belief`.
 
     The count leaves `p_hat` as it is until the trial's refresh, so every
     play of a trial sees the marginal the trial started with.  The function
@@ -172,5 +183,5 @@ def tree_traverse(cfg: GameConfig, run: "SelfPlayConfig", rng: np.random.Generat
     (`bench/tracer.py`, `bench/workloads.py`) counts `tree_traverse` calls
     as one per play and times the `tree` layer by them.
     """
-    game_play(cfg, run, rng, belief, sums, best_response, plays, p)
+    game_play(cfg, run, u, belief, sums, best_response, plays, p)
     record_observation(belief, int(plays.action[p]), int(plays.type[p]))

@@ -94,6 +94,13 @@ class TestRecording:
         empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)))
         assert empty.total_observations == 0
 
+    def test_equality_is_identity(self):
+        """A belief holds count arrays, so `==` compares the objects, not
+        the arrays element by element (which raises)."""
+        b = BeliefState.fresh(2, 2)
+        assert b == b
+        assert b != BeliefState.fresh(2, 2)
+
     def test_out_of_range_rejected(self):
         b = BeliefState.fresh(2, 2)
         with pytest.raises(ConfigurationError):

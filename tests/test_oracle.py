@@ -13,6 +13,10 @@ from clfgame import (
 )
 
 
+#: The doubles an expectation-mode `classify` reads: none.
+NO_DOUBLES = np.empty(0)
+
+
 @pytest.fixture
 def cfg():
     return default_config()
@@ -32,25 +36,43 @@ class TestGenerateQueries:
     def test_zero_batch_is_empty(self):
         assert generate_queries(1, 0).shape == (0,)
 
+    def test_repeated_calls_share_one_read_only_batch(self):
+        first = generate_queries(3, 12)
+        assert generate_queries(3, 12) is first
+        assert generate_queries(np.int64(3), 12) is first
+        assert generate_queries(2, 12) is not first
+        with pytest.raises(ValueError):
+            first[0] = 0
+
+    def test_another_batch_size_drops_the_kept_batches(self):
+        first = generate_queries(3, 12)
+        other = generate_queries(3, 13)
+        assert other.tolist() == [3] * 13
+        again = generate_queries(3, 12)
+        assert again is not first
+        assert again.tolist() == first.tolist()
+
 
 class TestClassify:
     def test_expectation_mode_returns_matrix_entry(self, cfg):
         got = classify(np.array([2]), np.array([3]), cfg,
-                       ClassificationMode.EXPECTATION, np.random.default_rng(0))
+                       ClassificationMode.EXPECTATION, NO_DOUBLES)
         assert got.tolist() == [0.7502]
 
     def test_certain_classifier_always_correct(self, cfg):
         from clfgame import AccuracyMatrix, GameConfig
         sure = GameConfig(AccuracyMatrix(np.ones((1, 1))), cfg.payoff.unit(1, 1))
         zeros = np.zeros(20, dtype=np.int64)
-        rng = np.random.default_rng(5)
-        for mode in ClassificationMode:
-            assert classify(zeros, zeros, sure, mode, rng).tolist() == [1.0] * 20
+        u = np.random.default_rng(5).random(20)
+        assert classify(zeros, zeros, sure, ClassificationMode.STOCHASTIC, u).all()
+        assert classify(zeros, zeros, sure, ClassificationMode.EXPECTATION,
+                        NO_DOUBLES).tolist() == [1.0] * 20
 
     def test_stochastic_mode_concentrates_on_entry(self, cfg):
         draws = classify(np.full(50_000, 2), generate_queries(2, 50_000), cfg,
-                         ClassificationMode.STOCHASTIC, np.random.default_rng(11))
-        assert set(draws.tolist()) <= {0.0, 1.0}
+                         ClassificationMode.STOCHASTIC,
+                         np.random.default_rng(11).random(50_000))
+        assert draws.dtype == bool
         assert np.mean(draws) == pytest.approx(0.8152, abs=0.01)
 
 
@@ -96,8 +118,9 @@ class TestRandomStream:
 
 
 class TestClassifyBatch:
-    """A batch is answered with one range-checked lookup and one random
-    call, and agrees with one draw per query."""
+    """A batch is answered with one range-checked lookup and one
+    comparison with doubles drawn in one random call, and agrees with one
+    draw per query."""
 
     @staticmethod
     def per_query(chosen, types, cfg, mode, rng):
@@ -116,17 +139,20 @@ class TestClassifyBatch:
             types = (generate_queries(int(meta.integers(4)), size) if seed % 2
                      else meta.integers(0, 4, size=size))
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            batch = classify(chosen, types, cfg, mode, ours)
-            assert batch.dtype == np.float64
+            if mode is ClassificationMode.STOCHASTIC:
+                batch = classify(chosen, types, cfg, mode, ours.random(size))
+                assert batch.dtype == bool
+            else:
+                batch = classify(chosen, types, cfg, mode, NO_DOUBLES)
+                assert batch.dtype == np.float64
             assert batch.tolist() == self.per_query(chosen, types, cfg, mode, theirs)
             assert ours.random() == theirs.random()
 
     def test_expectation_mode_draws_nothing(self, cfg):
-        rng = np.random.default_rng(3)
-        got = classify(np.array([0, 2, 1]), generate_queries(3, 3), cfg,
-                       ClassificationMode.EXPECTATION, rng)
-        np.testing.assert_array_equal(got, cfg.accuracy.acc[[0, 2, 1], 3])
-        assert rng.random() == np.random.default_rng(3).random()
+        for u in (NO_DOUBLES, np.full(3, np.nan)):
+            got = classify(np.array([0, 2, 1]), generate_queries(3, 3), cfg,
+                           ClassificationMode.EXPECTATION, u)
+            np.testing.assert_array_equal(got, cfg.accuracy.acc[[0, 2, 1], 3])
 
     @pytest.mark.parametrize("chosen, type_id", [
         ([0, 3, 1], 0),
@@ -138,17 +164,24 @@ class TestClassifyBatch:
     def test_out_of_range_raises(self, cfg, chosen, type_id, mode):
         with pytest.raises(ConfigurationError, match="out of range"):
             classify(np.array(chosen), np.full(len(chosen), type_id), cfg, mode,
-                     np.random.default_rng(0))
+                     np.zeros(len(chosen)))
 
     def test_empty_batch(self, cfg):
         got = classify(np.array([], dtype=np.int64), generate_queries(1, 0), cfg,
-                       ClassificationMode.STOCHASTIC, np.random.default_rng(0))
+                       ClassificationMode.STOCHASTIC, NO_DOUBLES)
         assert got.shape == (0,)
 
     def test_shape_mismatch_raises(self, cfg):
         with pytest.raises(ValueError, match="shape mismatch"):
             classify(np.array([0, 1, 2]), generate_queries(1, 1), cfg,
-                     ClassificationMode.EXPECTATION, np.random.default_rng(0))
+                     ClassificationMode.EXPECTATION, NO_DOUBLES)
+
+    def test_doubles_shape_mismatch_raises(self, cfg):
+        """One double per query, or the comparison would broadcast."""
+        message = r"^shape mismatch: \(1,\) doubles for \(3,\) queries$"
+        with pytest.raises(ValueError, match=message):
+            classify(np.array([0, 1, 2]), generate_queries(1, 3), cfg,
+                     ClassificationMode.STOCHASTIC, np.full(1, 0.5))
 
     @pytest.mark.parametrize("chosen, types, message", [
         ([0, 1, 2, 3, 1], [0, 0, 0, 0, 0], "classifier index 3 out of range"),
@@ -160,7 +193,6 @@ class TestClassifyBatch:
     ])
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_error_names_the_bad_id(self, cfg, chosen, types, message, mode):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            classify(np.array(chosen), np.array(types), cfg, mode, rng)
-        assert rng.random() == np.random.default_rng(0).random()
+            classify(np.array(chosen), np.array(types), cfg, mode,
+                     np.zeros(np.shape(chosen)))

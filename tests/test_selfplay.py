@@ -18,11 +18,13 @@ from clfgame import (
     Strategy,
     TypeDistribution,
     adversary_utilities,
+    bne_select,
     default_config,
     evaluate_fixed_policy,
     kl_divergence,
     self_play,
 )
+from clfgame import selfplay
 
 
 class TestSelfPlayStructure:
@@ -53,14 +55,30 @@ class TestSelfPlayStructure:
         assert res.belief_state.total_observations == 3 * h
         assert len(res.per_trial_kl) == 3
 
-    def test_belief_starts_at_prior(self):
-        # before any updates the belief equals the uniform prior, so against
-        # a uniform actual distribution the starting divergence is zero
-        uniform = TypeDistribution.uniform(4)
-        assert kl_divergence(uniform, uniform) == 0.0
-        run = SelfPlayConfig(h=1, n_trials=1, q=1, true_p=uniform, seed=3)
-        res = self_play(default_config(), run)
-        np.testing.assert_array_equal(TypeDistribution.uniform(4).probs, uniform.probs)
+    def test_belief_starts_at_prior(self, monkeypatch):
+        """A run's belief starts uniform: the fixed-policy baseline, whose
+        belief never moves, reports the uniform belief's divergence every
+        trial, and a BNE run's first pick is the best response to the
+        uniform belief."""
+        cfg = default_config()
+        uniform, true_p = TypeDistribution.uniform(4), TypeDistribution.concentrated(3, 4)
+        run = SelfPlayConfig(h=3, n_trials=4, q=2, true_p=true_p, seed=3,
+                             selection=SelectionMethod.BNE,
+                             adversary_mode=AdversaryMode.BEST_RESPONSE)
+        fixed = evaluate_fixed_policy(cfg, run, Strategy.pure(0, 3))
+        assert fixed.per_trial_kl.tolist() == [kl_divergence(uniform, true_p)] * 4
+        picks = []
+
+        def spy(belief, game):
+            picks.append(belief.probs.tolist())
+            return bne_select(belief, game)
+
+        monkeypatch.setattr(selfplay, "bne_select", spy)
+        res = self_play(cfg, run)
+        assert picks[0] == uniform.probs.tolist()
+        strategy, theta = bne_select(uniform, cfg)
+        assert res.plays.action[:3].tolist() == [strategy.argmax] * 3
+        assert res.plays.type[:3].tolist() == [theta] * 3
 
     @pytest.mark.parametrize("selection", list(SelectionMethod))
     def test_one_belief_per_run(self, monkeypatch, selection):

@@ -1,4 +1,4 @@
-"""Plays, the self-play step, proportional draws and their random stream."""
+"""Plays, the self-play step, proportional draws and the doubles they read."""
 
 from types import SimpleNamespace
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clfgame import (
+    AccuracyMatrix,
     AdversaryMode,
     BeliefState,
     ClassificationMode,
@@ -27,13 +28,15 @@ from clfgame import (
 
 
 def make_ctx(cfg=None, seed=0, **run_kwargs):
-    """A resolved run and the locals `self_play` keeps for it: a fresh
-    stream, belief and utility sums, and room for the run's plays."""
+    """A resolved run and the locals `self_play` keeps for it: every play's
+    row of doubles, drawn from a fresh stream as its trials draw them, a
+    fresh belief and utility sums, and room for the run's plays."""
     cfg = cfg or default_config()
     run_kwargs.setdefault("true_p", TypeDistribution.uniform(cfg.n_types))
     run = SelfPlayConfig(seed=seed, **run_kwargs).resolved(cfg)
     ctx = SimpleNamespace(
-        rng=np.random.default_rng(seed),
+        draws=np.random.default_rng(seed).random(
+            (run.n_trials * run.h, run.draws_per_play)),
         belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
         sums=([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types),
         plays=Plays.empty(run.n_trials * run.h, run.q),
@@ -45,13 +48,13 @@ def first_play(cfg, run, ctx):
     """`game_play` into row 0, with the best response `self_play` computes
     for a fresh belief under BNE selection."""
     best = bne_select(ctx.belief.p_hat, cfg) if run.selection is SelectionMethod.BNE else None
-    return game_play(cfg, run, ctx.rng, ctx.belief, ctx.sums, best, ctx.plays, 0)
+    return game_play(cfg, run, ctx.draws[0], ctx.belief, ctx.sums, best, ctx.plays, 0)
 
 
 def traverse(cfg, run, ctx, p):
     """`tree_traverse` of play `p` under UCB selection, counting into the
     belief in place, as `self_play` does."""
-    tree_traverse(cfg, run, ctx.rng, ctx.belief, ctx.sums, None, ctx.plays, p)
+    tree_traverse(cfg, run, ctx.draws[p], ctx.belief, ctx.sums, None, ctx.plays, p)
 
 
 class TestGamePlay:
@@ -157,7 +160,7 @@ class TestProportionalChoice:
     def test_zero_weight_actions_never_drawn(self):
         rng = np.random.default_rng(29)
         dist = TypeDistribution(np.array([0.0, 0.3, 0.7]))
-        draws = {proportional_choice(rng, dist) for _ in range(500)}
+        draws = {proportional_choice(u, dist) for u in rng.random(500).tolist()}
         assert draws == {1, 2}
 
 
@@ -167,7 +170,8 @@ class TestPlayBatch:
         run = SelfPlayConfig(q=50, true_p=TypeDistribution.uniform(4)).resolved(cfg)
         policy = Strategy(np.array([0.5, 0.0, 0.5]))
         plays = Plays.empty(1, run.q)
-        play_batch(policy, 1, cfg, run, np.random.default_rng(43), plays, 0)
+        play_batch(policy, 1, cfg, run, np.random.default_rng(43).random(2 * run.q),
+                   plays, 0)
         assert 1 not in set(plays.classifier[0].tolist())
         assert plays.type[0] == 1
 
@@ -219,6 +223,19 @@ def random_weights(meta, n):
     return weights
 
 
+def batch_doubles(rng, run):
+    """The doubles `play_batch` reads, as `self_play` draws them: one per
+    query for its classifier and, in stochastic mode, one per query for its
+    correctness."""
+    per_query = 2 if run.classification_mode is ClassificationMode.STOCHASTIC else 1
+    return rng.random(per_query * run.q)
+
+
+def float_bits(values):
+    """Floats as hex strings, which tell `-0.0` from `0.0`."""
+    return [float(v).hex() for v in values]
+
+
 class TestStreamEquivalence:
     """The vectorized draws return exactly what the per-query calls to
     `Generator.choice` returned, and leave the stream at the same place."""
@@ -258,14 +275,67 @@ class TestStreamEquivalence:
                                  classification_mode=mode).resolved(cfg)
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             plays = Plays.empty(1, run.q)
-            utilities = play_batch(strategy, theta, cfg, run, ours, plays, 0)
+            utilities = play_batch(strategy, theta, cfg, run, batch_doubles(ours, run),
+                                   plays, 0)
             chosen, correct, want = reference_play_batch(
                 strategy, theta, cfg, run, theirs)
             np.testing.assert_array_equal(plays.classifier[0], chosen)
             np.testing.assert_array_equal(plays.correct[0], correct)
-            assert utilities == want
-            assert (plays.u_learner[0], plays.u_adversary[0]) == want
+            assert float_bits(utilities) == float_bits(want)
+            assert float_bits((plays.u_learner[0], plays.u_adversary[0])) == float_bits(want)
             assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_play_batch_matches_per_query_loop_on_random_payoffs(self, mode):
+        """Every value and cost differs from the others, and some values are
+        negative, so a table entry read from the wrong cell shows."""
+        meta = np.random.default_rng(11)
+        accuracy = default_config().accuracy
+        for seed in range(60):
+            payoff = PayoffConfig(
+                v_learner=meta.normal(size=(3, 4)), v_adversary=meta.normal(size=(3, 4)),
+                c_classifier=meta.random(3) / 10, c_type=meta.random(4) / 10,
+            )
+            cfg = GameConfig(accuracy, payoff)
+            strategy = Strategy(meta.dirichlet(np.ones(3)))
+            theta = int(meta.integers(4))
+            # up to 400 queries: numpy's pairwise sum splits blocks above 128
+            run = SelfPlayConfig(q=int(meta.integers(1, 400)), seed=seed,
+                                 classification_mode=mode).resolved(cfg)
+            plays = Plays.empty(1, run.q)
+            utilities = play_batch(strategy, theta, cfg, run,
+                                   batch_doubles(np.random.default_rng(seed), run), plays, 0)
+            *_, want = reference_play_batch(strategy, theta, cfg, run,
+                                            np.random.default_rng(seed))
+            assert float_bits(utilities) == float_bits(want)
+
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_negative_zero_terms_match_the_loop(self, mode):
+        """A negative value, zero cost and an all-incorrect batch make every
+        learner term `0.0 * v - 0.0`, which is `-0.0`.  The utility table's
+        entries keep that sign, and the mean of those terms is the loop's,
+        bit for bit."""
+        acc = AccuracyMatrix(np.zeros((2, 2)))
+        payoff = PayoffConfig(
+            v_learner=np.full((2, 2), -1.5), v_adversary=np.full((2, 2), -2.0),
+            c_classifier=np.zeros(2), c_type=np.zeros(2),
+        )
+        cfg = GameConfig(acc, payoff)
+        if mode is ClassificationMode.STOCHASTIC:
+            terms = [table[0, ::2] for table in cfg.realized_utilities]  # b = 0
+        else:
+            terms = [table[0] for table in cfg.expected_utilities]
+        assert float_bits(np.concatenate(terms)) == [(-0.0).hex()] * 4
+        for seed, strategy in enumerate([Strategy.pure(1, 2), Strategy.uniform(2)]):
+            run = SelfPlayConfig(q=9, seed=seed, classification_mode=mode,
+                                 true_p=TypeDistribution.uniform(2)).resolved(cfg)
+            plays = Plays.empty(1, run.q)
+            utilities = play_batch(strategy, 1, cfg, run,
+                                   batch_doubles(np.random.default_rng(seed), run), plays, 0)
+            _, correct, want = reference_play_batch(
+                strategy, 1, cfg, run, np.random.default_rng(seed))
+            assert not correct.any()
+            assert float_bits(utilities) == float_bits(want)
 
 
 class TestCachedSampling:
@@ -295,26 +365,19 @@ class TestCachedSampling:
                 np.testing.assert_array_equal(dist.cdf, _choice_cdf(dist.probs))
                 assert dist.cdf is dist.cdf
                 ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
-                drawn = proportional_choice(ours, dist)
+                drawn = proportional_choice(ours.random(), dist)
                 assert drawn == int(theirs.choice(len(dist), p=dist.probs)), weights
                 assert ours.random() == theirs.random()
 
     def test_draw_on_a_cdf_entry_matches_searchsorted(self):
         """A double equal to a CDF entry (zero-mass runs repeat entries)
         draws the index `searchsorted(side="right")` gives."""
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         for probs in ([0.25, 0.0, 0.25, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0],
                       [0.1, 0.2, 0.3, 0.4]):
             dist = TypeDistribution(np.array(probs))
             for u in [0.0, *dist.cdf.tolist(), float(np.nextafter(dist.cdf[0], 0))]:
                 want = int(dist.cdf.searchsorted(u, side="right"))
-                assert proportional_choice(Fixed(u), dist) == want, (probs, u)
+                assert proportional_choice(u, dist) == want, (probs, u)
 
     def test_negative_entry_within_tolerance_is_refused(self):
         """An entry in [-SIMPLEX_ATOL, 0), which `Generator.choice` refuses,
@@ -333,5 +396,5 @@ class TestCachedSampling:
         run = SelfPlayConfig(q=5, true_p=TypeDistribution.uniform(4)).resolved(cfg)
         plays = Plays.empty(1, run.q)
         play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run,
-                   np.random.default_rng(3), plays, 0)
+                   np.random.default_rng(3).random(2 * run.q), plays, 0)
         assert plays.action[0] == 2
