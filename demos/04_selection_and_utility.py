@@ -12,7 +12,6 @@ from clfgame import (
     ClassificationMode,
     SelectionMethod,
     SelfPlayConfig,
-    Strategy,
     TypeDistribution,
     default_config,
     evaluate_fixed_policy,
@@ -46,7 +45,7 @@ for method in (SelectionMethod.UCB, SelectionMethod.BNE):
               + f"   acc {correct / total:.4f}   modal L{modal}")
 
 print("\nMean learner utility: self-play vs always-most-hardened baseline:")
-hardened = Strategy.pure(2, 3)
+hardened = cfg.n_classifiers - 1
 for focus in range(4):
     true_p = TypeDistribution.concentrated(focus, 4)
     run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,

@@ -7,20 +7,20 @@ game needs to know about a classifier/type pair is a single number: the
 probability that the classifier answers such a query correctly.  This module
 holds the configuration types built around that accuracy matrix, whose
 shape gives the game's numbers of classifiers and types, and both sides'
-expected-utility functions.  The two distribution types are immutable, so
-each caches the sampling CDF its draws search.
+expected-utility functions.  A `TypeDistribution` is immutable, so it
+caches the sampling CDF its draws search.  The types compare by identity
+(`eq=False`): numpy's `==` on their array fields has no truth value.
 
 Each type checks its own validity rules when it is built, once, and its
 `ConfigurationError` names the refused field and shows the value on one
 line; `clfgame.config` adds the spec key's path in front.
 
 A realized play takes the per-play path in `clfgame.tree`: `game_play`
-picks the strategy and the type, and `play_batch` searches the q
-classifiers' doubles on the strategy's cached CDF, classifies the batch and
-gathers both sides' utilities with one `take` and one `sum` from the
-per-type utility tables `GameConfig` caches (`realized_utilities`,
-`expected_utilities`).  `tree.proportional_choice` searches a sampled
-type's double on the type distribution's cached CDF.
+picks the learner's classifier and the type, and `play_batch` classifies
+the batch with that classifier and gathers both sides' utilities with one
+`take` and one `sum` from the per-type utility tables `GameConfig` caches
+(`realized_utilities`, `expected_utilities`).  `tree.proportional_choice`
+searches a sampled type's double on the type distribution's cached CDF.
 """
 
 from __future__ import annotations
@@ -102,26 +102,8 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-class _Sampled:
-    """Sampling support shared by the two distribution types."""
-
-    probs: np.ndarray
-
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """Read-only `Generator.choice` CDF of `probs`, built on first use.
-
-        The probabilities never change, so one CDF serves every draw.  The
-        constructor's simplex check has refused every vector choice refuses,
-        so building it raises nothing.
-        """
-        cdf = _choice_cdf(self.probs)
-        cdf.flags.writeable = False
-        return cdf
-
-
-@dataclass(frozen=True)
-class Strategy(_Sampled):
+@dataclass(frozen=True, eq=False)
+class Strategy:
     """Probability distribution over the learner's classifier pool."""
 
     probs: np.ndarray
@@ -163,8 +145,8 @@ class Strategy(_Sampled):
 _PURE_STRATEGIES: dict[tuple, Strategy] = {}
 
 
-@dataclass(frozen=True)
-class TypeDistribution(_Sampled):
+@dataclass(frozen=True, eq=False)
+class TypeDistribution:
     """Probability distribution over adversary types."""
 
     probs: np.ndarray
@@ -182,6 +164,18 @@ class TypeDistribution(_Sampled):
     @classmethod
     def uniform(cls, n_types: int) -> "TypeDistribution":
         return cls(np.full(n_types, 1.0 / n_types))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only `Generator.choice` CDF of `probs`, built on first use.
+
+        The probabilities never change, so one CDF serves every draw.  The
+        constructor's simplex check has refused every vector choice refuses,
+        so building it raises nothing.
+        """
+        cdf = _choice_cdf(self.probs)
+        cdf.flags.writeable = False
+        return cdf
 
     @classmethod
     def concentrated(cls, type_id: AdversaryTypeId, n_types: int,
@@ -209,7 +203,7 @@ class TypeDistribution(_Sampled):
         return len(self.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccuracyMatrix:
     """P(correct prediction | classifier j, adversary type i), indexed [j][i].
 
@@ -236,7 +230,7 @@ class AccuracyMatrix:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffConfig:
     """Values and costs entering the utility functions.
 
@@ -278,7 +272,7 @@ class PayoffConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameConfig:
     """Accuracy matrix and payoffs for one game instance.
 

@@ -7,15 +7,16 @@ expectation mode, for variance-free runs).  So a query is its type id, and
 a batch of queries is an int array of type ids: one shared read-only array
 per type and batch size.
 
-`classify` answers a whole batch with one range-checked lookup and, in
-stochastic mode, one comparison with the uniform doubles its caller drew
-from a plain seeded `numpy.random.Generator`, one per query.  A caller that
-draws them with one `random(n)` call gets the doubles n single draws give,
+`classify` answers a whole batch with one classifier in one range-checked
+lookup and, in stochastic mode, one comparison with the uniform doubles
+its caller drew from a plain seeded `numpy.random.Generator`, one per
+query.  A caller that draws them with one `random(n)` call gets the doubles n single draws give,
 in the same order, so runs replay bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 import numpy as np
@@ -52,42 +53,37 @@ def generate_queries(theta: AdversaryTypeId, q: int) -> np.ndarray:
     return queries
 
 
-def _check_range(ids: np.ndarray, check) -> None:
-    if ids.size:
-        check(int(ids.min()))
-        check(int(ids.max()))
-
-
-def classify(chosen: np.ndarray, queries: np.ndarray, cfg: GameConfig,
+def classify(classifier: ClassifierId, queries: np.ndarray, cfg: GameConfig,
              mode: ClassificationMode, u: np.ndarray) -> np.ndarray:
-    """Correctness of each classifier in `chosen` on the matching query.
+    """Correctness of classifier `classifier` on each query of `queries`.
 
-    `chosen` holds classifier ids and `queries` query type ids, as int
-    arrays of one shape.  Stochastic mode returns a bool array, True where
-    the matching uniform double of `u` (an array of that shape too) falls
-    below acc[chosen, queries]; expectation mode returns those accuracy
+    `classifier` is one index (an array, which would broadcast, is
+    refused) and `queries` an int array of type ids.  Stochastic mode
+    returns a bool array of its shape, True where the matching uniform
+    double of `u` (an array of that shape too) falls below
+    acc[classifier, query]; expectation mode returns those accuracy
     entries and reads no double, so `u` may be empty.
 
     Both ranges are checked in the one pass that turns the id pairs into
     flat indexes of the accuracy matrix; only a batch that fails it pays
     for the check that names the bad id.
     """
-    if chosen.shape != queries.shape:
-        raise ValueError(f"shape mismatch: {chosen.shape} classifiers for "
-                         f"{queries.shape} queries")
+    classifier = operator.index(classifier)
     acc = cfg.accuracy.acc
     try:
-        cells = np.ravel_multi_index((chosen, queries), acc.shape)
+        cells = np.ravel_multi_index((classifier, queries), acc.shape)
     except ValueError:
-        _check_range(chosen, cfg.check_classifier)
-        _check_range(queries, cfg.check_type)
+        cfg.check_classifier(classifier)
+        if queries.size:
+            cfg.check_type(int(queries.min()))
+            cfg.check_type(int(queries.max()))
         raise
     p_correct = acc.take(cells)
     if mode is ClassificationMode.EXPECTATION:
         return p_correct
-    if u.shape != chosen.shape:
+    if u.shape != queries.shape:
         raise ValueError(f"shape mismatch: {u.shape} doubles for "
-                         f"{chosen.shape} queries")
+                         f"{queries.shape} queries")
     return u < p_correct
 
 
@@ -97,6 +93,6 @@ def empirical_accuracy(j: ClassifierId, i: AdversaryTypeId, n: int,
 
     Sanity harness: reconstructs an accuracy-matrix cell from the oracle.
     """
-    correct = classify(np.full(n, j), np.full(n, i), cfg,
-                       ClassificationMode.STOCHASTIC, rng.random(n))
+    correct = classify(j, np.full(n, i), cfg, ClassificationMode.STOCHASTIC,
+                       rng.random(n))
     return float(correct.mean())

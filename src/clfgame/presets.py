@@ -21,7 +21,7 @@ from .belief import (
     max_componentwise_error,
 )
 from .config import ExperimentSpec
-from .game import Strategy, TypeDistribution
+from .game import TypeDistribution
 from .oracle import empirical_accuracy
 from .reports import ReportRow, write_report
 from .selection import SelectionMethod
@@ -176,7 +176,7 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
         ReportRow("utility:config", spec.run.seed, -1,
                   "costs_strictly_increasing", float(increasing)),
     ]
-    hardened = Strategy.pure(spec.game.n_classifiers - 1, spec.game.n_classifiers)
+    hardened = spec.game.n_classifiers - 1
     for focus in range(spec.game.n_types):
         true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
         for method in (SelectionMethod.UCB, SelectionMethod.BNE):

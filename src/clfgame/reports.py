@@ -3,6 +3,8 @@
 Every preset emits one long-format CSV — one metric value per row — plus a
 manifest JSON capturing the fully resolved spec, seed and preset, so
 `clfgame run` on a manifest's spec regenerates its report byte-for-byte.
+The manifest also records the package, Python and numpy versions the
+report was made with.
 
 Metric names are drawn from a closed set of patterns:
 
@@ -28,8 +30,11 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .config import PRESETS, ExperimentSpec, serialize_spec
@@ -65,6 +70,8 @@ def write_report(rows: list[ReportRow], spec: ExperimentSpec, name: str,
     manifest = {
         "name": name,
         "version": __version__,
+        "python_version": ".".join(map(str, sys.version_info[:3])),
+        "numpy_version": np.__version__,
         "spec": {**serialize_spec(spec), "preset": name if name in PRESETS else None},
         "n_rows": len(rows),
         "notes": notes or [],

@@ -7,9 +7,10 @@ Under BNE selection the learner's best response is computed here, once
 per trial: it depends only on the belief's marginal, which changes only at
 the trial's refresh.  UCB scores the belief's counts and two utility-sum
 lists, all the UCB state a run keeps.  A run's plays are one `Plays`
-record of arrays, and the run metrics are read off those arrays.  A
+record of arrays with one entry per play, and the run metrics are read off
+those arrays.  A
 fixed-policy evaluator plays the same game instances with the learner's
-move fixed, as the baseline for utility comparisons.
+classifier fixed, as the baseline for utility comparisons.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .belief import (
     refresh_marginal,
 )
 from .game import (
+    ClassifierId,
     ConfigurationError,
     GameConfig,
     Strategy,
@@ -39,10 +41,8 @@ from .selection import SelectionMethod, bne_select
 from .tree import AdversaryMode, Plays, game_play, tree_traverse
 
 
-#: Most queries one run may answer, `n_trials * h * q`: a run's play arrays
-#: take 16 bytes per query, and a trial's uniform doubles up to 16 more (a
-#: classifier double and, in stochastic mode, a correctness double per
-#: query), so a run stays under about 320 MB.
+#: Most queries one run may answer, `n_trials * h * q`.  A run's plays take
+#: 40 bytes each; one trial's uniform doubles take up to 16 bytes per query.
 MAX_RUN_QUERIES = 10**7
 
 
@@ -82,9 +82,11 @@ class SelfPlayConfig:
 
     @property
     def draws_per_play(self) -> int:
-        """Uniform doubles one play reads: one for the type when it is
+        """Uniform doubles one play is handed: one for the type when it is
         sampled, then one per query for its classifier and, in stochastic
-        mode, one per query for its correctness (see `tree.game_play`)."""
+        mode, one per query for its correctness (see `tree.game_play`).
+        A play's classifier is its action, so it skips its classifier
+        doubles; they stay drawn because dropping them changes the stream."""
         per_query = 2 if self.classification_mode is ClassificationMode.STOCHASTIC else 1
         return (self.adversary_mode is AdversaryMode.SAMPLED) + per_query * self.q
 
@@ -111,7 +113,7 @@ class SelfPlayResult:
 
     selection_counts[i][j] counts the type-i queries answered by classifier
     j; per_type_accuracy holds NaN for types that never appeared.  The final
-    belief is `belief_state.p_hat`.
+    belief is `belief_state.p_hat`, and `plays` holds one entry per play.
     """
 
     per_trial_kl: np.ndarray
@@ -131,23 +133,23 @@ class SelfPlayResult:
             return np.where(totals > 0, 100.0 * self.selection_counts / totals, np.nan)
 
 
-def _aggregate(plays: Plays, cfg: GameConfig, per_trial_kl: list[float],
+def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: list[float],
                per_trial_err: list[float], belief: BeliefState) -> SelfPlayResult:
-    """Run metrics from the play arrays.
+    """Run metrics from the play arrays of a run of q queries per play.
 
-    The counts are one `bincount` over (type, classifier) cells.  Each
-    play's correctness sum is a row sum of `plays.correct`, which is bit for
-    bit the 1-d `sum()` of that play, and `np.add.at` folds them into the
-    per-type totals in play order, as a loop over the plays would.
+    The counts are one `bincount` over (type, action) pairs, times q, as a
+    play's action answers all its queries.  `np.add.at` folds the plays'
+    correctness sums into the per-type totals in play order, as a loop
+    would.
     """
     n_types, n_classifiers = cfg.n_types, cfg.n_classifiers
     types = plays.type
-    cells = plays.classifier + n_classifiers * types[:, None]
-    counts = np.bincount(cells.ravel(), minlength=n_types * n_classifiers
-                         ).reshape(n_types, n_classifiers)
+    counts = q * np.bincount(plays.action + n_classifiers * types,
+                             minlength=n_types * n_classifiers
+                             ).reshape(n_types, n_classifiers)
     correct_by_type = np.zeros(n_types)
-    np.add.at(correct_by_type, types, plays.correct.sum(axis=1))
-    queries_by_type = np.bincount(types, minlength=n_types) * plays.correct.shape[1]
+    np.add.at(correct_by_type, types, plays.correct)
+    queries_by_type = np.bincount(types, minlength=n_types) * q
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan
@@ -182,42 +184,45 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
-    plays = Plays.empty(run.n_trials * run.h, run.q)
+    plays = Plays.empty(run.n_trials * run.h)
     kl_curve: list[float] = []
     err_curve: list[float] = []
     for trial in range(run.n_trials):
-        best_response = (bne_select(belief.p_hat, cfg)
-                         if run.selection is SelectionMethod.BNE else None)
+        best_response = None
+        if run.selection is SelectionMethod.BNE:
+            strategy, br_type = bne_select(belief.p_hat, cfg)
+            best_response = strategy.argmax, br_type
         draws = rng.random((run.h, run.draws_per_play))
         for p, u in enumerate(draws, trial * run.h):
             tree_traverse(cfg, run, u, belief, sums, best_response, plays, p)
         refresh_marginal(belief)
         kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
         err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
-    return _aggregate(plays, cfg, kl_curve, err_curve, belief)
+    return _aggregate(plays, cfg, run.q, kl_curve, err_curve, belief)
 
 
 def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
-                          policy: Strategy) -> SelfPlayResult:
-    """Metrics for a fixed learner strategy over the same play schedule.
+                          classifier: ClassifierId) -> SelfPlayResult:
+    """Metrics for a fixed learner classifier over the same play schedule.
 
     No adaptive selection and no belief updates: every play is a
-    `game_play` with `policy` as the learner's move, on a row of the
+    `game_play` with `classifier` as the learner's move, on a row of the
     trial's doubles, drawn as `self_play` draws them.  The belief stays
     uniform, so the KL column reports its divergence for every trial.
     """
     run = run.resolved(cfg)
+    cfg.check_classifier(classifier)
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
-    # adversary_utilities also refuses a policy of the wrong length
-    move = (policy, int(np.argmax(adversary_utilities(policy, cfg))))
-    plays = Plays.empty(run.n_trials * run.h, run.q)
+    policy = Strategy.pure(classifier, cfg.n_classifiers)
+    move = classifier, int(np.argmax(adversary_utilities(policy, cfg)))
+    plays = Plays.empty(run.n_trials * run.h)
     for trial in range(run.n_trials):
         draws = rng.random((run.h, run.draws_per_play))
         for p, u in enumerate(draws, trial * run.h):
             game_play(cfg, run, u, belief, sums, move, plays, p)
     base_kl = kl_divergence(belief.p_hat, run.true_p)
     base_err = max_componentwise_error(belief.p_hat, run.true_p)
-    return _aggregate(plays, cfg, [base_kl] * run.n_trials,
+    return _aggregate(plays, cfg, run.q, [base_kl] * run.n_trials,
                       [base_err] * run.n_trials, belief)

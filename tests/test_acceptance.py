@@ -79,7 +79,7 @@ def shared_runs():
                     classification_mode=ClassificationMode.EXPECTATION,
                     true_p=true_p, seed=20_000 + 97 * focus + 7 * k,
                 )
-                base.append(evaluate_fixed_policy(cfg, run, Strategy.pure(2, 3)))
+                base.append(evaluate_fixed_policy(cfg, run, 2))
             baselines[focus] = base
     return cfg, runs, baselines, timer.elapsed
 

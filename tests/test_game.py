@@ -282,6 +282,20 @@ class TestDomainTypes:
         with pytest.raises(ConfigurationError):
             GameConfig(cfg.accuracy, PayoffConfig.unit(3, 5))
 
+    def test_value_types_compare_by_identity(self):
+        """`==` on two equal-valued instances is False instead of numpy's
+        ambiguous-truth `ValueError`, an instance equals itself, and each
+        hashes by identity."""
+        makers = [default_config, lambda: default_config().accuracy,
+                  lambda: default_config().payoff, lambda: TypeDistribution.uniform(4),
+                  lambda: Strategy.uniform(3)]
+        for make in makers:
+            a, b = make(), make()
+            assert a == a
+            assert not a == b
+            assert a != b
+            assert len({a, a, b}) == 2
+
     def test_dimensions_are_the_accuracy_shape(self, cfg):
         """The constructor takes the matrix and the payoffs only; the
         dimensions are read-only properties of the matrix's shape."""

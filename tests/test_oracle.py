@@ -55,8 +55,7 @@ class TestGenerateQueries:
 
 class TestClassify:
     def test_expectation_mode_returns_matrix_entry(self, cfg):
-        got = classify(np.array([2]), np.array([3]), cfg,
-                       ClassificationMode.EXPECTATION, NO_DOUBLES)
+        got = classify(2, np.array([3]), cfg, ClassificationMode.EXPECTATION, NO_DOUBLES)
         assert got.tolist() == [0.7502]
 
     def test_certain_classifier_always_correct(self, cfg):
@@ -64,12 +63,12 @@ class TestClassify:
         sure = GameConfig(AccuracyMatrix(np.ones((1, 1))), cfg.payoff.unit(1, 1))
         zeros = np.zeros(20, dtype=np.int64)
         u = np.random.default_rng(5).random(20)
-        assert classify(zeros, zeros, sure, ClassificationMode.STOCHASTIC, u).all()
-        assert classify(zeros, zeros, sure, ClassificationMode.EXPECTATION,
+        assert classify(0, zeros, sure, ClassificationMode.STOCHASTIC, u).all()
+        assert classify(0, zeros, sure, ClassificationMode.EXPECTATION,
                         NO_DOUBLES).tolist() == [1.0] * 20
 
     def test_stochastic_mode_concentrates_on_entry(self, cfg):
-        draws = classify(np.full(50_000, 2), generate_queries(2, 50_000), cfg,
+        draws = classify(2, generate_queries(2, 50_000), cfg,
                          ClassificationMode.STOCHASTIC,
                          np.random.default_rng(11).random(50_000))
         assert draws.dtype == bool
@@ -118,41 +117,49 @@ class TestRandomStream:
 
 
 class TestClassifyBatch:
-    """A batch is answered with one range-checked lookup and one
-    comparison with doubles drawn in one random call, and agrees with one
-    draw per query."""
+    """A batch is answered by one classifier with one range-checked lookup
+    and one comparison with doubles drawn in one random call, and agrees
+    with one draw per query."""
 
     @staticmethod
-    def per_query(chosen, types, cfg, mode, rng):
+    def per_query(classifier, types, cfg, mode, rng):
         acc = cfg.accuracy.acc
         if mode is ClassificationMode.EXPECTATION:
-            return [float(acc[j, t]) for j, t in zip(chosen, types)]
-        return [1.0 if rng.random() < acc[j, t] else 0.0
-                for j, t in zip(chosen, types)]
+            return [float(acc[classifier, t]) for t in types]
+        return [1.0 if rng.random() < acc[classifier, t] else 0.0 for t in types]
+
+    @staticmethod
+    def answer_in_turn(chosen, types, cfg, mode):
+        """Answer the batch `types` with each classifier of `chosen` in turn,
+        as a run of plays would."""
+        types = np.array(types)
+        for classifier in np.ravel(chosen).tolist():
+            classify(classifier, types, cfg, mode, np.zeros(types.shape))
 
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_matches_scalar_calls_and_stream(self, cfg, mode):
         for seed in range(50):
             meta = np.random.default_rng(seed)
             size = int(meta.integers(1, 40))
-            chosen = meta.integers(0, 3, size=size)
+            classifier = int(meta.integers(0, 3))
             types = (generate_queries(int(meta.integers(4)), size) if seed % 2
                      else meta.integers(0, 4, size=size))
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             if mode is ClassificationMode.STOCHASTIC:
-                batch = classify(chosen, types, cfg, mode, ours.random(size))
+                batch = classify(classifier, types, cfg, mode, ours.random(size))
                 assert batch.dtype == bool
             else:
-                batch = classify(chosen, types, cfg, mode, NO_DOUBLES)
+                batch = classify(classifier, types, cfg, mode, NO_DOUBLES)
                 assert batch.dtype == np.float64
-            assert batch.tolist() == self.per_query(chosen, types, cfg, mode, theirs)
+            assert batch.tolist() == self.per_query(classifier, types, cfg, mode, theirs)
             assert ours.random() == theirs.random()
 
     def test_expectation_mode_draws_nothing(self, cfg):
         for u in (NO_DOUBLES, np.full(3, np.nan)):
-            got = classify(np.array([0, 2, 1]), generate_queries(3, 3), cfg,
-                           ClassificationMode.EXPECTATION, u)
-            np.testing.assert_array_equal(got, cfg.accuracy.acc[[0, 2, 1], 3])
+            for classifier in range(3):
+                got = classify(classifier, generate_queries(3, 3), cfg,
+                               ClassificationMode.EXPECTATION, u)
+                assert got.tolist() == [cfg.accuracy.acc[classifier, 3]] * 3
 
     @pytest.mark.parametrize("chosen, type_id", [
         ([0, 3, 1], 0),
@@ -163,24 +170,26 @@ class TestClassifyBatch:
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_out_of_range_raises(self, cfg, chosen, type_id, mode):
         with pytest.raises(ConfigurationError, match="out of range"):
-            classify(np.array(chosen), np.full(len(chosen), type_id), cfg, mode,
-                     np.zeros(len(chosen)))
+            self.answer_in_turn(chosen, np.full(len(chosen), type_id), cfg, mode)
 
     def test_empty_batch(self, cfg):
-        got = classify(np.array([], dtype=np.int64), generate_queries(1, 0), cfg,
+        got = classify(0, generate_queries(1, 0), cfg,
                        ClassificationMode.STOCHASTIC, NO_DOUBLES)
         assert got.shape == (0,)
 
-    def test_shape_mismatch_raises(self, cfg):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            classify(np.array([0, 1, 2]), generate_queries(1, 1), cfg,
-                     ClassificationMode.EXPECTATION, NO_DOUBLES)
+    def test_classifier_must_be_one_index(self, cfg):
+        """A batch has one classifier: an array of them, which would
+        broadcast against the queries, or a float is refused."""
+        for classifier in (np.array([0, 1, 2]), np.array([1]), 1.0):
+            with pytest.raises(TypeError):
+                classify(classifier, generate_queries(1, 1), cfg,
+                         ClassificationMode.EXPECTATION, NO_DOUBLES)
 
     def test_doubles_shape_mismatch_raises(self, cfg):
         """One double per query, or the comparison would broadcast."""
         message = r"^shape mismatch: \(1,\) doubles for \(3,\) queries$"
         with pytest.raises(ValueError, match=message):
-            classify(np.array([0, 1, 2]), generate_queries(1, 3), cfg,
+            classify(1, generate_queries(1, 3), cfg,
                      ClassificationMode.STOCHASTIC, np.full(1, 0.5))
 
     @pytest.mark.parametrize("chosen, types, message", [
@@ -189,10 +198,11 @@ class TestClassifyBatch:
         ([0, 1, 2], [3, 4, 0], "type index 4 out of range"),
         ([0, 1, 2], [0, -1, 3], "type index -1 out of range"),
         ([[0, 1], [2, 0]], [[0, 1], [9, 2]], "type index 9 out of range"),
-        ([[0, 7], [2, 0]], [[0, 1], [-9, 2]], "classifier index 7 out of range"),
+        ([[7, 0], [2, 0]], [[0, 1], [-9, 2]], "classifier index 7 out of range"),
     ])
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_error_names_the_bad_id(self, cfg, chosen, types, message, mode):
+        """The first refused answer names its bad id, the classifier's
+        before the queries' when both are bad."""
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            classify(np.array(chosen), np.array(types), cfg, mode,
-                     np.zeros(np.shape(chosen)))
+            self.answer_in_turn(chosen, types, cfg, mode)

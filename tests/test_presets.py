@@ -1,6 +1,7 @@
 """Preset report content, CLI surface, and byte-level reproducibility."""
 
 import json
+import platform
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,15 @@ class TestCli:
         with pytest.warns(UserWarning, match="^game.accuracy: hardening"):
             assert main(["run", str(saved), "--out", str(again)]) == 0
         assert (again / f"{name}.csv").read_bytes() == (first / f"{name}.csv").read_bytes()
+
+    def test_manifest_records_python_and_numpy_versions(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"run": {"h": 3, "n_trials": 2, "q": 2},
+                                         "repetitions": 1}))
+        assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_plain_run_manifest_names_no_preset(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 """Self-play loop: belief convergence, bookkeeping, baselines, determinism."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from clfgame import (
     bne_select,
     default_config,
     evaluate_fixed_policy,
+    generate_queries,
     kl_divergence,
     self_play,
 )
@@ -50,7 +52,7 @@ class TestSelfPlayStructure:
         with pytest.raises(TypeError):
             SelfPlayConfig(h=h, traversals_per_trial=h + 1)
         res = self_play(default_config(), run)
-        fixed = evaluate_fixed_policy(default_config(), run, Strategy.uniform(3))
+        fixed = evaluate_fixed_policy(default_config(), run, 1)
         assert len(res.plays) == len(fixed.plays) == 3 * h
         assert res.belief_state.total_observations == 3 * h
         assert len(res.per_trial_kl) == 3
@@ -65,7 +67,7 @@ class TestSelfPlayStructure:
         run = SelfPlayConfig(h=3, n_trials=4, q=2, true_p=true_p, seed=3,
                              selection=SelectionMethod.BNE,
                              adversary_mode=AdversaryMode.BEST_RESPONSE)
-        fixed = evaluate_fixed_policy(cfg, run, Strategy.pure(0, 3))
+        fixed = evaluate_fixed_policy(cfg, run, 0)
         assert fixed.per_trial_kl.tolist() == [kl_divergence(uniform, true_p)] * 4
         picks = []
 
@@ -101,13 +103,19 @@ class TestSelfPlayStructure:
         assert res.belief_state.joint_counts.tolist() == tally.tolist()
 
     def test_selection_counts_cover_every_query(self):
+        """Each play's action answers its q queries, so every query is
+        counted once, under its type and the play's action."""
         run = SelfPlayConfig(h=5, n_trials=4, q=6, seed=4)
         res = self_play(default_config(), run)
         assert res.selection_counts.sum() == len(res.plays) * 6
         by_type = np.zeros(4, dtype=int)
-        for theta, row in zip(res.plays.type, res.plays.classifier):
-            by_type[theta] += len(row)
+        by_cell = np.zeros((4, 3), dtype=int)
+        for theta, action in zip(res.plays.type, res.plays.action):
+            for _ in range(run.q):
+                by_type[theta] += 1
+                by_cell[theta, action] += 1
         np.testing.assert_array_equal(res.selection_counts.sum(axis=1), by_type)
+        np.testing.assert_array_equal(res.selection_counts, by_cell)
 
     def test_belief_counts_match_realized_plays(self):
         run = SelfPlayConfig(h=6, n_trials=5, q=3, seed=5)
@@ -224,7 +232,7 @@ class TestSelectionBehavior:
                              classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(2, 4), seed=47)
         searched = self_play(cfg, run)
-        fixed = evaluate_fixed_policy(cfg, run, Strategy.pure(2, 3))
+        fixed = evaluate_fixed_policy(cfg, run, 2)
         assert abs(searched.mean_learner_utility - fixed.mean_learner_utility) <= 0.02
         assert searched.mean_learner_utility == pytest.approx(0.8152, abs=0.02)
 
@@ -233,14 +241,14 @@ class TestFixedPolicy:
     def test_pure_hardened_accuracy_on_degenerate_type(self):
         run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(2, 4), seed=29)
-        res = evaluate_fixed_policy(default_config(), run, Strategy.pure(2, 3))
+        res = evaluate_fixed_policy(default_config(), run, 2)
         assert res.per_type_accuracy[2] == pytest.approx(0.8152, abs=1e-12)
         assert res.overall_accuracy == pytest.approx(0.8152, abs=1e-12)
 
     def test_pure_baseline_utility_on_clean_stream(self):
         run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(0, 4), seed=31)
-        res = evaluate_fixed_policy(default_config(), run, Strategy.pure(0, 3))
+        res = evaluate_fixed_policy(default_config(), run, 0)
         assert res.mean_learner_utility == pytest.approx(0.9392, abs=1e-12)
 
     def test_zero_payoffs_zero_utilities(self):
@@ -251,35 +259,39 @@ class TestFixedPolicy:
         )
         zero_cfg = GameConfig(cfg.accuracy, payoff)
         run = SelfPlayConfig(seed=37)
-        res = evaluate_fixed_policy(zero_cfg, run, Strategy.uniform(3))
-        assert res.mean_learner_utility == 0.0
-        assert res.mean_adversary_utility == 0.0
+        for classifier in range(3):
+            res = evaluate_fixed_policy(zero_cfg, run, classifier)
+            assert res.mean_learner_utility == 0.0
+            assert res.mean_adversary_utility == 0.0
 
     def test_no_belief_updates(self):
         run = SelfPlayConfig(n_trials=4, seed=41)
-        res = evaluate_fixed_policy(default_config(), run, Strategy.uniform(3))
+        res = evaluate_fixed_policy(default_config(), run, 1)
         assert res.belief_state.total_observations == 0
         assert len(res.per_trial_kl) == 4
         assert len(set(res.per_trial_kl.tolist())) == 1
 
     def test_policy_dimension_checked(self):
-        with pytest.raises(ConfigurationError):
-            evaluate_fixed_policy(default_config(), SelfPlayConfig(seed=1),
-                                  Strategy.uniform(2))
+        for classifier in (3, -1):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^classifier index {classifier} out of range$"):
+                evaluate_fixed_policy(default_config(), SelfPlayConfig(seed=1), classifier)
 
 
-def reference_fixed_policy_rows(cfg, run, policy):
+def reference_fixed_policy_rows(cfg, run, classifier):
     """`evaluate_fixed_policy`'s plays as a per-play loop of per-query draws,
-    as the bytes of each play's six fields.
+    as the bytes of each play's fields, with its per-query correctness
+    reduced by a 1-d `sum`.
 
     Per play: the type by one `Generator.choice` (sampled adversary) or the
-    type that best responds to the policy, then per query one classifier by
-    `Generator.choice` and, in stochastic mode, per query one correctness
-    double.
+    type that best responds to the classifier, then per query one
+    classifier by `Generator.choice` on the classifier's pure policy and,
+    in stochastic mode, per query one correctness double.
     """
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
     acc, payoff = cfg.accuracy.acc, cfg.payoff
+    policy = Strategy.pure(classifier, cfg.n_classifiers)
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
     true_p = run.true_p.probs / run.true_p.probs.sum()
     weights = policy.probs / policy.probs.sum()
@@ -300,22 +312,23 @@ def reference_fixed_policy_rows(cfg, run, policy):
             correct * payoff.v_learner[chosen, theta] - payoff.c_classifier[chosen])
         u_adversary = np.mean(
             (1.0 - correct) * payoff.v_adversary[chosen, theta] - payoff.c_type[theta])
-        rows.append((np.int64(np.argmax(policy.probs)).tobytes(), np.int64(theta).tobytes(),
-                     chosen.tobytes(), correct.tobytes(),
+        rows.append((np.int64(classifier).tobytes(), np.int64(theta).tobytes(),
+                     chosen.tobytes(), correct.sum().tobytes(),
                      np.float64(u_learner).tobytes(), np.float64(u_adversary).tobytes()))
     return rows
 
 
-def row_bytes(plays, p):
-    """The bytes of every field of row p of a `Plays` record."""
+def row_bytes(plays, p, q):
+    """The bytes of every field of entry p of a `Plays` record of q queries
+    per play, whose q queries were all answered by its action."""
     return (plays.action[p].tobytes(), plays.type[p].tobytes(),
-            plays.classifier[p].tobytes(), plays.correct[p].tobytes(),
+            np.full(q, plays.action[p], dtype=np.int64).tobytes(), plays.correct[p].tobytes(),
             plays.u_learner[p].tobytes(), plays.u_adversary[p].tobytes())
 
 
 class TestFixedPolicyRows:
-    """Every row `evaluate_fixed_policy` writes is the play a per-play loop
-    realizes, byte for byte, so no row keeps `np.empty`'s contents."""
+    """Every entry `evaluate_fixed_policy` writes is the play a per-play
+    loop realizes, byte for byte, so no entry keeps `np.empty`'s contents."""
 
     @pytest.mark.parametrize("q", [1, 3, 1000])
     @pytest.mark.parametrize("adversary", list(AdversaryMode))
@@ -323,29 +336,28 @@ class TestFixedPolicyRows:
     def test_rows_match_per_play_loop(self, q, adversary, mode):
         cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
         h, n_trials = (2, 2) if q == 1000 else (5, 3)
-        cases = [(Strategy(np.array([0.2, 0.3, 0.5])), np.array([0.1, 0.2, 0.3, 0.4])),
-                 (Strategy(np.array([0.5, 0.0, 0.5])), np.array([0.0, 0.5, 0.0, 0.5]))]
-        for seed, (policy, true_p) in enumerate(cases):
-            run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, seed=seed,
+        true_ps = [np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.0, 0.5, 0.0, 0.5])]
+        for classifier in range(cfg.n_classifiers):
+            run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, seed=classifier,
                                  adversary_mode=adversary, classification_mode=mode,
-                                 true_p=TypeDistribution(true_p))
-            res = evaluate_fixed_policy(cfg, run, policy)
+                                 true_p=TypeDistribution(true_ps[classifier % 2]))
+            res = evaluate_fixed_policy(cfg, run, classifier)
             assert len(res.plays) == h * n_trials
-            assert [row_bytes(res.plays, p) for p in range(len(res.plays))] == \
-                reference_fixed_policy_rows(cfg, run, policy), (seed, policy.probs)
+            assert [row_bytes(res.plays, p, q) for p in range(len(res.plays))] == \
+                reference_fixed_policy_rows(cfg, run, classifier), classifier
 
 
-def loop_aggregate(plays, cfg):
-    """The run metrics as a loop over the plays computes them, one row at a
-    time."""
+def loop_aggregate(plays, cfg, q):
+    """The run metrics as a loop over the plays computes them, one play at
+    a time, with each play's q queries answered by its action."""
     counts = np.zeros((cfg.n_types, cfg.n_classifiers), dtype=np.int64)
     correct_by_type = np.zeros(cfg.n_types)
     queries_by_type = np.zeros(cfg.n_types, dtype=np.int64)
     for p in range(len(plays)):
-        theta, correct = plays.type[p], plays.correct[p]
-        counts[theta] += np.bincount(plays.classifier[p], minlength=cfg.n_classifiers)
-        correct_by_type[theta] += correct.sum()
-        queries_by_type[theta] += len(correct)
+        theta, classifiers = plays.type[p], np.full(q, plays.action[p])
+        counts[theta] += np.bincount(classifiers, minlength=cfg.n_classifiers)
+        correct_by_type[theta] += plays.correct[p]
+        queries_by_type[theta] += len(classifiers)
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan)
@@ -360,7 +372,6 @@ class TestAggregateMatchesPlayLoop:
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_stacked_metrics_are_byte_identical(self, q, mode):
         cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
-        policy = Strategy(np.array([0.2, 0.3, 0.5]))
         per_trial = 20 if q < 1000 else 4
         for seed in range(6):
             true_p = TypeDistribution(np.array([0.1, 0.2, 0.3, 0.4]) if seed % 2
@@ -368,11 +379,35 @@ class TestAggregateMatchesPlayLoop:
             run = SelfPlayConfig(h=per_trial, n_trials=5, q=q, seed=seed,
                                  classification_mode=mode, true_p=true_p,
                                  selection=list(SelectionMethod)[seed % 2])
-            for res in (self_play(cfg, run), evaluate_fixed_policy(cfg, run, policy)):
-                counts, per_type, overall = loop_aggregate(res.plays, cfg)
+            for res in (self_play(cfg, run), evaluate_fixed_policy(cfg, run, seed % 3)):
+                counts, per_type, overall = loop_aggregate(res.plays, cfg, q)
                 assert res.selection_counts.tolist() == counts.tolist()
                 assert res.selection_counts.dtype == np.int64
                 assert res.per_type_accuracy.tobytes() == per_type.tobytes()
                 assert np.array(res.overall_accuracy).tobytes() == \
                     np.array(overall).tobytes()
                 assert len(res.plays) == 5 * per_trial
+
+
+class TestRunMemory:
+    @staticmethod
+    def traced_peak(cfg, n_trials, q):
+        run = SelfPlayConfig(h=1, n_trials=n_trials, q=q, seed=5)
+        tracemalloc.start()
+        try:
+            self_play(cfg, run)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_trials(self):
+        """A run keeps one entry per play, so 16 trials of one 10^5-query
+        play peak no higher than 4 do: the 12 extra plays' 1.2 million
+        queries add less than one byte each."""
+        cfg, q = default_config(), 100_000
+        for theta in range(cfg.n_types):  # the shared query batches
+            generate_queries(theta, q)
+        self.traced_peak(cfg, 1, q)  # the game's cached utility tables
+        four = self.traced_peak(cfg, 4, q)
+        sixteen = self.traced_peak(cfg, 16, q)
+        assert sixteen - four < 12 * q, (four, sixteen)

@@ -20,6 +20,7 @@ from clfgame import (
     TypeDistribution,
     bne_select,
     default_config,
+    evaluate_fixed_policy,
     game_play,
     play_batch,
     proportional_choice,
@@ -39,15 +40,18 @@ def make_ctx(cfg=None, seed=0, **run_kwargs):
             (run.n_trials * run.h, run.draws_per_play)),
         belief=BeliefState.fresh(cfg.n_classifiers, cfg.n_types),
         sums=([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types),
-        plays=Plays.empty(run.n_trials * run.h, run.q),
+        plays=Plays.empty(run.n_trials * run.h),
     )
     return cfg, run, ctx
 
 
 def first_play(cfg, run, ctx):
-    """`game_play` into row 0, with the best response `self_play` computes
-    for a fresh belief under BNE selection."""
-    best = bne_select(ctx.belief.p_hat, cfg) if run.selection is SelectionMethod.BNE else None
+    """`game_play` into entry 0, with the best response `self_play`
+    computes for a fresh belief under BNE selection."""
+    best = None
+    if run.selection is SelectionMethod.BNE:
+        strategy, br_type = bne_select(ctx.belief.p_hat, cfg)
+        best = (strategy.argmax, br_type)
     return game_play(cfg, run, ctx.draws[0], ctx.belief, ctx.sums, best, ctx.plays, 0)
 
 
@@ -105,10 +109,14 @@ class TestGamePlay:
         assert ctx.sums == (learner, adversary)
 
     def test_batch_length_matches_q(self):
+        """A play answers q queries: it is handed a type double and two
+        doubles per query, its correctness sum counts at most q correct
+        answers, and the run's record keeps one entry per play."""
         cfg, run, ctx = make_ctx(q=7)
+        assert ctx.draws.shape == (run.n_trials * run.h, 1 + 2 * 7)
         first_play(cfg, run, ctx)
-        assert ctx.plays.classifier.shape == (run.n_trials * run.h, 7)
-        assert ctx.plays.correct.shape == (run.n_trials * run.h, 7)
+        assert ctx.plays.correct.shape == (run.n_trials * run.h,)
+        assert ctx.plays.correct[0] in range(8)
 
     def test_best_response_adversary_targets_weak_spot(self):
         cfg, run, ctx = make_ctx(adversary_mode=AdversaryMode.BEST_RESPONSE,
@@ -166,14 +174,17 @@ class TestProportionalChoice:
 
 class TestPlayBatch:
     def test_policy_with_zero_mass_never_uses_that_classifier(self):
+        """A play's classifier is its action: a fixed-policy run of one
+        classifier puts every query on it and none on the others."""
         cfg = default_config()
-        run = SelfPlayConfig(q=50, true_p=TypeDistribution.uniform(4)).resolved(cfg)
-        policy = Strategy(np.array([0.5, 0.0, 0.5]))
-        plays = Plays.empty(1, run.q)
-        play_batch(policy, 1, cfg, run, np.random.default_rng(43).random(2 * run.q),
+        run = SelfPlayConfig(h=5, n_trials=4, q=50, seed=43)
+        for action in range(cfg.n_classifiers):
+            counts = evaluate_fixed_policy(cfg, run, action).selection_counts
+            assert counts[:, action].sum() == counts.sum() == 20 * 50
+        plays = Plays.empty(1)
+        play_batch(2, 1, cfg, run.resolved(cfg), np.random.default_rng(43).random(2 * run.q),
                    plays, 0)
-        assert 1 not in set(plays.classifier[0].tolist())
-        assert plays.type[0] == 1
+        assert (plays.action[0], plays.type[0]) == (2, 1)
 
 
 def reference_choice(rng, weights):
@@ -182,11 +193,12 @@ def reference_choice(rng, weights):
     return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
-def reference_play_batch(strategy, theta, cfg, run, rng):
-    """`play_batch` as a per-query loop: one choice draw per query, then one
-    correctness draw per query."""
+def reference_play_batch(action, theta, cfg, run, rng):
+    """`play_batch` as a per-query loop: one choice draw per query on the
+    action's pure strategy, then one correctness draw per query."""
+    probs = Strategy.pure(action, cfg.n_classifiers).probs
     chosen = np.array([
-        reference_choice(rng, strategy.probs) for _ in range(run.q)
+        reference_choice(rng, probs) for _ in range(run.q)
     ], dtype=np.int64)
     acc = cfg.accuracy.acc
     if run.classification_mode is ClassificationMode.EXPECTATION:
@@ -259,28 +271,24 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_play_batch_matches_per_query_loop(self, mode):
+        """Every query of the loop is answered by the play's action, the
+        loop's 1-d correctness sum is the play's, and the play leaves the
+        stream where the loop does."""
         cfg = default_config(c_classifier=[0.0, 0.01, 0.02])
         meta = np.random.default_rng(7)
         for seed in range(200):
-            kind = seed % 3
-            if kind == 0:
-                strategy = Strategy.pure(int(meta.integers(3)), 3)
-            elif kind == 1:
-                strategy = Strategy(meta.dirichlet(np.ones(3)))
-            else:
-                probs = np.array([0.25, 0.0, 0.75])
-                strategy = Strategy(meta.permutation(probs))
+            action = int(meta.integers(3))
             theta = int(meta.integers(4))
             run = SelfPlayConfig(q=int(meta.integers(1, 60)), seed=seed,
                                  classification_mode=mode).resolved(cfg)
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            plays = Plays.empty(1, run.q)
-            utilities = play_batch(strategy, theta, cfg, run, batch_doubles(ours, run),
+            plays = Plays.empty(1)
+            utilities = play_batch(action, theta, cfg, run, batch_doubles(ours, run),
                                    plays, 0)
             chosen, correct, want = reference_play_batch(
-                strategy, theta, cfg, run, theirs)
-            np.testing.assert_array_equal(plays.classifier[0], chosen)
-            np.testing.assert_array_equal(plays.correct[0], correct)
+                action, theta, cfg, run, theirs)
+            assert chosen.tolist() == [plays.action[0]] * run.q
+            assert plays.correct[0].tobytes() == correct.sum().tobytes()
             assert float_bits(utilities) == float_bits(want)
             assert float_bits((plays.u_learner[0], plays.u_adversary[0])) == float_bits(want)
             assert ours.random() == theirs.random()
@@ -297,15 +305,15 @@ class TestStreamEquivalence:
                 c_classifier=meta.random(3) / 10, c_type=meta.random(4) / 10,
             )
             cfg = GameConfig(accuracy, payoff)
-            strategy = Strategy(meta.dirichlet(np.ones(3)))
+            action = int(meta.integers(3))
             theta = int(meta.integers(4))
             # up to 400 queries: numpy's pairwise sum splits blocks above 128
             run = SelfPlayConfig(q=int(meta.integers(1, 400)), seed=seed,
                                  classification_mode=mode).resolved(cfg)
-            plays = Plays.empty(1, run.q)
-            utilities = play_batch(strategy, theta, cfg, run,
+            plays = Plays.empty(1)
+            utilities = play_batch(action, theta, cfg, run,
                                    batch_doubles(np.random.default_rng(seed), run), plays, 0)
-            *_, want = reference_play_batch(strategy, theta, cfg, run,
+            *_, want = reference_play_batch(action, theta, cfg, run,
                                             np.random.default_rng(seed))
             assert float_bits(utilities) == float_bits(want)
 
@@ -326,21 +334,22 @@ class TestStreamEquivalence:
         else:
             terms = [table[0] for table in cfg.expected_utilities]
         assert float_bits(np.concatenate(terms)) == [(-0.0).hex()] * 4
-        for seed, strategy in enumerate([Strategy.pure(1, 2), Strategy.uniform(2)]):
+        for seed, action in enumerate([1, 0]):
             run = SelfPlayConfig(q=9, seed=seed, classification_mode=mode,
                                  true_p=TypeDistribution.uniform(2)).resolved(cfg)
-            plays = Plays.empty(1, run.q)
-            utilities = play_batch(strategy, 1, cfg, run,
+            plays = Plays.empty(1)
+            utilities = play_batch(action, 1, cfg, run,
                                    batch_doubles(np.random.default_rng(seed), run), plays, 0)
             _, correct, want = reference_play_batch(
-                strategy, 1, cfg, run, np.random.default_rng(seed))
+                action, 1, cfg, run, np.random.default_rng(seed))
             assert not correct.any()
             assert float_bits(utilities) == float_bits(want)
 
 
 class TestCachedSampling:
-    """Distributions cache the CDF and argmax their draws need; the draws
-    are the ones `_choice_cdf` and `Generator.choice` give."""
+    """A type distribution caches the CDF its draws search, and a strategy
+    its argmax; the draws are the ones `_choice_cdf` and `Generator.choice`
+    give."""
 
     def test_pure_strategy_is_one_shared_read_only_object(self):
         first = Strategy.pure(1, 3)
@@ -350,24 +359,23 @@ class TestCachedSampling:
         assert Strategy.pure(1, 4) is not first
         np.testing.assert_array_equal(first.probs, [0.0, 1.0, 0.0])
         assert first.argmax == 1
-        for array in (first.probs, first.cdf):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.5
+        assert not first.probs.flags.writeable
+        with pytest.raises(ValueError):
+            first.probs[0] = 0.5
 
     def test_cached_cdfs_draw_what_choice_draws(self):
         from clfgame.game import _choice_cdf
         meta = np.random.default_rng(2025)
         for case in range(1500):
             weights = random_weights(meta, int(meta.integers(1, 12)))
-            for kind in (Strategy, TypeDistribution):
-                dist = kind(weights / weights.sum())
-                np.testing.assert_array_equal(dist.cdf, _choice_cdf(dist.probs))
-                assert dist.cdf is dist.cdf
-                ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
-                drawn = proportional_choice(ours.random(), dist)
-                assert drawn == int(theirs.choice(len(dist), p=dist.probs)), weights
-                assert ours.random() == theirs.random()
+            dist = TypeDistribution(weights / weights.sum())
+            np.testing.assert_array_equal(dist.cdf, _choice_cdf(dist.probs))
+            assert dist.cdf is dist.cdf
+            assert not dist.cdf.flags.writeable
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            drawn = proportional_choice(ours.random(), dist)
+            assert drawn == int(theirs.choice(len(dist), p=dist.probs)), weights
+            assert ours.random() == theirs.random()
 
     def test_draw_on_a_cdf_entry_matches_searchsorted(self):
         """A double equal to a CDF entry (zero-mass runs repeat entries)
@@ -392,9 +400,5 @@ class TestCachedSampling:
     def test_argmax_breaks_ties_toward_the_lowest_index(self):
         assert Strategy(np.array([0.2, 0.4, 0.4])).argmax == 1
         assert Strategy.uniform(3).argmax == 0
-        cfg = default_config()
-        run = SelfPlayConfig(q=5, true_p=TypeDistribution.uniform(4)).resolved(cfg)
-        plays = Plays.empty(1, run.q)
-        play_batch(Strategy(np.array([0.1, 0.2, 0.7])), 0, cfg, run,
-                   np.random.default_rng(3).random(2 * run.q), plays, 0)
-        assert plays.action[0] == 2
+        assert Strategy(np.array([0.1, 0.2, 0.7])).argmax == 2
+        assert not hasattr(Strategy.uniform(3), "cdf")  # strategies are not sampled

@@ -12,9 +12,12 @@ byte.  With `tree_rng` set to the run's own stream, the reference
 reproduces the selection counts the tree-based `self_play` produced, pinned
 below.  The reference keeps its own per-mover play statistics
 (`NodeStats`) and scores them with the numpy UCB expression, as the
-tree-based loop did; `self_play` reads its visit counts off the belief.  The reference keeps its plays as records of its own; `self_play`
-keeps them as the rows of a `Plays` record, and every field of every row
-is compared.
+tree-based loop did; `self_play` reads its visit counts off the belief.
+The reference keeps its plays as records of its own, with a classifier and
+a correctness value per query; `self_play` keeps one entry per play in a
+`Plays` record.  Every field of every entry is compared: each reference
+query's classifier with the entry's action, the reference's 1-d
+correctness sum with the entry's, and the rest field by field.
 """
 
 import math
@@ -272,20 +275,22 @@ def selection_counts(plays, cfg):
 
 def play_bytes(rec):
     """The bytes of every field of a reference play, laid out as `row_bytes`
-    lays out a row.  Plays under UCB and BNE are pure, so the action is the
-    whole strategy."""
+    lays out an entry: its per-query classifiers, and its per-query
+    correctness reduced by a 1-d `sum`.  Plays under UCB and BNE are pure,
+    so the action is the whole strategy."""
     n_classifiers = len(rec.chosen_strategy)
     assert rec.chosen_strategy.probs.tobytes() == \
         Strategy.pure(rec.chosen_action, n_classifiers).probs.tobytes()
     return (np.int64(rec.chosen_action).tobytes(), np.int64(rec.realized_type).tobytes(),
-            rec.per_query_classifier.tobytes(), rec.per_query_correct.tobytes(),
+            rec.per_query_classifier.tobytes(), rec.per_query_correct.sum().tobytes(),
             np.float64(rec.u_learner).tobytes(), np.float64(rec.u_adversary).tobytes())
 
 
-def row_bytes(plays, p):
-    """The bytes of every field of row p of a `Plays` record."""
+def row_bytes(plays, p, q):
+    """The bytes of every field of entry p of a `Plays` record of q
+    queries per play, whose q queries were all answered by its action."""
     return (plays.action[p].tobytes(), plays.type[p].tobytes(),
-            plays.classifier[p].tobytes(), plays.correct[p].tobytes(),
+            np.full(q, plays.action[p], dtype=np.int64).tobytes(), plays.correct[p].tobytes(),
             plays.u_learner[p].tobytes(), plays.u_adversary[p].tobytes())
 
 
@@ -314,7 +319,7 @@ class TestFlatLoopMatchesTree:
             run = grid_run(*config)
             plays, counts, kl_curve = reference_self_play(cfg, run, shared_stream=False)
             res = self_play(cfg, run)
-            assert [row_bytes(res.plays, p) for p in range(len(res.plays))] == \
+            assert [row_bytes(res.plays, p, run.q) for p in range(len(res.plays))] == \
                 [play_bytes(r) for r in plays], config
             np.testing.assert_array_equal(res.selection_counts, counts)
             assert res.per_trial_kl.tobytes() == np.array(kl_curve).tobytes(), config
