@@ -36,10 +36,14 @@ for j in range(3):
     u = expected_learner_utility(Strategy.pure(j, 3), belief, cfg)
     print(f"  L{j}: {u:.4f}")
 
-s_star, theta_star = bne_select(belief, cfg)
-print(f"\nBest response to the uniform belief: L{int(np.argmax(s_star.probs))}, "
+# The adversary's best reply to each classifier is cached on the game.
+print("\nAdversary's best reply per classifier:",
+      ", ".join(f"L{j}->T{i}" for j, i in enumerate(cfg.best_response_types)))
+
+j_star, theta_star = bne_select(belief, cfg)
+print(f"\nBest response to the uniform belief: L{j_star}, "
       f"and the adversary's best reply is type T{theta_star} "
-      f"(utility {adversary_utility(s_star, theta_star, cfg):.4f}).")
+      f"(utility {adversary_utility(Strategy.pure(j_star, 3), theta_star, cfg):.4f}).")
 
 # Deployment costs change the calculus: hardened classifiers must earn
 # their keep, so cheap classifiers win on mostly-clean traffic.
@@ -47,7 +51,7 @@ priced = default_config(c_classifier=[0.0, 0.01, 0.02])
 for focus in range(4):
     concentrated = TypeDistribution.concentrated(focus, 4)
     utilities = pure_learner_utilities(concentrated, priced)
-    s, _ = bne_select(concentrated, priced)
+    j, _ = bne_select(concentrated, priced)
     print(f"98% type-T{focus} traffic with costs (0, 0.01, 0.02): "
-          f"best response L{int(np.argmax(s.probs))} "
+          f"best response L{j} "
           f"(pure utilities: {np.array2string(utilities, precision=4)})")

@@ -14,7 +14,6 @@ from clfgame import (
     SelfPlayConfig,
     TypeDistribution,
     default_config,
-    evaluate_fixed_policy,
     self_play,
 )
 
@@ -50,7 +49,7 @@ for focus in range(4):
     true_p = TypeDistribution.concentrated(focus, 4)
     run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,
                          true_p=true_p, seed=9_100 + focus)
-    baseline = evaluate_fixed_policy(cfg, run, hardened).mean_learner_utility
+    baseline = self_play(cfg, run, hardened).mean_learner_utility  # L2 pinned
     line = f"  T{focus}: baseline {baseline:.4f}"
     for method in (SelectionMethod.UCB, SelectionMethod.BNE):
         result = self_play(cfg, SelfPlayConfig(

@@ -48,7 +48,6 @@ from .selection import (
 from .selfplay import (
     SelfPlayConfig,
     SelfPlayResult,
-    evaluate_fixed_policy,
     self_play,
 )
 from .tree import (

@@ -9,6 +9,7 @@ success, 1 on validation or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -45,6 +46,7 @@ _COMMAND_PRESET = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clfgame",

@@ -131,11 +131,13 @@ def _game_from_dict(section: dict) -> GameConfig:
     """The game; its dimensions are the accuracy matrix's shape.  A payoff
     key set to a number means that number in every entry."""
     section = _present(section, "game.", _GAME_KEYS)
-    raw = _reals(section["accuracy"], "game.accuracy") if "accuracy" in section else None
+    raw = (_reals(section["accuracy"], "game.accuracy") if "accuracy" in section
+           else DEFAULT_ACCURACY)
     with _prefixed("game.accuracy: "), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        accuracy = AccuracyMatrix(DEFAULT_ACCURACY if raw is None else raw)
-    if raw is not None:  # the bundled defaults are known to dip on the clean column
+        accuracy = AccuracyMatrix(raw)
+    # the bundled matrix's known dip stays silent, left out or given in full
+    if not np.array_equal(raw, DEFAULT_ACCURACY):
         for warning in caught:
             warnings.warn(f"game.accuracy: {warning.message}", warning.category, stacklevel=3)
     n_classifiers, n_types = accuracy.acc.shape

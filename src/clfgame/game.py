@@ -21,11 +21,13 @@ the batch with that classifier and gathers both sides' utilities with one
 `take` and one `sum` from the per-type utility tables `GameConfig` caches
 (`realized_utilities`, `expected_utilities`).  `tree.proportional_choice`
 searches a sampled type's double on the type distribution's cached CDF.
+A run's moves are indices; the adversary's best response to a classifier
+is its entry of `GameConfig.best_response_types`.
 """
 
 from __future__ import annotations
 
-import operator
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,6 +91,16 @@ def _validate_simplex(probs: np.ndarray, name: str) -> None:
             f"{name} entries must sum to 1, got {_shown(probs.tolist())} (sum {total!r})")
 
 
+def _one_hot(index, n: int, name: str) -> np.ndarray:
+    """A length-n vector with 1.0 at `index`; a non-integer or out-of-range
+    index is refused, where numpy would index from the end or fail."""
+    if not (isinstance(index, numbers.Integral) and 0 <= index < n):
+        raise ConfigurationError(f"{name}: must be an integer in [0, {n}), got {_shown(index)}")
+    probs = np.zeros(n)
+    probs[index] = 1.0
+    return probs
+
+
 def _choice_cdf(probs: np.ndarray) -> np.ndarray:
     """The CDF `Generator.choice(len(probs), p=probs / probs.sum())` samples.
 
@@ -114,35 +126,15 @@ class Strategy:
 
     @classmethod
     def pure(cls, action: ClassifierId, n_classifiers: int) -> "Strategy":
-        """Strategy placing all mass on one classifier.
-
-        One validated instance per (action, n_classifiers) is built and then
-        shared; that is safe because a Strategy is frozen and its `probs`
-        are read-only.
-        """
-        key = (cls, operator.index(action), operator.index(n_classifiers))
-        strategy = _PURE_STRATEGIES.get(key)
-        if strategy is None:
-            probs = np.zeros(n_classifiers)
-            probs[action] = 1.0
-            strategy = _PURE_STRATEGIES.setdefault(key, cls(probs))
-        return strategy
+        """Strategy placing all mass on one classifier."""
+        return cls(_one_hot(action, n_classifiers, "action"))
 
     @classmethod
     def uniform(cls, n_classifiers: int) -> "Strategy":
         return cls(np.full(n_classifiers, 1.0 / n_classifiers))
 
-    @cached_property
-    def argmax(self) -> ClassifierId:
-        """The classifier with the most mass (the lowest index on ties)."""
-        return int(np.argmax(self.probs))
-
     def __len__(self) -> int:
         return len(self.probs)
-
-
-#: `Strategy.pure`'s shared instances, keyed by (class, action, n_classifiers).
-_PURE_STRATEGIES: dict[tuple, Strategy] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +149,7 @@ class TypeDistribution:
 
     @classmethod
     def degenerate(cls, type_id: AdversaryTypeId, n_types: int) -> "TypeDistribution":
-        probs = np.zeros(n_types)
-        probs[type_id] = 1.0
-        return cls(probs)
+        return cls(_one_hot(type_id, n_types, "type_id"))
 
     @classmethod
     def uniform(cls, n_types: int) -> "TypeDistribution":
@@ -188,13 +178,13 @@ class TypeDistribution:
         the last entry negative (71 types is the first such count), the
         split is not rounded, so the last entry stays near the others.
         """
+        focus = _one_hot(type_id, n_types, "type_id")
         if n_types == 1:
-            return cls(np.ones(1))
+            return cls(focus)
         share = round((1.0 - mass) / (n_types - 1), 5)
         if share * (n_types - 2) > 1.0 - mass:
             share = (1.0 - mass) / (n_types - 1)
-        probs = np.full(n_types, share)
-        probs[type_id] = mass
+        probs = np.where(focus == 1.0, mass, share)
         others = [i for i in range(n_types) if i != type_id]
         probs[others[-1]] = 1.0 - mass - share * (len(others) - 1)
         return cls(probs)
@@ -344,6 +334,15 @@ class GameConfig:
         learner = acc * payoff.v_learner.T - payoff.c_classifier
         adversary = (1.0 - acc) * payoff.v_adversary.T - payoff.c_type[:, None]
         return _tables(learner, adversary)
+
+    @cached_property
+    def best_response_types(self) -> tuple[AdversaryTypeId, ...]:
+        """Per classifier j, the type that best responds to it: the argmax
+        of j's adversary entries in `expected_utilities`, the lowest type
+        on ties.  These are `adversary_utilities(Strategy.pure(j, ...))`'s
+        argmaxes.  Built on first use."""
+        adversary = np.array(self.expected_utilities)[:, 1]  # [n_types, n_classifiers]
+        return tuple(adversary.argmax(axis=0).tolist())
 
 
 def _tables(learner: np.ndarray, adversary: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ from .game import TypeDistribution
 from .oracle import empirical_accuracy
 from .reports import ReportRow, write_report
 from .selection import SelectionMethod
-from .selfplay import evaluate_fixed_policy, self_play
+from .selfplay import self_play
 
 ACCURACY_CHECK_SAMPLES = 50_000
 
@@ -189,7 +189,7 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
             rows.append(ReportRow(exp, spec.run.seed, -1,
                                   "mean_adversary_utility", adversary))
         run = replace(spec.run, true_p=true_p, seed=_next_seed(stream))
-        baseline = evaluate_fixed_policy(spec.game, run, hardened)
+        baseline = self_play(spec.game, run, hardened)
         rows.append(ReportRow(f"utility:baseline:T{focus}", run.seed, -1,
                               "baseline_learner_utility",
                               baseline.mean_learner_utility))

@@ -3,11 +3,13 @@
 Both sides pick actions with one of two rules.  `bne_select` maximizes
 expected utility given the learner's current belief over adversary types
 (the maximizer over mixed strategies is attained at a pure one because the
-objective is linear).  The `ucb_select_*` pair scores actions by accumulated
-utility plus an exploration bonus over visit counts.  The visit counts are
-the belief's (`BeliefState.action_counts` and `type_counts`); the sums are
-two lists a run keeps, one per mover, of mean-per-query utilities, so the
-exploration constant works on one scale at every batch size.
+objective is linear), so it returns two indices: the classifier and the
+type that best responds to it.  The `ucb_select_*` pair scores actions by
+accumulated utility plus an exploration bonus over visit counts.  The
+visit counts are the belief's (`BeliefState.action_counts` and
+`type_counts`); the sums are two lists a run keeps, one per mover, of
+mean-per-query utilities, so the exploration constant works on one scale
+at every batch size.
 
 The UCB score uses each action's utility *sum*, where UCB1 (Auer,
 Cesa-Bianchi & Fischer, 2002) uses the *mean*.  With sums, the first action
@@ -31,9 +33,7 @@ from .game import (
     AdversaryTypeId,
     ClassifierId,
     GameConfig,
-    Strategy,
     TypeDistribution,
-    adversary_utilities,
     pure_learner_utilities,
 )
 
@@ -45,18 +45,17 @@ class SelectionMethod(str, Enum):
     UCB = "ucb"
 
 
-def bne_select(belief: TypeDistribution, cfg: GameConfig) -> tuple[Strategy, AdversaryTypeId]:
+def bne_select(belief: TypeDistribution,
+               cfg: GameConfig) -> tuple[ClassifierId, AdversaryTypeId]:
     """Mutual best responses under the learner's belief.
 
-    Returns the learner's utility-maximizing strategy (pure, by linearity;
-    ties broken toward the lowest classifier index) and the adversary type
-    that best responds to it (ties toward the lowest type index).
+    Returns the learner's utility-maximizing classifier (a pure strategy
+    maximizes, by linearity; ties broken toward the lowest classifier
+    index) and the adversary type that best responds to it, read from
+    `cfg.best_response_types` (ties toward the lowest type index).
     """
-    utilities = pure_learner_utilities(belief, cfg)
-    best_action = int(np.argmax(utilities))
-    strategy = Strategy.pure(best_action, cfg.n_classifiers)
-    best_type = int(np.argmax(adversary_utilities(strategy, cfg)))
-    return strategy, best_type
+    action = int(np.argmax(pure_learner_utilities(belief, cfg)))
+    return action, cfg.best_response_types[action]
 
 
 def _ucb_argmax(visits: list[int], value_sums: list[float], c: float) -> int:

@@ -8,9 +8,8 @@ per trial: it depends only on the belief's marginal, which changes only at
 the trial's refresh.  UCB scores the belief's counts and two utility-sum
 lists, all the UCB state a run keeps.  A run's plays are one `Plays`
 record of arrays with one entry per play, and the run metrics are read off
-those arrays.  A
-fixed-policy evaluator plays the same game instances with the learner's
-classifier fixed, as the baseline for utility comparisons.
+those arrays.  The baseline of the utility comparison is the same loop
+with the learner's classifier pinned, `self_play(cfg, run, classifier)`.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from .game import (
     ClassifierId,
     ConfigurationError,
     GameConfig,
-    Strategy,
     TypeDistribution,
     _shown,
-    adversary_utilities,
 )
 from .oracle import ClassificationMode
 from .selection import SelectionMethod, bne_select
-from .tree import AdversaryMode, Plays, game_play, tree_traverse
+from .tree import AdversaryMode, Plays, tree_traverse
 
 
 #: Most queries one run may answer, `n_trials * h * q`.  A run's plays take
@@ -169,7 +166,8 @@ def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: list[float],
     )
 
 
-def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
+def self_play(cfg: GameConfig, run: SelfPlayConfig,
+              classifier: Optional[ClassifierId] = None) -> SelfPlayResult:
     """Run the full self-play loop and return its metrics.
 
     Per trial: compute the best response to the belief once (under BNE
@@ -179,8 +177,16 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     and log the KL divergence to the actual type distribution.  The one
     call draws the doubles the plays' single draws once did, in the same
     order, so a seed's reports are unchanged.
+
+    A given `classifier` overrides `run.selection`: every play uses it, and
+    a best-responding adversary answers `cfg.best_response_types[classifier]`
+    (the utility comparison's fixed-policy baseline).
     """
     run = run.resolved(cfg)
+    pinned = None
+    if classifier is not None:
+        cfg.check_classifier(classifier)
+        pinned = classifier, cfg.best_response_types[classifier]
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
@@ -188,10 +194,9 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
     kl_curve: list[float] = []
     err_curve: list[float] = []
     for trial in range(run.n_trials):
-        best_response = None
-        if run.selection is SelectionMethod.BNE:
-            strategy, br_type = bne_select(belief.p_hat, cfg)
-            best_response = strategy.argmax, br_type
+        best_response = pinned
+        if pinned is None and run.selection is SelectionMethod.BNE:
+            best_response = bne_select(belief.p_hat, cfg)
         draws = rng.random((run.h, run.draws_per_play))
         for p, u in enumerate(draws, trial * run.h):
             tree_traverse(cfg, run, u, belief, sums, best_response, plays, p)
@@ -199,30 +204,3 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig) -> SelfPlayResult:
         kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
         err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
     return _aggregate(plays, cfg, run.q, kl_curve, err_curve, belief)
-
-
-def evaluate_fixed_policy(cfg: GameConfig, run: SelfPlayConfig,
-                          classifier: ClassifierId) -> SelfPlayResult:
-    """Metrics for a fixed learner classifier over the same play schedule.
-
-    No adaptive selection and no belief updates: every play is a
-    `game_play` with `classifier` as the learner's move, on a row of the
-    trial's doubles, drawn as `self_play` draws them.  The belief stays
-    uniform, so the KL column reports its divergence for every trial.
-    """
-    run = run.resolved(cfg)
-    cfg.check_classifier(classifier)
-    rng = np.random.default_rng(run.seed)
-    belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
-    sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
-    policy = Strategy.pure(classifier, cfg.n_classifiers)
-    move = classifier, int(np.argmax(adversary_utilities(policy, cfg)))
-    plays = Plays.empty(run.n_trials * run.h)
-    for trial in range(run.n_trials):
-        draws = rng.random((run.h, run.draws_per_play))
-        for p, u in enumerate(draws, trial * run.h):
-            game_play(cfg, run, u, belief, sums, move, plays, p)
-    base_kl = kl_divergence(belief.p_hat, run.true_p)
-    base_err = max_componentwise_error(belief.p_hat, run.true_p)
-    return _aggregate(plays, cfg, run.q, [base_kl] * run.n_trials,
-                      [base_err] * run.n_trials, belief)

@@ -16,10 +16,10 @@ memory grows with its plays, not its queries.  `tree_traverse` is one
 self-play step: it realizes a play with `game_play` and counts the play's
 (classifier, type) pair into the belief, in place.  Under UCB selection a
 play scores the belief's counts and the run's two utility-sum lists, which
-`game_play` adds to.  A learner move the caller gives is played as it is:
-the BNE best response `self_play` computes once per trial, or the
-fixed-policy baseline's classifier.  A play's two utilities are one `take`
-and one `sum` on the per-type utility table `GameConfig` caches.
+`game_play` adds to.  A (classifier, type) move the caller gives is played
+as it is: the BNE pick `self_play` computes once per trial, or a pinned
+classifier and its entry of `GameConfig.best_response_types`.  A play's
+two utilities are one `take` and one `sum` on a cached utility table.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def game_play(cfg: GameConfig, run: "SelfPlayConfig", u: np.ndarray,
 
     The learner plays the classifier of `best_response` when it is given
     (a BNE pick the caller computes with `bne_select` from the belief, or
-    a fixed policy), else picks a classifier by UCB over the belief's
+    a pinned classifier), else picks a classifier by UCB over the belief's
     action counts and `sums[0]`.  The adversary's type is sampled from its
     actual distribution with the row's first double, or best-responds to
     the learner: the type of `best_response`, or by UCB over the type

@@ -26,7 +26,6 @@ from clfgame import (
     bne_select,
     bu_conditional,
     default_config,
-    evaluate_fixed_policy,
     kl_divergence,
     self_play,
     ucb_select_learner,
@@ -79,7 +78,7 @@ def shared_runs():
                     classification_mode=ClassificationMode.EXPECTATION,
                     true_p=true_p, seed=20_000 + 97 * focus + 7 * k,
                 )
-                base.append(evaluate_fixed_policy(cfg, run, 2))
+                base.append(self_play(cfg, run, 2))
             baselines[focus] = base
     return cfg, runs, baselines, timer.elapsed
 
@@ -193,7 +192,7 @@ def test_criterion_6_equilibrium_oracles():
                                  rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9
             belief = TypeDistribution(raw / raw.sum())
-            s, theta = bne_select(belief, cfg)
+            j_star, theta = bne_select(belief, cfg)
             # independent oracle: exhaustive scan of pure strategies
             from clfgame import adversary_utility, expected_learner_utility
             best_j, best_u = 0, -math.inf
@@ -206,7 +205,7 @@ def test_criterion_6_equilibrium_oracles():
                 u = adversary_utility(Strategy.pure(best_j, nc), i, cfg)
                 if u > best_a:
                     best_i, best_a = i, u
-            bne_mismatches += (int(np.argmax(s.probs)), theta) != (best_j, best_i)
+            bne_mismatches += (j_star, theta) != (best_j, best_i)
 
         from tests.test_belief import brute_force_bayes, state_with_counts
         bu_max_err = 0.0

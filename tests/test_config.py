@@ -28,7 +28,7 @@ from clfgame.config import (
     spec_from_dict,
     with_overrides,
 )
-from clfgame.game import MAX_PAYOFF
+from clfgame.game import DEFAULT_ACCURACY, MAX_PAYOFF
 from clfgame.selfplay import MAX_RUN_QUERIES
 
 
@@ -134,6 +134,10 @@ class TestMonotonicityWarning:
             warnings.simplefilter("error")
             spec_from_dict({})
             load_spec(write_spec(tmp_path, {"game": {"accuracy": None}}))
+            # given in full, as a manifest gives it
+            spec = load_spec(write_spec(tmp_path,
+                                        {"game": {"accuracy": DEFAULT_ACCURACY.tolist()}}))
+        np.testing.assert_array_equal(spec.game.accuracy.acc, DEFAULT_ACCURACY)
 
 
 class TestDimensionsFromMatrix:

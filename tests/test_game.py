@@ -214,6 +214,21 @@ class TestDomainTypes:
                 assert abs(dist.probs.sum() - 1.0) <= 1e-9
                 assert np.all(dist.probs >= 0)
 
+    @pytest.mark.parametrize("make, name", [(Strategy.pure, "action"),
+                                            (TypeDistribution.degenerate, "type_id"),
+                                            (TypeDistribution.concentrated, "type_id")])
+    def test_one_hot_constructors_refuse_bad_indices(self, make, name):
+        """An index numpy would count from the end (-1), one past the end
+        or a non-integer is refused with one line naming it; a numpy
+        integer is an index like any other."""
+        for index in (-1, 4, 1.5):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{name}: must be an integer in \[0, 4\), got {index}$"):
+                make(index, 4)
+        probs = make(np.int64(3), 4).probs
+        assert int(np.argmax(probs)) == 3 and probs[3] >= 0.98
+        assert not probs.flags.writeable
+
     def test_concentrated_shape(self):
         p = TypeDistribution.concentrated(0, 4)
         np.testing.assert_allclose(p.probs, [0.98, 0.00667, 0.00667, 0.00666])

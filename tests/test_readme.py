@@ -68,7 +68,8 @@ def test_readme_quoted_error_is_raised(message):
 
 def module_table_rows():
     """(modules, names) per row of the "What's inside" table: the row's
-    backticked module names and the undotted identifiers its text quotes."""
+    backticked module names and the undotted identifiers its text quotes,
+    alone (`self_play`) or called (`self_play(cfg, run)`)."""
     text = README.read_text(encoding="utf-8")
     section = text.split("## What's inside", 1)[1].split("\n## ", 1)[0]
     rows = []
@@ -76,15 +77,15 @@ def module_table_rows():
         cells = line.strip().strip("|").split("|")
         modules = re.findall(r"`(clfgame(?:\.\w+)?)`", cells[0])
         if len(cells) == 2 and modules:
-            names = re.findall(r"`([A-Za-z_]\w*)`", cells[1])
+            names = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*)?`", cells[1])
             rows.append((modules, names))
     return rows
 
 
 def test_module_table_names_exist():
     """Every identifier a row of the module table quotes is an attribute of
-    one of that row's modules; dotted names (`numpy.random.Generator`) are
-    skipped."""
+    one of that row's modules; dotted names (`numpy.random.Generator`,
+    `Generator.random((h, k))`) are skipped."""
     rows = module_table_rows()
     assert len(rows) >= 7, rows
     for modules, names in rows:

@@ -12,11 +12,13 @@ from clfgame import (
     PayoffConfig,
     Strategy,
     TypeDistribution,
+    adversary_utilities,
     adversary_utility,
     bne_select,
     default_config,
     expected_learner_utility,
     learner_utility,
+    pure_learner_utilities,
     ucb_select_adversary,
     ucb_select_learner,
 )
@@ -42,21 +44,19 @@ def enumerate_best_response(belief, cfg):
 class TestBneSelect:
     def test_singleton_game(self):
         cfg = GameConfig(AccuracyMatrix(np.array([[0.7]])), PayoffConfig.unit(1, 1))
-        s, theta = bne_select(TypeDistribution.uniform(1), cfg)
-        assert s.probs.tolist() == [1.0]
-        assert theta == 0
+        assert bne_select(TypeDistribution.uniform(1), cfg) == (0, 0)
 
     def test_degenerate_belief_picks_most_hardened(self):
         cfg = default_config()
-        s, _ = bne_select(TypeDistribution.degenerate(2, 4), cfg)
+        j, _ = bne_select(TypeDistribution.degenerate(2, 4), cfg)
         # pure utilities on the strength-2 column: 0.7706, 0.7922, 0.8152
-        assert s.probs.tolist() == [0.0, 0.0, 1.0]
+        assert j == 2
 
     def test_costs_shift_the_argmax(self):
         cfg = default_config(c_classifier=[0.0, 0.01, 0.05])
-        s, _ = bne_select(TypeDistribution.degenerate(2, 4), cfg)
+        j, _ = bne_select(TypeDistribution.degenerate(2, 4), cfg)
         # 0.7706, 0.7822, 0.7652 after costs
-        assert s.probs.tolist() == [0.0, 1.0, 0.0]
+        assert j == 1
 
     def test_returned_strategy_is_pure_and_dominant(self):
         rng = np.random.default_rng(41)
@@ -69,8 +69,9 @@ class TestBneSelect:
                                               rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9
             belief = TypeDistribution(raw / raw.sum())
-            s, theta = bne_select(belief, cfg)
-            assert sorted(s.probs.tolist()) == [0.0] * (nc - 1) + [1.0]
+            j_star, theta = bne_select(belief, cfg)
+            assert type(j_star) is int and type(theta) is int
+            s = Strategy.pure(j_star, nc)
             u_star = expected_learner_utility(s, belief, cfg)
             for j in range(nc):
                 assert u_star >= expected_learner_utility(
@@ -90,10 +91,37 @@ class TestBneSelect:
                                               rng.random(nc) * 0.3, rng.random(nt) * 0.3))
             raw = rng.random(nt) + 1e-9
             belief = TypeDistribution(raw / raw.sum())
-            s, theta = bne_select(belief, cfg)
-            want_j, want_i = enumerate_best_response(belief, cfg)
-            assert int(np.argmax(s.probs)) == want_j
-            assert theta == want_i
+            assert bne_select(belief, cfg) == enumerate_best_response(belief, cfg)
+
+    def test_matches_the_strategy_route_exactly(self):
+        """`bne_select` and `GameConfig.best_response_types` pick what the
+        argmaxes over `Strategy.pure` and `adversary_utilities` pick, on
+        10,000 random games, half of them with entries from a small grid so
+        that ties are common; both break ties toward the lowest index."""
+        rng = np.random.default_rng(47)
+        ties = 0
+        for case in range(10_000):
+            nc, nt = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            if case % 2:
+                acc, v_l, v_a = rng.random((nc, nt)), rng.random((nc, nt)), rng.random((nc, nt))
+                c_c, c_t = rng.random(nc) * 0.3, rng.random(nt) * 0.3
+                raw = rng.random(nt) + 1e-9
+            else:
+                acc = rng.choice([0.0, 0.5, 1.0], (nc, nt))
+                v_l, v_a = rng.choice([0.0, 1.0, 2.0], (2, nc, nt))
+                c_c, c_t = rng.choice([0.0, 0.5], nc), rng.choice([0.0, 0.5], nt)
+                raw = rng.choice([0.0, 1.0], nt)
+                raw[0] = 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg = GameConfig(AccuracyMatrix(acc), PayoffConfig(v_l, v_a, c_c, c_t))
+            belief = TypeDistribution(raw / raw.sum())
+            replies = [adversary_utilities(Strategy.pure(j, nc), cfg) for j in range(nc)]
+            ties += any(len(set(r.tolist())) < nt for r in replies)
+            assert cfg.best_response_types == tuple(int(np.argmax(r)) for r in replies)
+            action = int(np.argmax(pure_learner_utilities(belief, cfg)))
+            assert bne_select(belief, cfg) == (action, int(np.argmax(replies[action])))
+        assert ties >= 2_500
 
 
 class TestUcbSelect:

@@ -21,7 +21,6 @@ from clfgame import (
     adversary_utilities,
     bne_select,
     default_config,
-    evaluate_fixed_policy,
     generate_queries,
     kl_divergence,
     self_play,
@@ -52,23 +51,19 @@ class TestSelfPlayStructure:
         with pytest.raises(TypeError):
             SelfPlayConfig(h=h, traversals_per_trial=h + 1)
         res = self_play(default_config(), run)
-        fixed = evaluate_fixed_policy(default_config(), run, 1)
+        fixed = self_play(default_config(), run, 1)
         assert len(res.plays) == len(fixed.plays) == 3 * h
         assert res.belief_state.total_observations == 3 * h
         assert len(res.per_trial_kl) == 3
 
     def test_belief_starts_at_prior(self, monkeypatch):
-        """A run's belief starts uniform: the fixed-policy baseline, whose
-        belief never moves, reports the uniform belief's divergence every
-        trial, and a BNE run's first pick is the best response to the
-        uniform belief."""
+        """A run's belief starts uniform: a BNE run's first pick is the best
+        response to the uniform belief."""
         cfg = default_config()
         uniform, true_p = TypeDistribution.uniform(4), TypeDistribution.concentrated(3, 4)
         run = SelfPlayConfig(h=3, n_trials=4, q=2, true_p=true_p, seed=3,
                              selection=SelectionMethod.BNE,
                              adversary_mode=AdversaryMode.BEST_RESPONSE)
-        fixed = evaluate_fixed_policy(cfg, run, 0)
-        assert fixed.per_trial_kl.tolist() == [kl_divergence(uniform, true_p)] * 4
         picks = []
 
         def spy(belief, game):
@@ -78,8 +73,8 @@ class TestSelfPlayStructure:
         monkeypatch.setattr(selfplay, "bne_select", spy)
         res = self_play(cfg, run)
         assert picks[0] == uniform.probs.tolist()
-        strategy, theta = bne_select(uniform, cfg)
-        assert res.plays.action[:3].tolist() == [strategy.argmax] * 3
+        action, theta = bne_select(uniform, cfg)
+        assert res.plays.action[:3].tolist() == [action] * 3
         assert res.plays.type[:3].tolist() == [theta] * 3
 
     @pytest.mark.parametrize("selection", list(SelectionMethod))
@@ -232,7 +227,7 @@ class TestSelectionBehavior:
                              classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(2, 4), seed=47)
         searched = self_play(cfg, run)
-        fixed = evaluate_fixed_policy(cfg, run, 2)
+        fixed = self_play(cfg, run, 2)
         assert abs(searched.mean_learner_utility - fixed.mean_learner_utility) <= 0.02
         assert searched.mean_learner_utility == pytest.approx(0.8152, abs=0.02)
 
@@ -241,14 +236,14 @@ class TestFixedPolicy:
     def test_pure_hardened_accuracy_on_degenerate_type(self):
         run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(2, 4), seed=29)
-        res = evaluate_fixed_policy(default_config(), run, 2)
+        res = self_play(default_config(), run, 2)
         assert res.per_type_accuracy[2] == pytest.approx(0.8152, abs=1e-12)
         assert res.overall_accuracy == pytest.approx(0.8152, abs=1e-12)
 
     def test_pure_baseline_utility_on_clean_stream(self):
         run = SelfPlayConfig(classification_mode=ClassificationMode.EXPECTATION,
                              true_p=TypeDistribution.degenerate(0, 4), seed=31)
-        res = evaluate_fixed_policy(default_config(), run, 0)
+        res = self_play(default_config(), run, 0)
         assert res.mean_learner_utility == pytest.approx(0.9392, abs=1e-12)
 
     def test_zero_payoffs_zero_utilities(self):
@@ -260,26 +255,34 @@ class TestFixedPolicy:
         zero_cfg = GameConfig(cfg.accuracy, payoff)
         run = SelfPlayConfig(seed=37)
         for classifier in range(3):
-            res = evaluate_fixed_policy(zero_cfg, run, classifier)
+            res = self_play(zero_cfg, run, classifier)
             assert res.mean_learner_utility == 0.0
             assert res.mean_adversary_utility == 0.0
 
-    def test_no_belief_updates(self):
-        run = SelfPlayConfig(n_trials=4, seed=41)
-        res = evaluate_fixed_policy(default_config(), run, 1)
-        assert res.belief_state.total_observations == 0
-        assert len(res.per_trial_kl) == 4
-        assert len(set(res.per_trial_kl.tolist())) == 1
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    def test_classifier_overrides_selection(self, monkeypatch, selection):
+        """A pinned run plays its classifier under either selection rule,
+        with no BNE pick, and counts its plays into its belief, whose
+        divergence it reports after each trial's refresh."""
+        monkeypatch.setattr(selfplay, "bne_select", None)
+        true_p = TypeDistribution.concentrated(3, 4)
+        run = SelfPlayConfig(n_trials=4, h=5, seed=41, selection=selection, true_p=true_p,
+                             adversary_mode=AdversaryMode.BEST_RESPONSE)
+        res = self_play(default_config(), run, 1)
+        assert res.plays.action.tolist() == [1] * 20
+        assert res.plays.type.tolist() == [default_config().best_response_types[1]] * 20
+        assert res.belief_state.joint_counts[1].sum() == res.belief_state.total_observations == 20
+        assert res.per_trial_kl.tolist() == [kl_divergence(res.belief_state.p_hat, true_p)] * 4
 
     def test_policy_dimension_checked(self):
         for classifier in (3, -1):
             with pytest.raises(ConfigurationError,
                                match=rf"^classifier index {classifier} out of range$"):
-                evaluate_fixed_policy(default_config(), SelfPlayConfig(seed=1), classifier)
+                self_play(default_config(), SelfPlayConfig(seed=1), classifier)
 
 
 def reference_fixed_policy_rows(cfg, run, classifier):
-    """`evaluate_fixed_policy`'s plays as a per-play loop of per-query draws,
+    """The plays of `self_play` with a pinned classifier as a per-play loop of per-query draws,
     as the bytes of each play's fields, with its per-query correctness
     reduced by a 1-d `sum`.
 
@@ -327,7 +330,7 @@ def row_bytes(plays, p, q):
 
 
 class TestFixedPolicyRows:
-    """Every entry `evaluate_fixed_policy` writes is the play a per-play
+    """Every entry a pinned `self_play` writes is the play a per-play
     loop realizes, byte for byte, so no entry keeps `np.empty`'s contents."""
 
     @pytest.mark.parametrize("q", [1, 3, 1000])
@@ -341,7 +344,7 @@ class TestFixedPolicyRows:
             run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, seed=classifier,
                                  adversary_mode=adversary, classification_mode=mode,
                                  true_p=TypeDistribution(true_ps[classifier % 2]))
-            res = evaluate_fixed_policy(cfg, run, classifier)
+            res = self_play(cfg, run, classifier)
             assert len(res.plays) == h * n_trials
             assert [row_bytes(res.plays, p, q) for p in range(len(res.plays))] == \
                 reference_fixed_policy_rows(cfg, run, classifier), classifier
@@ -379,7 +382,7 @@ class TestAggregateMatchesPlayLoop:
             run = SelfPlayConfig(h=per_trial, n_trials=5, q=q, seed=seed,
                                  classification_mode=mode, true_p=true_p,
                                  selection=list(SelectionMethod)[seed % 2])
-            for res in (self_play(cfg, run), evaluate_fixed_policy(cfg, run, seed % 3)):
+            for res in (self_play(cfg, run), self_play(cfg, run, seed % 3)):
                 counts, per_type, overall = loop_aggregate(res.plays, cfg, q)
                 assert res.selection_counts.tolist() == counts.tolist()
                 assert res.selection_counts.dtype == np.int64

@@ -20,10 +20,10 @@ from clfgame import (
     TypeDistribution,
     bne_select,
     default_config,
-    evaluate_fixed_policy,
     game_play,
     play_batch,
     proportional_choice,
+    self_play,
     tree_traverse,
 )
 
@@ -50,8 +50,7 @@ def first_play(cfg, run, ctx):
     computes for a fresh belief under BNE selection."""
     best = None
     if run.selection is SelectionMethod.BNE:
-        strategy, br_type = bne_select(ctx.belief.p_hat, cfg)
-        best = (strategy.argmax, br_type)
+        best = bne_select(ctx.belief.p_hat, cfg)
     return game_play(cfg, run, ctx.draws[0], ctx.belief, ctx.sums, best, ctx.plays, 0)
 
 
@@ -174,12 +173,12 @@ class TestProportionalChoice:
 
 class TestPlayBatch:
     def test_policy_with_zero_mass_never_uses_that_classifier(self):
-        """A play's classifier is its action: a fixed-policy run of one
+        """A play's classifier is its action: a run pinned to one
         classifier puts every query on it and none on the others."""
         cfg = default_config()
         run = SelfPlayConfig(h=5, n_trials=4, q=50, seed=43)
         for action in range(cfg.n_classifiers):
-            counts = evaluate_fixed_policy(cfg, run, action).selection_counts
+            counts = self_play(cfg, run, action).selection_counts
             assert counts[:, action].sum() == counts.sum() == 20 * 50
         plays = Plays.empty(1)
         play_batch(2, 1, cfg, run.resolved(cfg), np.random.default_rng(43).random(2 * run.q),
@@ -347,21 +346,8 @@ class TestStreamEquivalence:
 
 
 class TestCachedSampling:
-    """A type distribution caches the CDF its draws search, and a strategy
-    its argmax; the draws are the ones `_choice_cdf` and `Generator.choice`
-    give."""
-
-    def test_pure_strategy_is_one_shared_read_only_object(self):
-        first = Strategy.pure(1, 3)
-        assert Strategy.pure(1, 3) is first
-        assert Strategy.pure(np.int64(1), 3) is first
-        assert Strategy.pure(2, 3) is not first
-        assert Strategy.pure(1, 4) is not first
-        np.testing.assert_array_equal(first.probs, [0.0, 1.0, 0.0])
-        assert first.argmax == 1
-        assert not first.probs.flags.writeable
-        with pytest.raises(ValueError):
-            first.probs[0] = 0.5
+    """A type distribution caches the CDF its draws search; the draws are
+    the ones `_choice_cdf` and `Generator.choice` give."""
 
     def test_cached_cdfs_draw_what_choice_draws(self):
         from clfgame.game import _choice_cdf
@@ -396,9 +382,3 @@ class TestCachedSampling:
                     rf"^{kind.__name__} entries must lie in \[0, 1\], "
                     r"got \[1.0000000005, -5e-10, 0.0, 0.0\]$")):
                 kind(probs)
-
-    def test_argmax_breaks_ties_toward_the_lowest_index(self):
-        assert Strategy(np.array([0.2, 0.4, 0.4])).argmax == 1
-        assert Strategy.uniform(3).argmax == 0
-        assert Strategy(np.array([0.1, 0.2, 0.7])).argmax == 2
-        assert not hasattr(Strategy.uniform(3), "cdf")  # strategies are not sampled

@@ -168,11 +168,11 @@ def terminal_play(ctx, tree_rng):
     """`game_play` as it was, with its label draw on `tree_rng`."""
     run = ctx.run
     if run.selection is SelectionMethod.BNE:
-        strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
+        action, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
     else:
         action = ucb_pick(ctx.learner, run.ucb_c)
-        strategy = Strategy.pure(action, ctx.cfg.n_classifiers)
         br_type = None
+    strategy = Strategy.pure(action, ctx.cfg.n_classifiers)
     if run.adversary_mode is AdversaryMode.SAMPLED:
         theta = choice(ctx.rng, run.true_p.probs)
     elif br_type is not None:
@@ -188,9 +188,8 @@ def terminal_play(ctx, tree_rng):
 
 def select_best_child(node, ctx):
     if ctx.run.selection is SelectionMethod.BNE:
-        strategy, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
-        action = int(np.argmax(strategy.probs)) if node.mover is Mover.LEARNER else br_type
-        return node.children[action]
+        action, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
+        return node.children[action if node.mover is Mover.LEARNER else br_type]
     actions = sorted(node.children)
     stats = NodeStats(
         parent_visits=node.visit_count,
