@@ -9,13 +9,9 @@ classifier behavior, and both sides' utilities follow from it.
 import numpy as np
 
 from clfgame import (
-    Strategy,
     TypeDistribution,
-    adversary_utility,
     bne_select,
     default_config,
-    expected_learner_utility,
-    learner_utility,
     pure_learner_utilities,
 )
 
@@ -23,17 +19,18 @@ cfg = default_config()
 print("Accuracy matrix (rows: classifiers L0..L2, columns: types T0..T3):")
 print(np.array2string(cfg.accuracy.acc, precision=4))
 
-# Utility of each pure classifier choice against each realized type.
+# Utility of each pure classifier choice against each realized type: the
+# game caches one [learner, adversary] x classifier table per type.  Every
+# move is a pure one; a mixed strategy's utility is the mix of these entries.
 print("\nLearner utility per (classifier, realized type), unit values, no costs:")
 for j in range(3):
-    row = [learner_utility(Strategy.pure(j, 3), i, cfg) for i in range(4)]
+    row = [cfg.expected_utilities[i][0, j] for i in range(4)]
     print(f"  L{j}: " + "  ".join(f"{u:.4f}" for u in row))
 
-# Under type uncertainty the learner scores strategies by expected utility.
+# Under type uncertainty the learner scores classifiers by expected utility.
 belief = TypeDistribution.uniform(4)
 print("\nExpected utility under a uniform belief:")
-for j in range(3):
-    u = expected_learner_utility(Strategy.pure(j, 3), belief, cfg)
+for j, u in enumerate(pure_learner_utilities(belief, cfg)):
     print(f"  L{j}: {u:.4f}")
 
 # The adversary's best reply to each classifier is cached on the game.
@@ -43,7 +40,7 @@ print("\nAdversary's best reply per classifier:",
 j_star, theta_star = bne_select(belief, cfg)
 print(f"\nBest response to the uniform belief: L{j_star}, "
       f"and the adversary's best reply is type T{theta_star} "
-      f"(utility {adversary_utility(Strategy.pure(j_star, 3), theta_star, cfg):.4f}).")
+      f"(utility {cfg.expected_utilities[theta_star][1, j_star]:.4f}).")
 
 # Deployment costs change the calculus: hardened classifiers must earn
 # their keep, so cheap classifiers win on mostly-clean traffic.

@@ -24,13 +24,8 @@ from .game import (
     ConfigurationError,
     GameConfig,
     PayoffConfig,
-    Strategy,
     TypeDistribution,
-    adversary_utilities,
-    adversary_utility,
     default_config,
-    expected_learner_utility,
-    learner_utility,
     pure_learner_utilities,
 )
 from .oracle import (

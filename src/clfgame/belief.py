@@ -36,6 +36,7 @@ from .game import (
     ClassifierId,
     ConfigurationError,
     TypeDistribution,
+    _check_index,
 )
 
 
@@ -88,20 +89,20 @@ class BeliefState:
         """Times each type was realized; column sums of joint_counts."""
         return self.joint_counts.sum(axis=0)
 
-    @property
-    def total_observations(self) -> int:
-        return int(self.joint_counts.sum())
-
 
 def record_observation(b: BeliefState, action: ClassifierId,
                        theta: AdversaryTypeId) -> None:
     """Count one realized (classifier, type) pair into `b`; p_hat is
-    untouched until `refresh_marginal` is called."""
+    untouched until `refresh_marginal` is called.
+
+    A run passes Python ints, which the plain comparison admits; any other
+    pair goes to `_check_index`, which refuses it in one line or admits a
+    numpy integer."""
     n_classifiers, n_types = b.joint_counts.shape
-    if not 0 <= action < n_classifiers:
-        raise ConfigurationError(f"classifier index {action} out of range")
-    if not 0 <= theta < n_types:
-        raise ConfigurationError(f"type index {theta} out of range")
+    if not (type(action) is int and type(theta) is int
+            and 0 <= action < n_classifiers and 0 <= theta < n_types):
+        _check_index(action, n_classifiers, "classifier")
+        _check_index(theta, n_types, "type")
     b.joint_counts[action, theta] += 1
 
 

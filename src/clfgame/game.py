@@ -7,22 +7,21 @@ game needs to know about a classifier/type pair is a single number: the
 probability that the classifier answers such a query correctly.  This module
 holds the configuration types built around that accuracy matrix, whose
 shape gives the game's numbers of classifiers and types, and both sides'
-expected-utility functions.  A `TypeDistribution` is immutable, so it
-caches the sampling CDF its draws search.  The types compare by identity
-(`eq=False`): numpy's `==` on their array fields has no truth value.
+payoffs.  A `TypeDistribution` is immutable, so it caches the sampling CDF
+its draws search.  The types compare by identity (`eq=False`): numpy's `==`
+on their array fields has no truth value.
 
 Each type checks its own validity rules when it is built, once, and its
 `ConfigurationError` names the refused field and shows the value on one
 line; `clfgame.config` adds the spec key's path in front.
 
-A realized play takes the per-play path in `clfgame.tree`: `game_play`
-picks the learner's classifier and the type, and `play_batch` classifies
-the batch with that classifier and gathers both sides' utilities with one
-`take` and one `sum` from the per-type utility tables `GameConfig` caches
-(`realized_utilities`, `expected_utilities`).  `tree.proportional_choice`
-searches a sampled type's double on the type distribution's cached CDF.
-A run's moves are indices; the adversary's best response to a classifier
-is its entry of `GameConfig.best_response_types`.
+Every move is pure: a play's learner uses one classifier and its adversary
+one type.  Both utilities are linear in a mixed strategy, so a pure one
+maximizes.  The payoffs are written out once, per pure pair, in the tables
+`GameConfig` caches (`realized_utilities`, `expected_utilities`,
+`best_response_types`) and, under a belief, `pure_learner_utilities`.
+A play (`clfgame.tree.play_batch`) takes both sides' utilities from the
+tables with one `take` and one `sum`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 # Classifier and adversary-type identifiers are plain non-negative indices
-# into the active GameConfig; validation happens at the config boundary.
+# into the active GameConfig; `_check_index` is their one validity rule.
 ClassifierId = int
 AdversaryTypeId = int
 
@@ -48,7 +47,7 @@ MAX_PAYOFF = 1e12
 
 
 class ConfigurationError(ValueError):
-    """Raised when a config, strategy or belief has inconsistent dimensions
+    """Raised when a config, belief or index has inconsistent dimensions
     or out-of-range entries.
 
     The message starts with the name of the refused field (`h: must be >=
@@ -91,11 +90,18 @@ def _validate_simplex(probs: np.ndarray, name: str) -> None:
             f"{name} entries must sum to 1, got {_shown(probs.tolist())} (sum {total!r})")
 
 
-def _one_hot(index, n: int, name: str) -> np.ndarray:
-    """A length-n vector with 1.0 at `index`; a non-integer or out-of-range
-    index is refused, where numpy would index from the end or fail."""
-    if not (isinstance(index, numbers.Integral) and 0 <= index < n):
+def _check_index(index, n: int, name: str) -> None:
+    """Refuse `index` in one line unless it is a Python or numpy integer in
+    [0, n): `classifier: must be an integer in [0, 3), got 1.5`.  A `bool`,
+    which numpy reads as a mask, and a negative index, which numpy counts
+    from the end, are refused too."""
+    if isinstance(index, bool) or not (isinstance(index, numbers.Integral) and 0 <= index < n):
         raise ConfigurationError(f"{name}: must be an integer in [0, {n}), got {_shown(index)}")
+
+
+def _one_hot(index, n: int, name: str) -> np.ndarray:
+    """A length-n vector with 1.0 at `index`, which `_check_index` checks."""
+    _check_index(index, n, name)
     probs = np.zeros(n)
     probs[index] = 1.0
     return probs
@@ -112,29 +118,6 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-@dataclass(frozen=True, eq=False)
-class Strategy:
-    """Probability distribution over the learner's classifier pool."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _as_readonly_array(self.probs, 1, "Strategy"))
-        _validate_simplex(self.probs, "Strategy")
-
-    @classmethod
-    def pure(cls, action: ClassifierId, n_classifiers: int) -> "Strategy":
-        """Strategy placing all mass on one classifier."""
-        return cls(_one_hot(action, n_classifiers, "action"))
-
-    @classmethod
-    def uniform(cls, n_classifiers: int) -> "Strategy":
-        return cls(np.full(n_classifiers, 1.0 / n_classifiers))
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,14 +275,6 @@ class GameConfig:
     def n_types(self) -> int:
         return self.accuracy.acc.shape[1]
 
-    def check_classifier(self, j: ClassifierId) -> None:
-        if not 0 <= j < self.n_classifiers:
-            raise ConfigurationError(f"classifier index {j} out of range")
-
-    def check_type(self, i: AdversaryTypeId) -> None:
-        if not 0 <= i < self.n_types:
-            raise ConfigurationError(f"type index {i} out of range")
-
     @cached_property
     def realized_utilities(self) -> tuple[np.ndarray, ...]:
         """Per adversary type theta, the utilities of one stochastically
@@ -339,8 +314,9 @@ class GameConfig:
     def best_response_types(self) -> tuple[AdversaryTypeId, ...]:
         """Per classifier j, the type that best responds to it: the argmax
         of j's adversary entries in `expected_utilities`, the lowest type
-        on ties.  These are `adversary_utilities(Strategy.pure(j, ...))`'s
-        argmaxes.  Built on first use."""
+        on ties.  Against a pure strategy these entries are the adversary's
+        whole utility, so no mixed strategy is needed.  Built on first
+        use."""
         adversary = np.array(self.expected_utilities)[:, 1]  # [n_types, n_classifiers]
         return tuple(adversary.argmax(axis=0).tolist())
 
@@ -383,13 +359,6 @@ def default_config(c_classifier=None) -> GameConfig:
     return GameConfig(accuracy, payoff)
 
 
-def _check_strategy(s: Strategy, cfg: GameConfig) -> None:
-    if len(s) != cfg.n_classifiers:
-        raise ConfigurationError(
-            f"strategy has {len(s)} entries for {cfg.n_classifiers} classifiers"
-        )
-
-
 def _check_distribution(d: TypeDistribution, cfg: GameConfig) -> None:
     if len(d) != cfg.n_types:
         raise ConfigurationError(
@@ -397,48 +366,11 @@ def _check_distribution(d: TypeDistribution, cfg: GameConfig) -> None:
         )
 
 
-def learner_utility(s: Strategy, theta: AdversaryTypeId, cfg: GameConfig) -> float:
-    """Learner's expected utility against a realized adversary type.
-
-    sum_j s(j) * (acc[j][theta] * v_learner[j][theta] - c_classifier[j]);
-    linear in the strategy.
-    """
-    _check_strategy(s, cfg)
-    cfg.check_type(theta)
-    gains = cfg.accuracy.acc[:, theta] * cfg.payoff.v_learner[:, theta]
-    return float(s.probs @ (gains - cfg.payoff.c_classifier))
-
-
 def pure_learner_utilities(belief: TypeDistribution, cfg: GameConfig) -> np.ndarray:
-    """Expected utility of each pure classifier choice under a type belief."""
+    """Expected utility of each pure classifier choice under a type belief:
+    entry j is `sum_theta belief(theta) * acc[j, theta] * v_learner[j,
+    theta] - c_classifier[j]`, the belief-weighted learner entries of
+    `GameConfig.expected_utilities`."""
     _check_distribution(belief, cfg)
     gains = (cfg.accuracy.acc * cfg.payoff.v_learner) @ belief.probs
     return gains - cfg.payoff.c_classifier
-
-
-def expected_learner_utility(s: Strategy, belief: TypeDistribution, cfg: GameConfig) -> float:
-    """Learner's utility in expectation over adversary types.
-
-    Bilinear in (strategy, belief): the belief-weighted average of
-    `learner_utility` across types.
-    """
-    _check_strategy(s, cfg)
-    return float(s.probs @ pure_learner_utilities(belief, cfg))
-
-
-def adversary_utility(s: Strategy, theta: AdversaryTypeId, cfg: GameConfig) -> float:
-    """Adversary's utility for sending type-theta queries against strategy s.
-
-    sum_j s(j) * ((1 - acc[j][theta]) * v_adversary[j][theta] - c_type[theta]).
-    """
-    _check_strategy(s, cfg)
-    cfg.check_type(theta)
-    miss = (1.0 - cfg.accuracy.acc[:, theta]) * cfg.payoff.v_adversary[:, theta]
-    return float(s.probs @ (miss - cfg.payoff.c_type[theta]))
-
-
-def adversary_utilities(s: Strategy, cfg: GameConfig) -> np.ndarray:
-    """Adversary utility of each type against strategy s, as a vector."""
-    _check_strategy(s, cfg)
-    miss = (1.0 - cfg.accuracy.acc) * cfg.payoff.v_adversary
-    return s.probs @ miss - cfg.payoff.c_type

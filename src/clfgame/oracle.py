@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .game import AdversaryTypeId, ClassifierId, GameConfig
+from .game import AdversaryTypeId, ClassifierId, GameConfig, _check_index
 
 
 class ClassificationMode(str, Enum):
@@ -73,10 +73,10 @@ def classify(classifier: ClassifierId, queries: np.ndarray, cfg: GameConfig,
     try:
         cells = np.ravel_multi_index((classifier, queries), acc.shape)
     except ValueError:
-        cfg.check_classifier(classifier)
+        _check_index(classifier, acc.shape[0], "classifier")
         if queries.size:
-            cfg.check_type(int(queries.min()))
-            cfg.check_type(int(queries.max()))
+            _check_index(int(queries.min()), acc.shape[1], "type")
+            _check_index(int(queries.max()), acc.shape[1], "type")
         raise
     p_correct = acc.take(cells)
     if mode is ClassificationMode.EXPECTATION:

@@ -31,6 +31,7 @@ from .game import (
     ConfigurationError,
     GameConfig,
     TypeDistribution,
+    _check_index,
     _shown,
 )
 from .oracle import ClassificationMode
@@ -185,7 +186,7 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     run = run.resolved(cfg)
     pinned = None
     if classifier is not None:
-        cfg.check_classifier(classifier)
+        _check_index(classifier, cfg.n_classifiers, "classifier")
         pinned = classifier, cfg.best_response_types[classifier]
     rng = np.random.default_rng(run.seed)
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)

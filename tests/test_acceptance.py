@@ -20,7 +20,6 @@ from clfgame import (
     PayoffConfig,
     SelectionMethod,
     SelfPlayConfig,
-    Strategy,
     TypeDistribution,
     UpdateRule,
     bne_select,
@@ -194,7 +193,7 @@ def test_criterion_6_equilibrium_oracles():
             belief = TypeDistribution(raw / raw.sum())
             j_star, theta = bne_select(belief, cfg)
             # independent oracle: exhaustive scan of pure strategies
-            from clfgame import adversary_utility, expected_learner_utility
+            from tests.payoff_oracle import Strategy, adversary_utility, expected_learner_utility
             best_j, best_u = 0, -math.inf
             for j in range(nc):
                 u = expected_learner_utility(Strategy.pure(j, nc), belief, cfg)
@@ -232,6 +231,7 @@ def test_criterion_6_equilibrium_oracles():
 
 def test_criterion_7_property_suites():
     from clfgame import BeliefState, record_observation
+    from tests.payoff_oracle import Strategy
     rng = np.random.default_rng(707)
     with Timer() as timer:
         # simplex invariants after constructors and belief updates

@@ -15,7 +15,6 @@ from clfgame import (
     PayoffConfig,
     SelectionMethod,
     SelfPlayConfig,
-    Strategy,
     TypeDistribution,
     default_config,
 )
@@ -537,10 +536,10 @@ DOMAIN_ERRORS = [
      "accuracy out of [0,1], got [[0.5, 1.2]]"),
     ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix(np.array([0.5])),
      "accuracy must be 2-dimensional, got shape (1,)"),
-    ("Strategy", "Strategy", lambda: Strategy(np.array([1.2, -0.2])),
-     "Strategy entries must lie in [0, 1], got [1.2, -0.2]"),
-    ("Strategy", "Strategy", lambda: Strategy(np.array([0.5, 0.25])),
-     "Strategy entries must sum to 1, got [0.5, 0.25] (sum 0.75)"),
+    ("TypeDistribution", "type_id", lambda: TypeDistribution.degenerate(True, 4),
+     "type_id: must be an integer in [0, 4), got True"),
+    ("TypeDistribution", "type_id", lambda: TypeDistribution.concentrated(1.5, 4),
+     "type_id: must be an integer in [0, 4), got 1.5"),
     ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution(np.array(LONG_PROBS)),
      "TypeDistribution entries must lie in [0, 1], got "
      + repr(LONG_PROBS)[:REPR_LIMIT] + "..."),

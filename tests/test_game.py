@@ -1,21 +1,24 @@
-"""Utility functions, domain types and their invariants."""
+"""Utility tables, domain types and their invariants."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from clfgame import (
     AccuracyMatrix,
+    BeliefState,
     ConfigurationError,
     GameConfig,
     PayoffConfig,
-    Strategy,
+    SelfPlayConfig,
     TypeDistribution,
-    adversary_utility,
     default_config,
-    expected_learner_utility,
-    learner_utility,
     pure_learner_utilities,
+    record_observation,
+    self_play,
 )
+from tests import payoff_oracle as oracle
 
 
 @pytest.fixture
@@ -26,7 +29,6 @@ def cfg():
 def random_config(rng, n_classifiers=None, n_types=None):
     nc = n_classifiers or int(rng.integers(1, 6))
     nt = n_types or int(rng.integers(1, 6))
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         acc = AccuracyMatrix(rng.random((nc, nt)))
@@ -45,9 +47,11 @@ def random_simplex(rng, n):
 
 
 class TestLearnerUtility:
+    """The learner's entries of `GameConfig.expected_utilities`: row 0 of
+    each type's [2, n_classifiers] table."""
+
     def test_pure_strategy_on_clean_data(self, cfg):
-        s = Strategy.pure(0, 3)
-        assert learner_utility(s, 0, cfg) == pytest.approx(0.9392, abs=1e-12)
+        assert cfg.expected_utilities[0][0, 0] == pytest.approx(0.9392, abs=1e-12)
 
     def test_zero_values_zero_costs(self, cfg):
         payoff = PayoffConfig(
@@ -55,36 +59,35 @@ class TestLearnerUtility:
             c_classifier=np.zeros(3), c_type=np.zeros(4),
         )
         zero_cfg = GameConfig(cfg.accuracy, payoff)
-        for j in range(3):
-            for theta in range(4):
-                assert learner_utility(Strategy.pure(j, 3), theta, zero_cfg) == 0.0
+        for theta in range(4):
+            assert zero_cfg.expected_utilities[theta][0].tolist() == [0.0] * 3
+            assert zero_cfg.realized_utilities[theta][0].tolist() == [0.0] * 6
 
     def test_mixed_strategy_on_strength_two(self, cfg):
-        s = Strategy(np.array([0.5, 0.5, 0.0]))
+        """A half-half mix of L0 and L1 is worth the mean of their entries."""
+        row = cfg.expected_utilities[2][0]
         expected = 0.5 * 0.7706 + 0.5 * 0.7922
-        assert learner_utility(s, 2, cfg) == pytest.approx(expected, abs=1e-12)
+        assert 0.5 * row[0] + 0.5 * row[1] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.7814, abs=1e-12)
 
     def test_dimension_mismatch_raises(self, cfg):
-        with pytest.raises(ConfigurationError):
-            learner_utility(Strategy.uniform(2), 0, cfg)
-        with pytest.raises(ConfigurationError):
-            learner_utility(Strategy.uniform(3), 7, cfg)
+        with pytest.raises(ConfigurationError,
+                           match=r"^type distribution has 3 entries for 4 types$"):
+            pure_learner_utilities(TypeDistribution.uniform(3), cfg)
 
 
 class TestExpectedLearnerUtility:
+    """`pure_learner_utilities`: the learner's table entries weighted by a
+    belief over types."""
+
     def test_degenerate_belief_equals_pointwise_utility(self, cfg):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            s = Strategy(random_simplex(rng, 3))
-            theta = int(rng.integers(4))
+        for theta in range(4):
             belief = TypeDistribution.degenerate(theta, 4)
-            assert expected_learner_utility(s, belief, cfg) == \
-                learner_utility(s, theta, cfg)
+            assert pure_learner_utilities(belief, cfg).tolist() == \
+                cfg.expected_utilities[theta][0].tolist()
 
     def test_uniform_belief_pure_hardened(self, cfg):
-        belief = TypeDistribution.uniform(4)
-        got = expected_learner_utility(Strategy.pure(2, 3), belief, cfg)
+        got = pure_learner_utilities(TypeDistribution.uniform(4), cfg)[2]
         expected = (0.94 + 0.8782 + 0.8152 + 0.7502) / 4
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.8459, abs=1e-4)
@@ -97,14 +100,16 @@ class TestExpectedLearnerUtility:
         cost_cfg = GameConfig(cfg.accuracy, payoff)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            s = Strategy(random_simplex(rng, 3))
             belief = TypeDistribution(random_simplex(rng, 4))
-            assert expected_learner_utility(s, belief, cost_cfg) == pytest.approx(-0.1)
+            assert pure_learner_utilities(belief, cost_cfg) == pytest.approx([-0.1] * 3)
 
 
 class TestAdversaryUtility:
+    """The adversary's entries of `GameConfig.expected_utilities`: row 1 of
+    each type's table."""
+
     def test_pure_hardened_on_strength_two(self, cfg):
-        got = adversary_utility(Strategy.pure(2, 3), 2, cfg)
+        got = cfg.expected_utilities[2][1, 2]
         assert got == pytest.approx(1 - 0.8152, abs=1e-12)
 
     def test_zero_values_and_costs(self, cfg):
@@ -113,10 +118,9 @@ class TestAdversaryUtility:
             c_classifier=np.zeros(3), c_type=np.zeros(4),
         )
         zero_cfg = GameConfig(cfg.accuracy, payoff)
-        rng = np.random.default_rng(5)
         for theta in range(4):
-            s = Strategy(random_simplex(rng, 3))
-            assert adversary_utility(s, theta, zero_cfg) == 0.0
+            assert zero_cfg.expected_utilities[theta][1].tolist() == [0.0] * 3
+            assert zero_cfg.realized_utilities[theta][1].tolist() == [0.0] * 6
 
     def test_generation_cost_subtracted(self, cfg):
         payoff = PayoffConfig(
@@ -124,41 +128,13 @@ class TestAdversaryUtility:
             c_classifier=np.zeros(3), c_type=np.array([0.0, 0.0, 0.0, 0.1]),
         )
         cost_cfg = GameConfig(cfg.accuracy, payoff)
-        got = adversary_utility(Strategy.pure(0, 3), 3, cost_cfg)
+        got = cost_cfg.expected_utilities[3][1, 0]
         assert got == pytest.approx((1 - 0.6814) - 0.1, abs=1e-12)
         assert got == pytest.approx(0.2186, abs=1e-12)
 
 
 class TestLinearity:
-    """Both utilities are linear in the strategy argument."""
-
-    def test_learner_utility_linear_in_strategy(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            cfg = random_config(rng)
-            s1 = Strategy(random_simplex(rng, cfg.n_classifiers))
-            s2 = Strategy(random_simplex(rng, cfg.n_classifiers))
-            alpha = float(rng.random())
-            mix = Strategy(alpha * s1.probs + (1 - alpha) * s2.probs)
-            theta = int(rng.integers(cfg.n_types))
-            lhs = learner_utility(mix, theta, cfg)
-            rhs = alpha * learner_utility(s1, theta, cfg) \
-                + (1 - alpha) * learner_utility(s2, theta, cfg)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    def test_adversary_utility_linear_in_strategy(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            cfg = random_config(rng)
-            s1 = Strategy(random_simplex(rng, cfg.n_classifiers))
-            s2 = Strategy(random_simplex(rng, cfg.n_classifiers))
-            alpha = float(rng.random())
-            mix = Strategy(alpha * s1.probs + (1 - alpha) * s2.probs)
-            theta = int(rng.integers(cfg.n_types))
-            lhs = adversary_utility(mix, theta, cfg)
-            rhs = alpha * adversary_utility(s1, theta, cfg) \
-                + (1 - alpha) * adversary_utility(s2, theta, cfg)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+    """Scaling the learner's values and costs scales its utilities."""
 
     def test_positive_homogeneity_in_values_and_costs(self):
         rng = np.random.default_rng(23)
@@ -174,24 +150,66 @@ class TestLinearity:
                     c_type=cfg.payoff.c_type,
                 ),
             )
-            s = Strategy(random_simplex(rng, cfg.n_classifiers))
             theta = int(rng.integers(cfg.n_types))
-            assert learner_utility(s, theta, scaled) == \
-                pytest.approx(k * learner_utility(s, theta, cfg), rel=1e-9)
+            np.testing.assert_allclose(scaled.expected_utilities[theta][0],
+                                       k * cfg.expected_utilities[theta][0], rtol=1e-9)
+
+
+def oracle_games(rng, n_games):
+    """Random games, every other one with entries from a small grid so
+    that ties are common, each with a belief over its types."""
+    for case in range(n_games):
+        nc, nt = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        if case % 2:
+            acc, v_l, v_a = rng.random((nc, nt)), rng.random((nc, nt)), rng.random((nc, nt))
+            c_c, c_t = rng.random(nc) * 0.3, rng.random(nt) * 0.3
+            raw = rng.random(nt) + 1e-9
+        else:
+            acc = rng.choice([0.0, 0.5, 1.0], (nc, nt))
+            v_l, v_a = rng.choice([0.0, 1.0, 2.0], (2, nc, nt))
+            c_c, c_t = rng.choice([0.0, 0.5], nc), rng.choice([0.0, 0.5], nt)
+            raw = rng.choice([0.0, 1.0], nt)
+            raw[0] = 1.0
+        payoff = PayoffConfig(v_l, v_a, c_c, c_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = GameConfig(AccuracyMatrix(acc), payoff)
+        yield cfg, TypeDistribution(raw / raw.sum())
+
+
+class TestTablesMatchTheMixedStrategyOracle:
+    def test_every_entry_equals_the_oracle_on_its_pure_strategy(self):
+        """On random games, tie-heavy ones included, every table entry is
+        the mixed-strategy formula's value on the matching pure strategy,
+        exactly.  A realized column with correctness b is the formula on
+        the game whose accuracies are all b."""
+        rng = np.random.default_rng(53)
+        for cfg, belief in oracle_games(rng, 600):
+            nc, nt = cfg.n_classifiers, cfg.n_types
+            certain = [GameConfig(AccuracyMatrix(np.full((nc, nt), b)), cfg.payoff)
+                       for b in (0.0, 1.0)]
+            learner = pure_learner_utilities(belief, cfg).tolist()
+            for j in range(nc):
+                s = oracle.Strategy.pure(j, nc)
+                for theta in range(nt):
+                    assert cfg.expected_utilities[theta][:, j].tolist() == [
+                        oracle.learner_utility(s, theta, cfg),
+                        oracle.adversary_utility(s, theta, cfg)]
+                    for b, game in enumerate(certain):
+                        assert cfg.realized_utilities[theta][:, 2 * j + b].tolist() == [
+                            oracle.learner_utility(s, theta, game),
+                            oracle.adversary_utility(s, theta, game)]
+                assert learner[j] == oracle.expected_learner_utility(s, belief, cfg)
+                reply = oracle.adversary_utilities(s, cfg).tolist()
+                assert cfg.best_response_types[j] == reply.index(max(reply))
 
 
 class TestDomainTypes:
-    def test_strategy_must_sum_to_one(self):
-        with pytest.raises(ConfigurationError):
-            Strategy(np.array([0.5, 0.6]))
-        with pytest.raises(ConfigurationError):
+    def test_type_distribution_must_sum_to_one(self):
+        with pytest.raises(ConfigurationError, match="must sum to 1"):
             TypeDistribution(np.array([0.2, 0.2]))
 
-    def test_strategy_rejects_negative_entries(self):
-        with pytest.raises(ConfigurationError):
-            Strategy(np.array([1.2, -0.2]))
-
-    @pytest.mark.parametrize("cls", [Strategy, TypeDistribution])
+    @pytest.mark.parametrize("cls", [TypeDistribution])
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_nan_is_refused_at_every_position(self, cls, n):
         for k in range(n):
@@ -204,18 +222,13 @@ class TestDomainTypes:
         rng = np.random.default_rng(29)
         for _ in range(100):
             n = int(rng.integers(1, 8))
-            for dist in (Strategy.pure(int(rng.integers(n)), n),
-                         Strategy.uniform(n)):
-                assert abs(dist.probs.sum() - 1.0) <= 1e-9
-                assert np.all(dist.probs >= 0)
             for dist in (TypeDistribution.uniform(n),
                          TypeDistribution.degenerate(int(rng.integers(n)), n),
                          TypeDistribution.concentrated(int(rng.integers(n)), n)):
                 assert abs(dist.probs.sum() - 1.0) <= 1e-9
                 assert np.all(dist.probs >= 0)
 
-    @pytest.mark.parametrize("make, name", [(Strategy.pure, "action"),
-                                            (TypeDistribution.degenerate, "type_id"),
+    @pytest.mark.parametrize("make, name", [(TypeDistribution.degenerate, "type_id"),
                                             (TypeDistribution.concentrated, "type_id")])
     def test_one_hot_constructors_refuse_bad_indices(self, make, name):
         """An index numpy would count from the end (-1), one past the end
@@ -281,7 +294,6 @@ class TestDomainTypes:
         assert [w.filename for w in caught] == [__file__]
 
     def test_monotone_matrix_is_silent(self):
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             AccuracyMatrix(np.array([[0.8, 0.5], [0.9, 0.6]]))
@@ -302,8 +314,7 @@ class TestDomainTypes:
         ambiguous-truth `ValueError`, an instance equals itself, and each
         hashes by identity."""
         makers = [default_config, lambda: default_config().accuracy,
-                  lambda: default_config().payoff, lambda: TypeDistribution.uniform(4),
-                  lambda: Strategy.uniform(3)]
+                  lambda: default_config().payoff, lambda: TypeDistribution.uniform(4)]
         for make in makers:
             a, b = make(), make()
             assert a == a
@@ -332,18 +343,53 @@ class TestDomainTypes:
         rng = np.random.default_rng(31)
         for _ in range(100):
             cfg = random_config(rng)
-            s = Strategy(random_simplex(rng, cfg.n_classifiers))
-            theta = int(rng.integers(cfg.n_types))
-            u_l = learner_utility(s, theta, cfg)
-            u_a = adversary_utility(s, theta, cfg)
-            assert -cfg.payoff.c_classifier.max() - 1e-9 <= u_l <= cfg.payoff.v_learner.max() + 1e-9
-            assert -cfg.payoff.c_type.max() - 1e-9 <= u_a <= cfg.payoff.v_adversary.max() + 1e-9
+            for table in cfg.expected_utilities + cfg.realized_utilities:
+                u_l, u_a = table
+                assert -cfg.payoff.c_classifier.max() <= u_l.min()
+                assert u_l.max() <= cfg.payoff.v_learner.max()
+                assert -cfg.payoff.c_type.max() <= u_a.min()
+                assert u_a.max() <= cfg.payoff.v_adversary.max()
 
     def test_pure_utilities_vector_matches_scalar_path(self, cfg):
+        """Each entry is the belief-weighted sum of the classifier's
+        learner entries, type by type."""
         rng = np.random.default_rng(37)
         belief = TypeDistribution(random_simplex(rng, 4))
         vec = pure_learner_utilities(belief, cfg)
         for j in range(3):
-            assert vec[j] == pytest.approx(
-                expected_learner_utility(Strategy.pure(j, 3), belief, cfg), abs=1e-12
-            )
+            scalar = sum(p * table[0, j]
+                         for p, table in zip(belief.probs.tolist(), cfg.expected_utilities))
+            assert vec[j] == pytest.approx(scalar, abs=1e-12)
+
+
+#: Each entry point that takes an index into a 3-classifier, 3-type game,
+#: with the name its one-line refusal starts with.
+INDEX_TAKERS = {
+    "self_play": ("classifier", lambda index: self_play(
+        default_config(), SelfPlayConfig(h=2, n_trials=2, q=2, seed=5), index)),
+    "degenerate": ("type_id", lambda index: TypeDistribution.degenerate(index, 3)),
+    "concentrated": ("type_id", lambda index: TypeDistribution.concentrated(index, 3)),
+    "record_observation-classifier": ("classifier", lambda index: record_observation(
+        BeliefState.fresh(3, 3), index, 0)),
+    "record_observation-type": ("type", lambda index: record_observation(
+        BeliefState.fresh(3, 3), 0, index)),
+}
+
+
+class TestIndexRule:
+    """One rule for an index into the game: an integer in [0, n), refused
+    in one line that shows the refused value."""
+
+    @pytest.mark.parametrize("taker", INDEX_TAKERS)
+    @pytest.mark.parametrize("index", [1.5, True, -1, 3, "1"],
+                             ids=["float", "bool", "negative", "past-the-end", "str"])
+    def test_bad_index_is_refused_in_one_line(self, taker, index):
+        name, take = INDEX_TAKERS[taker]
+        with pytest.raises(ConfigurationError) as err:
+            take(index)
+        assert str(err.value) == f"{name}: must be an integer in [0, 3), got {index!r}"
+
+    @pytest.mark.parametrize("taker", INDEX_TAKERS)
+    def test_numpy_integer_is_an_index(self, taker):
+        _, take = INDEX_TAKERS[taker]
+        take(np.int64(2))

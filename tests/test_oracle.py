@@ -1,5 +1,7 @@
 """Stochastic oracle: calibration, determinism, and query generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ class TestClassifyBatch:
     ])
     @pytest.mark.parametrize("mode", list(ClassificationMode))
     def test_out_of_range_raises(self, cfg, chosen, type_id, mode):
-        with pytest.raises(ConfigurationError, match="out of range"):
+        with pytest.raises(ConfigurationError, match="must be an integer in"):
             self.answer_in_turn(chosen, np.full(len(chosen), type_id), cfg, mode)
 
     def test_empty_batch(self, cfg):
@@ -192,17 +194,26 @@ class TestClassifyBatch:
             classify(1, generate_queries(1, 3), cfg,
                      ClassificationMode.STOCHASTIC, np.full(1, 0.5))
 
-    @pytest.mark.parametrize("chosen, types, message", [
-        ([0, 1, 2, 3, 1], [0, 0, 0, 0, 0], "classifier index 3 out of range"),
-        ([0, -2, 1], [1, 1, 1], "classifier index -2 out of range"),
-        ([0, 1, 2], [3, 4, 0], "type index 4 out of range"),
-        ([0, 1, 2], [0, -1, 3], "type index -1 out of range"),
-        ([[0, 1], [2, 0]], [[0, 1], [9, 2]], "type index 9 out of range"),
-        ([[7, 0], [2, 0]], [[0, 1], [-9, 2]], "classifier index 7 out of range"),
+    @pytest.mark.parametrize("chosen, types, bad, message", [
+        ([0, 1, 2, 3, 1], [0, 0, 0, 0, 0], "classifier index 3",
+         "classifier: must be an integer in [0, 3), got 3"),
+        ([0, -2, 1], [1, 1, 1], "classifier index -2",
+         "classifier: must be an integer in [0, 3), got -2"),
+        ([0, 1, 2], [3, 4, 0], "type index 4",
+         "type: must be an integer in [0, 4), got 4"),
+        ([0, 1, 2], [0, -1, 3], "type index -1",
+         "type: must be an integer in [0, 4), got -1"),
+        ([[0, 1], [2, 0]], [[0, 1], [9, 2]], "type index 9",
+         "type: must be an integer in [0, 4), got 9"),
+        ([[7, 0], [2, 0]], [[0, 1], [-9, 2]], "classifier index 7",
+         "classifier: must be an integer in [0, 3), got 7"),
     ])
     @pytest.mark.parametrize("mode", list(ClassificationMode))
-    def test_error_names_the_bad_id(self, cfg, chosen, types, message, mode):
-        """The first refused answer names its bad id, the classifier's
-        before the queries' when both are bad."""
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+    def test_error_names_the_bad_id(self, cfg, chosen, types, bad, message, mode):
+        """The first refused answer names its bad id (`bad`), the
+        classifier's before the queries' when both are bad, in the exact
+        one-line `message`."""
+        kind, _, index = bad.split()
+        assert message.startswith(f"{kind}: ") and message.endswith(f"got {index}")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             self.answer_in_turn(chosen, types, cfg, mode)

@@ -10,17 +10,18 @@ from clfgame import (
     AccuracyMatrix,
     GameConfig,
     PayoffConfig,
-    Strategy,
     TypeDistribution,
-    adversary_utilities,
-    adversary_utility,
     bne_select,
     default_config,
-    expected_learner_utility,
-    learner_utility,
     pure_learner_utilities,
     ucb_select_adversary,
     ucb_select_learner,
+)
+from tests.payoff_oracle import (
+    Strategy,
+    adversary_utilities,
+    adversary_utility,
+    expected_learner_utility,
 )
 
 

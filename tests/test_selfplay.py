@@ -16,9 +16,7 @@ from clfgame import (
     PayoffConfig,
     SelectionMethod,
     SelfPlayConfig,
-    Strategy,
     TypeDistribution,
-    adversary_utilities,
     bne_select,
     default_config,
     generate_queries,
@@ -26,6 +24,7 @@ from clfgame import (
     self_play,
 )
 from clfgame import selfplay
+from tests.payoff_oracle import Strategy, adversary_utilities
 
 
 class TestSelfPlayStructure:
@@ -53,7 +52,7 @@ class TestSelfPlayStructure:
         res = self_play(default_config(), run)
         fixed = self_play(default_config(), run, 1)
         assert len(res.plays) == len(fixed.plays) == 3 * h
-        assert res.belief_state.total_observations == 3 * h
+        assert res.belief_state.joint_counts.sum() == 3 * h
         assert len(res.per_trial_kl) == 3
 
     def test_belief_starts_at_prior(self, monkeypatch):
@@ -271,13 +270,13 @@ class TestFixedPolicy:
         res = self_play(default_config(), run, 1)
         assert res.plays.action.tolist() == [1] * 20
         assert res.plays.type.tolist() == [default_config().best_response_types[1]] * 20
-        assert res.belief_state.joint_counts[1].sum() == res.belief_state.total_observations == 20
+        assert res.belief_state.joint_counts[1].sum() == res.belief_state.joint_counts.sum() == 20
         assert res.per_trial_kl.tolist() == [kl_divergence(res.belief_state.p_hat, true_p)] * 4
 
     def test_policy_dimension_checked(self):
         for classifier in (3, -1):
-            with pytest.raises(ConfigurationError,
-                               match=rf"^classifier index {classifier} out of range$"):
+            with pytest.raises(ConfigurationError, match=(
+                    rf"^classifier: must be an integer in \[0, 3\), got {classifier}$")):
                 self_play(default_config(), SelfPlayConfig(seed=1), classifier)
 
 

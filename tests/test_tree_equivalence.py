@@ -33,7 +33,6 @@ from clfgame import (
     ClassificationMode,
     SelectionMethod,
     SelfPlayConfig,
-    Strategy,
     TypeDistribution,
     bne_select,
     default_config,
@@ -43,6 +42,7 @@ from clfgame import (
     refresh_marginal,
     self_play,
 )
+from tests.payoff_oracle import Strategy
 
 ROLLOUT_SHIFT_EPS = 1e-6
 
