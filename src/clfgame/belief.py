@@ -37,6 +37,7 @@ from .game import (
     ConfigurationError,
     TypeDistribution,
     _check_index,
+    _check_length,
 )
 
 
@@ -69,8 +70,7 @@ class BeliefState:
             raise ConfigurationError("joint_counts must be a 2-d matrix")
         if counts.size and min(counts.ravel().tolist()) < 0:
             raise ConfigurationError("counts must be non-negative")
-        if len(self.p_hat) != counts.shape[1]:
-            raise ConfigurationError("belief dimensions do not match count matrix")
+        _check_length(self.p_hat, counts.shape[1], "p_hat")
         self.joint_counts = counts
 
     @classmethod
@@ -167,8 +167,7 @@ def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:
     logarithms and the sum stay numpy's, so the value is bit for bit the
     numpy expression's (see the module docstring).
     """
-    if len(p_hat) != len(p):
-        raise ConfigurationError("distributions have different lengths")
+    _check_length(p, len(p_hat), "p")
     support = [(a, b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()) if a > 0]
     if any(b == 0 for _, b in support):
         return float("inf")
@@ -178,6 +177,5 @@ def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:
 
 def max_componentwise_error(p_hat: TypeDistribution, p: TypeDistribution) -> float:
     """Largest per-type absolute gap; reported alongside KL."""
-    if len(p_hat) != len(p):
-        raise ConfigurationError("distributions have different lengths")
+    _check_length(p, len(p_hat), "p")
     return max(abs(a - b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,9 @@ AdversaryTypeId = int
 
 #: Tolerance for "this probability vector sums to one".
 SIMPLEX_ATOL = 1e-9
+
+#: Share of the focus type in `TypeDistribution.concentrated`.
+CONCENTRATED_MASS = 0.98
 
 #: Largest payoff magnitude: with `selfplay.MAX_RUN_QUERIES` queries per run,
 #: every utility sum stays below about 1e20, far from float64 overflow.
@@ -62,8 +65,8 @@ REPR_LIMIT = 80
 def _shown(value) -> str:
     """A refused value's repr for an error message, cut to REPR_LIMIT
     characters plus "..." so a long or nested value keeps the line short.
-    Pass an array as `tolist()`: numpy's repr spans lines."""
-    text = repr(value)
+    An array is shown as its `tolist()`: numpy's repr spans lines."""
+    text = repr(value.tolist() if isinstance(value, np.ndarray) else value)
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
@@ -97,6 +100,26 @@ def _check_index(index, n: int, name: str) -> None:
     from the end, are refused too."""
     if isinstance(index, bool) or not (isinstance(index, numbers.Integral) and 0 <= index < n):
         raise ConfigurationError(f"{name}: must be an integer in [0, {n}), got {_shown(index)}")
+
+
+def _check_integer(value, minimum: int, name: str) -> int:
+    """`value` as a Python int, refused in one line unless it is a Python
+    or numpy integer (not a `bool`) of at least `minimum`: `h: must be an
+    integer, got 2.5`, `h: must be >= 1, got 0`.  A plain int skips the
+    slower abstract-class test."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ConfigurationError(f"{name}: must be an integer, got {_shown(value)}")
+    if value < minimum:
+        raise ConfigurationError(f"{name}: must be >= {minimum}, got {_shown(value)}")
+    return int(value)
+
+
+def _check_length(dist: "TypeDistribution", n: int, name: str) -> None:
+    """Refuse a distribution over other than `n` types in one line:
+    `true_p: expected 4 entries, got 2`."""
+    if len(dist) != n:
+        raise ConfigurationError(f"{name}: expected {n} entries, got {len(dist)}")
 
 
 def _one_hot(index, n: int, name: str) -> np.ndarray:
@@ -151,11 +174,11 @@ class TypeDistribution:
         return cdf
 
     @classmethod
-    def concentrated(cls, type_id: AdversaryTypeId, n_types: int,
-                     mass: float = 0.98) -> "TypeDistribution":
-        """Distribution with `mass` on one type and the remainder split
-        uniformly; the last non-focus entry absorbs rounding so the vector
-        sums to one exactly (e.g. (0.98, 0.00667, 0.00667, 0.00666)).
+    def concentrated(cls, type_id: AdversaryTypeId, n_types: int) -> "TypeDistribution":
+        """Distribution with `CONCENTRATED_MASS` on one type and the
+        remainder split uniformly; the last non-focus entry absorbs
+        rounding so the vector sums to one exactly (e.g. (0.98, 0.00667,
+        0.00667, 0.00666)).
 
         The split is rounded to 5 decimals.  Where rounding up would leave
         the last entry negative (71 types is the first such count), the
@@ -164,12 +187,13 @@ class TypeDistribution:
         focus = _one_hot(type_id, n_types, "type_id")
         if n_types == 1:
             return cls(focus)
-        share = round((1.0 - mass) / (n_types - 1), 5)
-        if share * (n_types - 2) > 1.0 - mass:
-            share = (1.0 - mass) / (n_types - 1)
-        probs = np.where(focus == 1.0, mass, share)
+        rest = 1.0 - CONCENTRATED_MASS
+        share = round(rest / (n_types - 1), 5)
+        if share * (n_types - 2) > rest:
+            share = rest / (n_types - 1)
+        probs = np.where(focus == 1.0, CONCENTRATED_MASS, share)
         others = [i for i in range(n_types) if i != type_id]
-        probs[others[-1]] = 1.0 - mass - share * (len(others) - 1)
+        probs[others[-1]] = rest - share * (len(others) - 1)
         return cls(probs)
 
     def __len__(self) -> int:
@@ -348,22 +372,10 @@ def default_config(c_classifier=None) -> GameConfig:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # default matrix dips on the clean column
         accuracy = AccuracyMatrix(DEFAULT_ACCURACY)
-    payoff = PayoffConfig.unit(3, 4)
+    payoff = PayoffConfig.unit(*accuracy.acc.shape)
     if c_classifier is not None:
-        payoff = PayoffConfig(
-            v_learner=payoff.v_learner,
-            v_adversary=payoff.v_adversary,
-            c_classifier=np.asarray(c_classifier, dtype=float),
-            c_type=payoff.c_type,
-        )
+        payoff = replace(payoff, c_classifier=c_classifier)
     return GameConfig(accuracy, payoff)
-
-
-def _check_distribution(d: TypeDistribution, cfg: GameConfig) -> None:
-    if len(d) != cfg.n_types:
-        raise ConfigurationError(
-            f"type distribution has {len(d)} entries for {cfg.n_types} types"
-        )
 
 
 def pure_learner_utilities(belief: TypeDistribution, cfg: GameConfig) -> np.ndarray:
@@ -371,6 +383,6 @@ def pure_learner_utilities(belief: TypeDistribution, cfg: GameConfig) -> np.ndar
     entry j is `sum_theta belief(theta) * acc[j, theta] * v_learner[j,
     theta] - c_classifier[j]`, the belief-weighted learner entries of
     `GameConfig.expected_utilities`."""
-    _check_distribution(belief, cfg)
+    _check_length(belief, cfg.n_types, "belief")
     gains = (cfg.accuracy.acc * cfg.payoff.v_learner) @ belief.probs
     return gains - cfg.payoff.c_classifier

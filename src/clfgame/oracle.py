@@ -16,7 +16,6 @@ in the same order, so runs replay bit for bit.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 
 import numpy as np
@@ -64,12 +63,15 @@ def classify(classifier: ClassifierId, queries: np.ndarray, cfg: GameConfig,
     acc[classifier, query]; expectation mode returns those accuracy
     entries and reads no double, so `u` may be empty.
 
-    Both ranges are checked in the one pass that turns the id pairs into
-    flat indexes of the accuracy matrix; only a batch that fails it pays
-    for the check that names the bad id.
+    A run passes a Python int; any other classifier (a `bool`, a float,
+    an array) goes to `_check_index`, which refuses it in one line or
+    admits a numpy integer.  Both ranges are checked in the one pass that
+    turns the id pairs into flat indexes of the accuracy matrix; only a
+    batch that fails it pays for the check that names the bad id.
     """
-    classifier = operator.index(classifier)
     acc = cfg.accuracy.acc
+    if type(classifier) is not int:
+        _check_index(classifier, acc.shape[0], "classifier")
     try:
         cells = np.ravel_multi_index((classifier, queries), acc.shape)
     except ValueError:

@@ -14,7 +14,8 @@ with the learner's classifier pinned, `self_play(cfg, run, classifier)`.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -32,6 +33,8 @@ from .game import (
     GameConfig,
     TypeDistribution,
     _check_index,
+    _check_integer,
+    _check_length,
     _shown,
 )
 from .oracle import ClassificationMode
@@ -51,10 +54,12 @@ class SelfPlayConfig:
     `h` is the number of plays one trial realizes.  No field picks a belief
     update rule: both rules give the same marginal (see
     `refresh_marginal`), so the rule only names a reported diagnostic.
-    The constructor refuses an out-of-range field, or more than
-    `MAX_RUN_QUERIES` queries, with a `ConfigurationError` that starts with
-    the field's name (`h: must be >= 1, got 0`); `resolved` checks `true_p`
-    against the game.
+    The constructor checks each field's type and range and refuses a bad
+    one with a one-line `ConfigurationError` that starts with the field's
+    name (`h: must be an integer, got 2.5`, `h: must be >= 1, got 0`).  An
+    enum field takes a member or its value in any letter case (`"BNE"`)
+    and keeps the member; `ucb_c` is kept as a float.  `resolved` checks
+    `true_p`, None or a `TypeDistribution`, against the game.
     """
 
     h: int = 20
@@ -69,11 +74,23 @@ class SelfPlayConfig:
 
     def __post_init__(self):
         for name, minimum in (("h", 1), ("n_trials", 1), ("q", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ConfigurationError(f"{name}: must be >= {minimum}, got {_shown(value)}")
-        if not 0 <= self.ucb_c < math.inf:  # NaN fails too
-            raise ConfigurationError(f"ucb_c: must be finite and >= 0, got {_shown(self.ucb_c)}")
+            object.__setattr__(self, name, _check_integer(getattr(self, name), minimum, name))
+        ucb_c = self.ucb_c
+        if (isinstance(ucb_c, bool) or not isinstance(ucb_c, numbers.Real)
+                or not 0 <= ucb_c <= sys.float_info.max):  # NaN fails too
+            raise ConfigurationError(f"ucb_c: must be finite and >= 0, got {_shown(ucb_c)}")
+        object.__setattr__(self, "ucb_c", float(ucb_c))
+        for name, enum_cls in (("selection", SelectionMethod), ("adversary_mode", AdversaryMode),
+                               ("classification_mode", ClassificationMode)):
+            if not isinstance(value := getattr(self, name), enum_cls):
+                values = sorted(member.value for member in enum_cls)
+                if not (isinstance(value, str) and value.lower() in values):
+                    raise ConfigurationError(
+                        f"{name}: must be one of {values}, got {_shown(value)}")
+                object.__setattr__(self, name, enum_cls(value.lower()))
+        if not (self.true_p is None or isinstance(self.true_p, TypeDistribution)):
+            raise ConfigurationError(
+                f"true_p: must be None or a TypeDistribution, got {_shown(self.true_p)}")
         if (queries := self.n_trials * self.h * self.q) > MAX_RUN_QUERIES:
             raise ConfigurationError(
                 f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {queries}")
@@ -99,9 +116,7 @@ class SelfPlayConfig:
         """Fill in the default that needs the game's dimensions."""
         if self.true_p is None:
             return replace(self, true_p=TypeDistribution.uniform(cfg.n_types))
-        if len(self.true_p) != cfg.n_types:
-            raise ConfigurationError(
-                f"true_p: expected {cfg.n_types} entries, got {len(self.true_p)}")
+        _check_length(self.true_p, cfg.n_types, "true_p")
         return self
 
 

@@ -89,7 +89,7 @@ class TestRecording:
                 BeliefState(prior, counts)
         with pytest.raises(ConfigurationError, match="2-d"):
             BeliefState(prior, np.zeros(3))
-        with pytest.raises(ConfigurationError, match="dimensions"):
+        with pytest.raises(ConfigurationError, match=r"^p_hat: expected 4 entries, got 3$"):
             BeliefState(prior, np.zeros((2, 4)))
         empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)))
         assert empty.joint_counts.sum() == 0
@@ -301,8 +301,10 @@ class TestKlDivergence:
             assert kl >= 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            kl_divergence(TypeDistribution.uniform(2), TypeDistribution.uniform(3))
+        """Both metrics name the distribution compared with `p_hat`."""
+        for metric in (kl_divergence, max_componentwise_error):
+            with pytest.raises(ConfigurationError, match=r"^p: expected 2 entries, got 3$"):
+                metric(TypeDistribution.uniform(2), TypeDistribution.uniform(3))
 
     def test_max_componentwise_error(self):
         a = TypeDistribution(np.array([0.6, 0.4]))

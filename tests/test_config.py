@@ -370,7 +370,8 @@ class TestOneKeyPerSetting:
         assert spec.run.adversary_mode is AdversaryMode.BEST_RESPONSE
         assert spec.run.classification_mode is ClassificationMode.EXPECTATION
         with pytest.raises(ConfigurationError,
-                           match=r"^run.selection: must be one of \['bne', 'ucb'\]$"):
+                           match=r"^run.selection: must be one of \['bne', 'ucb'\], "
+                                 r"got 'fictitious_play'$"):
             spec_from_dict({"run": {"selection": "fictitious_play"}})
 
 
@@ -548,6 +549,52 @@ DOMAIN_ERRORS = [
     ("PayoffConfig", "v_learner", lambda: payoff(v_learner=np.array([[1.0, -2e12, 0.0]] * 2)),
      "v_learner: magnitudes must be <= 1e+12, "
      "got [[1.0, -2000000000000.0, 0.0], [1.0, -2000000000000.0, 0.0]]"),
+    # each field's type is the domain type's rule too
+    ("SelfPlayConfig", "h", lambda: SelfPlayConfig(h=2.5), "h: must be an integer, got 2.5"),
+    ("SelfPlayConfig", "h", lambda: SelfPlayConfig(h=True), "h: must be an integer, got True"),
+    ("SelfPlayConfig", "n_trials", lambda: SelfPlayConfig(n_trials=2.0),
+     "n_trials: must be an integer, got 2.0"),
+    ("SelfPlayConfig", "q", lambda: SelfPlayConfig(q=2.5), "q: must be an integer, got 2.5"),
+    ("SelfPlayConfig", "seed", lambda: SelfPlayConfig(seed=1.5),
+     "seed: must be an integer, got 1.5"),
+    ("SelfPlayConfig", "ucb_c", lambda: SelfPlayConfig(ucb_c="2"),
+     "ucb_c: must be finite and >= 0, got '2'"),
+    ("SelfPlayConfig", "ucb_c", lambda: SelfPlayConfig(ucb_c=True),
+     "ucb_c: must be finite and >= 0, got True"),
+    ("SelfPlayConfig", "ucb_c", lambda: SelfPlayConfig(ucb_c=10**400),
+     "ucb_c: must be finite and >= 0, got " + repr(10**400)[:REPR_LIMIT] + "..."),
+    ("SelfPlayConfig", "selection", lambda: SelfPlayConfig(selection="greedy"),
+     "selection: must be one of ['bne', 'ucb'], got 'greedy'"),
+    ("SelfPlayConfig", "adversary_mode", lambda: SelfPlayConfig(adversary_mode=1),
+     "adversary_mode: must be one of ['best_response', 'sampled'], got 1"),
+    ("SelfPlayConfig", "classification_mode",
+     lambda: SelfPlayConfig(classification_mode=SelectionMethod.UCB),
+     "classification_mode: must be one of ['expectation', 'stochastic'], "
+     "got <SelectionMethod.UCB: 'ucb'>"),
+    ("SelfPlayConfig", "true_p", lambda: SelfPlayConfig(true_p=[0.25] * 4),
+     "true_p: must be None or a TypeDistribution, got [0.25, 0.25, 0.25, 0.25]"),
+    ("ExperimentSpec", "repetitions",
+     lambda: ExperimentSpec(default_config(), SelfPlayConfig(), repetitions=2.5),
+     "repetitions: must be an integer, got 2.5"),
+    ("ExperimentSpec", "repetitions",
+     lambda: ExperimentSpec(default_config(), SelfPlayConfig(), repetitions=True),
+     "repetitions: must be an integer, got True"),
+]
+
+#: (spec, the error): the domain type's refusal with the key path in front.
+SPEC_DOMAIN_ERRORS = [
+    ({"run": {"h": 2.5}}, "run.h: must be an integer, got 2.5"),
+    ({"run": {"h": True}}, "run.h: must be an integer, got True"),
+    ({"run": {"q": "2"}}, "run.q: must be an integer, got '2'"),
+    ({"run": {"seed": 1.5}}, "run.seed: must be an integer, got 1.5"),
+    ({"run": {"ucb_c": "2"}}, "run.ucb_c: must be finite and >= 0, got '2'"),
+    ({"run": {"ucb_c": [2]}}, "run.ucb_c: must be finite and >= 0, got [2]"),
+    ({"run": {"selection": "greedy"}},
+     "run.selection: must be one of ['bne', 'ucb'], got 'greedy'"),
+    ({"run": {"adversary_mode": 1}},
+     "run.adversary_mode: must be one of ['best_response', 'sampled'], got 1"),
+    ({"repetitions": 2.5}, "repetitions: must be an integer, got 2.5"),
+    ({"repetitions": False}, "repetitions: must be an integer, got False"),
 ]
 
 
@@ -563,6 +610,29 @@ class TestDomainErrors:
             build()
         assert str(err.value) == message
         assert message.startswith(field) and "\n" not in message
+
+    @pytest.mark.parametrize("data, message", SPEC_DOMAIN_ERRORS)
+    def test_spec_puts_the_key_path_in_front(self, data, message):
+        with pytest.raises(ConfigurationError) as err:
+            spec_from_dict(data)
+        assert str(err.value) == message
+
+    def test_fields_are_stored_as_their_types(self):
+        """An enum value in any case is stored as the member, an integral
+        `ucb_c` as a float and a numpy integer as an int, so a manifest
+        writes the same JSON for each."""
+        run = SelfPlayConfig(h=np.int64(5), ucb_c=2, selection="BNE",
+                             adversary_mode="Best_Response", classification_mode="expectation")
+        assert run.selection is SelectionMethod.BNE
+        assert run.adversary_mode is AdversaryMode.BEST_RESPONSE
+        assert run.classification_mode is ClassificationMode.EXPECTATION
+        assert type(run.ucb_c) is float and type(run.h) is int
+        spec = ExperimentSpec(default_config(), run, repetitions=np.int64(2))
+        assert type(spec.repetitions) is int
+        assert serialize_spec(spec)["run"] == serialize_spec(spec_from_dict(
+            {"run": {"h": 5, "ucb_c": 2.0, "selection": "bne",
+                     "adversary_mode": "best_response",
+                     "classification_mode": "expectation"}}))["run"]
 
     def test_long_true_p_is_one_cut_line(self, tmp_path, capsys):
         """A refused probability vector is shown cut to REPR_LIMIT on the

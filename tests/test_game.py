@@ -72,7 +72,7 @@ class TestLearnerUtility:
 
     def test_dimension_mismatch_raises(self, cfg):
         with pytest.raises(ConfigurationError,
-                           match=r"^type distribution has 3 entries for 4 types$"):
+                           match=r"^belief: expected 4 entries, got 3$"):
             pure_learner_utilities(TypeDistribution.uniform(3), cfg)
 
 
@@ -246,6 +246,11 @@ class TestDomainTypes:
         p = TypeDistribution.concentrated(0, 4)
         np.testing.assert_allclose(p.probs, [0.98, 0.00667, 0.00667, 0.00666])
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        # the focus mass is a constant, not a setting
+        from clfgame.game import CONCENTRATED_MASS
+        assert p.probs[0] == CONCENTRATED_MASS == 0.98
+        with pytest.raises(TypeError):
+            TypeDistribution.concentrated(0, 4, mass=0.9)
 
     @staticmethod
     def rounded_split(type_id, n_types, mass=0.98):

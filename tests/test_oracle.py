@@ -181,9 +181,11 @@ class TestClassifyBatch:
 
     def test_classifier_must_be_one_index(self, cfg):
         """A batch has one classifier: an array of them, which would
-        broadcast against the queries, or a float is refused."""
-        for classifier in (np.array([0, 1, 2]), np.array([1]), 1.0):
-            with pytest.raises(TypeError):
+        broadcast against the queries, a float or a bool is refused in one
+        line."""
+        for classifier in (np.array([0, 1, 2]), np.array([1]), 1.0, 1.5, True, np.True_):
+            with pytest.raises(ConfigurationError,
+                               match=r"^classifier: must be an integer in \[0, 3\), got [^\n]*$"):
                 classify(classifier, generate_queries(1, 1), cfg,
                          ClassificationMode.EXPECTATION, NO_DOUBLES)
 

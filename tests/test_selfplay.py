@@ -144,6 +144,26 @@ class TestSelfPlayStructure:
         with pytest.raises(ConfigurationError):
             SelfPlayConfig(true_p=TypeDistribution.uniform(3)).resolved(default_config())
 
+    @pytest.mark.parametrize("given, member", [
+        (dict(selection="bne"), dict(selection=SelectionMethod.BNE)),
+        (dict(selection="BNE", adversary_mode="best_response"),
+         dict(selection=SelectionMethod.BNE, adversary_mode=AdversaryMode.BEST_RESPONSE)),
+        (dict(adversary_mode="Best_Response"), dict(adversary_mode=AdversaryMode.BEST_RESPONSE)),
+        (dict(classification_mode="expectation"),
+         dict(classification_mode=ClassificationMode.EXPECTATION)),
+    ])
+    def test_enum_value_runs_the_named_rule(self, given, member):
+        """An enum field given as its value plays exactly as the member
+        does, and not as the default rule."""
+        base = dict(h=5, n_trials=4, q=3, seed=11)
+        got = self_play(default_config(), SelfPlayConfig(**base, **given))
+        want = self_play(default_config(), SelfPlayConfig(**base, **member))
+        default = self_play(default_config(), SelfPlayConfig(**base))
+        for field in ("action", "type", "correct", "u_learner", "u_adversary"):
+            np.testing.assert_array_equal(getattr(got.plays, field), getattr(want.plays, field))
+        assert not all(np.array_equal(getattr(got.plays, field), getattr(default.plays, field))
+                       for field in ("action", "type", "correct"))
+
 
 class TestBeliefConvergence:
     def test_concentrated_distribution_recovered(self):
