@@ -22,6 +22,14 @@ differently: `np.log` (`math.log` differs in the last bit on about 1 % of
 random ratio vectors), and every sum over a vector that can hold 8 or more
 entries (numpy sums pairwise from 8 entries up, and a spec may configure
 that many types).
+
+`trial_curves` runs once per run: a run's KL and max-error curves, one
+entry per trial, from its realized types in one numpy pass.  It equals
+the per-trial `kl_divergence` and `max_componentwise_error` bit for bit by
+two rules: the logarithm is `np.log`, elementwise, and with 8 or more
+types a row with a zero count is summed over its support alone.  The two
+functions stay for single beliefs (the presets' baseline and conditional
+rows).
 """
 
 from __future__ import annotations
@@ -81,13 +89,15 @@ class BeliefState:
 
     @property
     def action_counts(self) -> np.ndarray:
-        """Times each classifier was selected; row sums of joint_counts."""
-        return self.joint_counts.sum(axis=1)
+        """Times each classifier was selected; row sums of joint_counts.
+        `np.add.reduce` skips `ndarray.sum`'s Python wrapper; the int64
+        sums are the same."""
+        return np.add.reduce(self.joint_counts, axis=1)
 
     @property
     def type_counts(self) -> np.ndarray:
         """Times each type was realized; column sums of joint_counts."""
-        return self.joint_counts.sum(axis=0)
+        return np.add.reduce(self.joint_counts, axis=0)
 
 
 def record_observation(b: BeliefState, action: ClassifierId,
@@ -179,3 +189,35 @@ def max_componentwise_error(p_hat: TypeDistribution, p: TypeDistribution) -> flo
     """Largest per-type absolute gap; reported alongside KL."""
     _check_length(p, len(p_hat), "p")
     return max(abs(a - b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()))
+
+
+def trial_curves(types: np.ndarray, h: int,
+                 true_p: TypeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """A run's per-trial KL and max-error curves from its realized types,
+    `h` plays per trial: entry t is `kl_divergence` and
+    `max_componentwise_error` of the belief `refresh_marginal` leaves at
+    trial t's end, against `true_p`, bit for bit.
+
+    The cumulative type counts at the trial ends are one `bincount` keyed
+    on (trial, type) and a `cumsum`; row t of `p_hat` divides them by the
+    int (t + 1) * h, as the refresh does.  A row with mass on a type
+    `true_p` gives zero holds +inf.  With 8 or more types a row with a
+    zero count is summed over its support alone, as `kl_divergence` sums
+    it: numpy sums 8 or more entries pairwise, so a zero term can move
+    the rounding.
+    """
+    n_trials, n_types = len(types) // h, len(true_p)
+    trial = np.arange(len(types)) // h
+    counts = np.bincount(trial * n_types + types, minlength=n_trials * n_types)
+    counts = counts.reshape(n_trials, n_types).cumsum(axis=0)
+    p_hat = counts / ((np.arange(n_trials) + 1) * h)[:, None]
+    p = true_p.probs
+    support = counts > 0
+    ratios = np.divide(p_hat, p, out=np.ones_like(p_hat), where=support & (p > 0))
+    terms = np.log(ratios) * p_hat
+    kl = terms.sum(axis=1)
+    if n_types >= 8:
+        for t in np.flatnonzero(~support.all(axis=1)).tolist():
+            kl[t] = terms[t, support[t]].sum()
+    kl[(support & (p == 0)).any(axis=1)] = np.inf
+    return kl, np.abs(p_hat - p).max(axis=1)

@@ -2,7 +2,9 @@
 
 Each trial realizes a fixed number of plays, each counted into the run's
 one belief, in place, as it is realized, then refreshes the belief's
-marginal and records the divergence from the actual type distribution.
+marginal; only that refresh runs once per trial.  The run's KL and
+max-error curves against the actual type distribution are computed after
+the loop, in one pass over the plays' types (`belief.trial_curves`).
 Under BNE selection the learner's best response is computed here, once
 per trial: it depends only on the belief's marginal, which changes only at
 the trial's refresh.  UCB scores the belief's counts and two utility-sum
@@ -21,12 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .belief import (
-    BeliefState,
-    kl_divergence,
-    max_componentwise_error,
-    refresh_marginal,
-)
+from .belief import BeliefState, refresh_marginal, trial_curves
 from .game import (
     ClassifierId,
     ConfigurationError,
@@ -93,7 +90,7 @@ class SelfPlayConfig:
                 f"true_p: must be None or a TypeDistribution, got {_shown(self.true_p)}")
         if (queries := self.n_trials * self.h * self.q) > MAX_RUN_QUERIES:
             raise ConfigurationError(
-                f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {queries}")
+                f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {_shown(queries)}")
 
     @property
     def draws_per_play(self) -> int:
@@ -146,8 +143,8 @@ class SelfPlayResult:
             return np.where(totals > 0, 100.0 * self.selection_counts / totals, np.nan)
 
 
-def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: list[float],
-               per_trial_err: list[float], belief: BeliefState) -> SelfPlayResult:
+def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: np.ndarray,
+               per_trial_err: np.ndarray, belief: BeliefState) -> SelfPlayResult:
     """Run metrics from the play arrays of a run of q queries per play.
 
     The counts are one `bincount` over (type, action) pairs, times q, as a
@@ -170,8 +167,8 @@ def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: list[float],
     total_queries = int(queries_by_type.sum())
     overall = float(correct_by_type.sum() / total_queries) if total_queries else float("nan")
     return SelfPlayResult(
-        per_trial_kl=np.array(per_trial_kl),
-        per_trial_max_err=np.array(per_trial_err),
+        per_trial_kl=per_trial_kl,
+        per_trial_max_err=per_trial_err,
         belief_state=belief,
         selection_counts=counts,
         per_type_accuracy=per_type_accuracy,
@@ -189,10 +186,12 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     Per trial: compute the best response to the belief once (under BNE
     selection), draw the trial's uniform doubles with one `random((h,
     draws_per_play))` call, realize `h` plays, one row of doubles each and
-    each counted into the belief as it is realized, refresh the marginal,
-    and log the KL divergence to the actual type distribution.  The one
-    call draws the doubles the plays' single draws once did, in the same
-    order, so a seed's reports are unchanged.
+    each counted into the belief as it is realized, and refresh the
+    marginal.  The one call draws the doubles the plays' single draws once
+    did, in the same order, so a seed's reports are unchanged.  After the
+    loop, `trial_curves` gives the KL divergence and max error to the
+    actual type distribution at each trial's end, bit for bit the values
+    a per-trial `kl_divergence` and `max_componentwise_error` would give.
 
     A given `classifier` overrides `run.selection`: every play uses it, and
     a best-responding adversary answers `cfg.best_response_types[classifier]`
@@ -207,16 +206,14 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     belief = BeliefState.fresh(cfg.n_classifiers, cfg.n_types)
     sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
     plays = Plays.empty(run.n_trials * run.h)
-    kl_curve: list[float] = []
-    err_curve: list[float] = []
+    bne = pinned is None and run.selection is SelectionMethod.BNE
+    shape = run.h, run.draws_per_play
+    best_response = pinned
     for trial in range(run.n_trials):
-        best_response = pinned
-        if pinned is None and run.selection is SelectionMethod.BNE:
+        if bne:
             best_response = bne_select(belief.p_hat, cfg)
-        draws = rng.random((run.h, run.draws_per_play))
-        for p, u in enumerate(draws, trial * run.h):
+        for p, u in enumerate(rng.random(shape), trial * run.h):
             tree_traverse(cfg, run, u, belief, sums, best_response, plays, p)
         refresh_marginal(belief)
-        kl_curve.append(kl_divergence(belief.p_hat, run.true_p))
-        err_curve.append(max_componentwise_error(belief.p_hat, run.true_p))
-    return _aggregate(plays, cfg, run.q, kl_curve, err_curve, belief)
+    curves = trial_curves(plays.type, run.h, run.true_p)
+    return _aggregate(plays, cfg, run.q, *curves, belief)

@@ -16,6 +16,7 @@ from clfgame import (
     record_observation,
     refresh_marginal,
 )
+from clfgame.belief import trial_curves
 
 
 def state_with_counts(counts, p_hat=None):
@@ -370,3 +371,69 @@ class TestScalarPathsMatchNumpy:
             p = TypeDistribution(np.array([x, 1.0 - x]))
             got = kl_divergence(p_hat, p)
             assert got == numpy_kl(p_hat, p) != math.log(1.0 / x), x
+
+
+def loop_curves(types, h, true_p):
+    """The per-trial loop `self_play` ran before `trial_curves`: count a
+    trial's types into one belief, refresh it, and measure it."""
+    b = BeliefState.fresh(1, len(true_p))
+    kl, err = [], []
+    for t in range(len(types) // h):
+        for theta in types[t * h:(t + 1) * h].tolist():
+            record_observation(b, 0, theta)
+        refresh_marginal(b)
+        kl.append(kl_divergence(b.p_hat, true_p))
+        err.append(max_componentwise_error(b.p_hat, true_p))
+    return np.array(kl), np.array(err)
+
+
+class TestTrialCurves:
+    """`trial_curves` is the per-trial loop's two curves, bit for bit."""
+
+    @staticmethod
+    def assert_same(types, h, true_p):
+        types = np.asarray(types, dtype=np.int64)
+        got_kl, got_err = trial_curves(types, h, true_p)
+        want_kl, want_err = loop_curves(types, h, true_p)
+        assert got_kl.tobytes() == want_kl.tobytes(), (types, h, true_p)
+        assert got_err.tobytes() == want_err.tobytes(), (types, h, true_p)
+        return want_kl
+
+    def test_random_type_sequences(self):
+        """2-12 types, some of zero mass under `true_p` and some never
+        realized, h in {1, 3, 20} and 1, 10 or 200 trials.  Among the rows
+        are +inf ones and rows of 8 or more types with a zero count whose
+        full-row sum rounds differently from the support's sum."""
+        rng = np.random.default_rng(20261020)
+        infinite = regrouped = 0
+        for k in range(240):
+            n_types = 2 + k % 11
+            h, n_trials = [(1, 1), (1, 200), (3, 10), (20, 10)][k // 11 % 4]
+            raw = rng.random(n_types) * rng.choice([1e-3, 1.0], size=n_types)
+            if k % 3 == 0:
+                raw[int(rng.integers(n_types))] = 0.0
+            true_p = TypeDistribution(raw / raw.sum())
+            realized = rng.random(n_types) ** 3  # skewed, so some types stay unseen
+            types = rng.choice(n_types, size=h * n_trials, p=realized / realized.sum())
+            kl = self.assert_same(types, h, true_p)
+            infinite += int(np.isinf(kl).sum())
+            if n_types >= 8:
+                counts = np.array([np.bincount(types[:(t + 1) * h], minlength=n_types)
+                                   for t in range(n_trials)])
+                p_hat = counts / counts.sum(axis=1, keepdims=True)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = np.where(counts > 0, np.log(p_hat / true_p.probs) * p_hat, 0.0)
+                full = terms.sum(axis=1)
+                regrouped += int(((full != kl) & np.isfinite(kl)).sum())
+        assert infinite > 20 and regrouped > 20, (infinite, regrouped)
+
+    def test_one_play(self):
+        for n_types in (2, 4, 9):
+            for theta in range(n_types):
+                kl = self.assert_same([theta], 1, TypeDistribution.uniform(n_types))
+                assert kl.tolist() == [pytest.approx(math.log(n_types))]
+
+    def test_mass_on_a_zero_type_is_inf(self):
+        true_p = TypeDistribution(np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        kl = self.assert_same([0, 1, 1, 2, 0, 0], 2, true_p)
+        assert kl[0] < math.inf and kl[1] == kl[2] == math.inf

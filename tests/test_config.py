@@ -673,6 +673,16 @@ class TestSizeCaps:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_refused_run_size_is_cut(self):
+        """A run size too long to show whole (h = 1e300 gives a 301-digit
+        product) is cut to REPR_LIMIT characters on one line."""
+        with pytest.raises(ConfigurationError) as err:
+            spec_from_dict({"run": {"h": 1e300}})
+        message = str(err.value)
+        prefix = "run.n_trials * h * q: must be <= 10000000, got "
+        assert "\n" not in message and message.startswith(prefix), message
+        assert message.endswith("...") and len(message) == len(prefix) + REPR_LIMIT + 3
+
     def test_overflowing_payoffs_are_refused(self, tmp_path, capsys):
         """Values near the float64 maximum used to overflow a play's
         utility into a NaN report row; the spec is refused instead."""

@@ -433,3 +433,70 @@ class TestRunMemory:
         four = self.traced_peak(cfg, 4, q)
         sixteen = self.traced_peak(cfg, 16, q)
         assert sixteen - four < 12 * q, (four, sixteen)
+
+
+def nine_type_game():
+    """A 3-classifier, 9-type game, and a `true_p` that gives zero mass to
+    every type a best-responding adversary answers with and to one more."""
+    rng = np.random.default_rng(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        acc = AccuracyMatrix(np.sort(rng.uniform(0.3, 0.99, size=(3, 9)), axis=0))
+    cfg = GameConfig(acc, PayoffConfig(
+        np.ones((3, 9)), np.ones((3, 9)), np.array([0.0, 0.01, 0.02]), np.zeros(9)))
+    probs = rng.random(9) + 0.05
+    probs[list(cfg.best_response_types) + [8]] = 0.0
+    return cfg, TypeDistribution(probs / probs.sum())
+
+
+class TestTrialCurvesInRuns:
+    """A run's curves, computed once after its loop, are the curves the
+    per-trial loop measured, bit for bit."""
+
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_curves_match_per_trial_loop(self, selection, mode):
+        """9 types with zero counts, a best-responding adversary that puts
+        the belief's mass on zero-mass types (+inf), and one-play runs."""
+        from tests.test_belief import loop_curves
+        cfg, true_p = nine_type_game()
+        infinite = zero_counts = 0
+        for adversary in AdversaryMode:
+            for seed, (h, n_trials, q) in enumerate([(1, 1, 1), (1, 200, 1), (3, 10, 2),
+                                                     (20, 10, 3)]):
+                run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, selection=selection,
+                                     adversary_mode=adversary, classification_mode=mode,
+                                     true_p=true_p, seed=seed)
+                res = self_play(cfg, run)
+                kl, err = loop_curves(res.plays.type, h, true_p)
+                assert res.per_trial_kl.tobytes() == kl.tobytes(), (adversary, h, n_trials)
+                assert res.per_trial_max_err.tobytes() == err.tobytes(), (adversary, h, n_trials)
+                assert res.per_trial_kl[-1] == kl_divergence(res.belief_state.p_hat, true_p)
+                infinite += bool(np.isinf(kl).any())
+                zero_counts += bool((res.belief_state.type_counts == 0).any())
+        assert infinite >= 3 and zero_counts >= 5, (infinite, zero_counts)
+
+    def test_no_per_trial_metric_calls(self, monkeypatch):
+        """One run refreshes its belief once per trial and calls neither
+        `kl_divergence` nor `max_componentwise_error`."""
+        import clfgame.belief
+        calls = {"refresh_marginal": 0, "kl_divergence": 0, "max_componentwise_error": 0}
+
+        def counting(name):
+            original = getattr(clfgame.belief, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(clfgame.belief, name, wrapper)
+            monkeypatch.setattr(selfplay, name, wrapper, raising=False)
+        for selection in SelectionMethod:
+            run = SelfPlayConfig(h=3, n_trials=7, q=2, selection=selection, seed=4)
+            self_play(default_config(), run)
+            assert calls == {"refresh_marginal": 7, "kl_divergence": 0,
+                             "max_componentwise_error": 0}, selection
+            calls["refresh_marginal"] = 0
