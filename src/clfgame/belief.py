@@ -15,21 +15,15 @@ A run keeps one `BeliefState`, validated once and updated in place by
 `record_observation` and `refresh_marginal`.  With no observations the
 marginal is uniform, as is each conditional's fallback.
 
-These run once per play (`record_observation`) or once per trial, on
-vectors of a few entries, so their checks and scalar arithmetic run on
-Python numbers.  Two numpy calls stay because Python's would round
-differently: `np.log` (`math.log` differs in the last bit on about 1 % of
-random ratio vectors), and every sum over a vector that can hold 8 or more
-entries (numpy sums pairwise from 8 entries up, and a spec may configure
-that many types).
+`record_observation` runs once per play and `refresh_marginal` once per
+trial, on vectors of a few entries, so their checks and the refresh's
+integer total run on Python numbers.
 
-`trial_curves` runs once per run: a run's KL and max-error curves, one
-entry per trial, from its realized types in one numpy pass.  It equals
-the per-trial `kl_divergence` and `max_componentwise_error` bit for bit by
-two rules: the logarithm is `np.log`, elementwise, and with 8 or more
-types a row with a zero count is summed over its support alone.  The two
-functions stay for single beliefs (the presets' baseline and conditional
-rows).
+KL divergence and max componentwise error have one formula, `_curves`,
+over the rows of a `[n, T]` array of beliefs: `trial_curves` hands it a
+run's belief at each trial's end, after the run's loop, and
+`kl_divergence` and `max_componentwise_error` measure a single belief
+(the presets' baseline and conditional rows) as its one-row case.
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from .game import (
     TypeDistribution,
     _check_index,
     _check_length,
+    _shown,
 )
 
 
@@ -64,7 +59,8 @@ class BeliefState:
     joint_counts[j][i] counts how often type i was realized in a play where
     the learner had selected classifier j; its row sums (action_counts) and
     column sums (type_counts) are the visit counts UCB scores.  It keeps
-    its own int64 copy of the counts, which the updates change in place.
+    its own int64 copy of the counts, which the updates change in place;
+    each count must be whole, non-negative and within int64 (`2.0` is 2).
     Two beliefs are equal only when they are the same object: a mutable
     state with array fields has no element-wise `==` worth defining.
     """
@@ -73,13 +69,16 @@ class BeliefState:
     joint_counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.joint_counts, dtype=np.int64)
+        counts = np.asarray(self.joint_counts)
         if counts.ndim != 2:
-            raise ConfigurationError("joint_counts must be a 2-d matrix")
-        if counts.size and min(counts.ravel().tolist()) < 0:
-            raise ConfigurationError("counts must be non-negative")
+            raise ConfigurationError(f"joint_counts: must be a 2-d matrix, got {counts.ndim}-d")
+        if counts.dtype.kind not in "iuf" or not all(
+                0 <= c < 2**63 and c % 1 == 0 for c in counts.ravel().tolist()):
+            raise ConfigurationError(
+                "joint_counts: must be whole, finite, non-negative numbers within "
+                f"int64, got {_shown(self.joint_counts)}")
         _check_length(self.p_hat, counts.shape[1], "p_hat")
-        self.joint_counts = counts
+        self.joint_counts = counts.astype(np.int64)
 
     @classmethod
     def fresh(cls, n_classifiers: int, n_types: int) -> "BeliefState":
@@ -121,11 +120,8 @@ def fp_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
 
     Falls back to uniform for a classifier that was never selected.
     """
-    row = b.joint_counts[action]
-    total = int(row.sum())
-    if total == 0:
-        return TypeDistribution.uniform(len(row))
-    return TypeDistribution(row / total)
+    _check_index(action, b.joint_counts.shape[0], "classifier")
+    return _empirical(b.joint_counts[action])
 
 
 def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
@@ -136,6 +132,7 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
     current `p_hat`.  A zero denominator (classifier absent from every
     type's history) falls back to uniform.
     """
+    _check_index(action, b.joint_counts.shape[0], "classifier")
     type_totals = b.type_counts
     with np.errstate(invalid="ignore"):
         likelihood = np.where(type_totals > 0, b.joint_counts[action] / np.maximum(type_totals, 1), 0.0)
@@ -160,10 +157,13 @@ def refresh_marginal(b: BeliefState) -> None:
     conditionals stay available as diagnostics (`fp_conditional`,
     `bu_conditional`).  With no observations the belief is uniform.
     """
-    type_totals = b.type_counts
-    total = sum(type_totals.tolist())
-    b.p_hat = (TypeDistribution.uniform(len(type_totals)) if total == 0
-               else TypeDistribution(type_totals / total))
+    b.p_hat = _empirical(b.type_counts)
+
+
+def _empirical(counts: np.ndarray) -> TypeDistribution:
+    """The counts over their integer total; uniform when all are zero."""
+    total = sum(counts.tolist())
+    return TypeDistribution(counts / total) if total else TypeDistribution.uniform(len(counts))
 
 
 def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:
@@ -171,24 +171,17 @@ def kl_divergence(p_hat: TypeDistribution, p: TypeDistribution) -> float:
 
     Zero-probability p_hat entries contribute nothing; p_hat mass on a type
     with p(i) = 0 yields the +infinity sentinel so convergence curves stay
-    plottable instead of raising.
-
-    The support and the ratios are picked out on Python floats; the
-    logarithms and the sum stay numpy's, so the value is bit for bit the
-    numpy expression's (see the module docstring).
+    plottable instead of raising.  The one-row case of `_curves`.
     """
     _check_length(p, len(p_hat), "p")
-    support = [(a, b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()) if a > 0]
-    if any(b == 0 for _, b in support):
-        return float("inf")
-    terms = np.log([a / b for a, b in support]) * [a for a, _ in support]
-    return float(terms.sum())
+    return float(_curves(p_hat.probs[None], p)[0][0])
 
 
 def max_componentwise_error(p_hat: TypeDistribution, p: TypeDistribution) -> float:
-    """Largest per-type absolute gap; reported alongside KL."""
+    """Largest per-type absolute gap; reported alongside KL.  The one-row
+    case of `_curves`."""
     _check_length(p, len(p_hat), "p")
-    return max(abs(a - b) for a, b in zip(p_hat.probs.tolist(), p.probs.tolist()))
+    return float(_curves(p_hat.probs[None], p)[1][0])
 
 
 def trial_curves(types: np.ndarray, h: int,
@@ -200,23 +193,29 @@ def trial_curves(types: np.ndarray, h: int,
 
     The cumulative type counts at the trial ends are one `bincount` keyed
     on (trial, type) and a `cumsum`; row t of `p_hat` divides them by the
-    int (t + 1) * h, as the refresh does.  A row with mass on a type
-    `true_p` gives zero holds +inf.  With 8 or more types a row with a
-    zero count is summed over its support alone, as `kl_divergence` sums
-    it: numpy sums 8 or more entries pairwise, so a zero term can move
-    the rounding.
+    int (t + 1) * h, as the refresh does.
     """
     n_trials, n_types = len(types) // h, len(true_p)
     trial = np.arange(len(types)) // h
     counts = np.bincount(trial * n_types + types, minlength=n_trials * n_types)
     counts = counts.reshape(n_trials, n_types).cumsum(axis=0)
-    p_hat = counts / ((np.arange(n_trials) + 1) * h)[:, None]
+    return _curves(counts / ((np.arange(n_trials) + 1) * h)[:, None], true_p)
+
+
+def _curves(p_hat: np.ndarray, true_p: TypeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """KL divergence and max componentwise error of each row of the `[n, T]`
+    beliefs `p_hat` against `true_p`; a row with mass on a type `true_p`
+    gives zero holds +inf.  The logarithm is `np.log` (`math.log` differs
+    in the last bit on about 1 % of ratios).  Numpy sums 8 or more entries
+    pairwise, so with 8 or more types a row with a zero entry is summed
+    over its support alone, where a zero term cannot move the rounding.
+    """
     p = true_p.probs
-    support = counts > 0
+    support = p_hat > 0
     ratios = np.divide(p_hat, p, out=np.ones_like(p_hat), where=support & (p > 0))
     terms = np.log(ratios) * p_hat
     kl = terms.sum(axis=1)
-    if n_types >= 8:
+    if len(p) >= 8:
         for t in np.flatnonzero(~support.all(axis=1)).tolist():
             kl[t] = terms[t, support[t]].sum()
     kl[(support & (p == 0)).any(axis=1)] = np.inf

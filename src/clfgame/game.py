@@ -159,6 +159,7 @@ class TypeDistribution:
 
     @classmethod
     def uniform(cls, n_types: int) -> "TypeDistribution":
+        n_types = _check_integer(n_types, 1, "n_types")
         return cls(np.full(n_types, 1.0 / n_types))
 
     @cached_property

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .game import AdversaryTypeId, ClassifierId, GameConfig, _check_index
+from .game import AdversaryTypeId, ClassifierId, GameConfig, _check_index, _check_integer
 
 
 class ClassificationMode(str, Enum):
@@ -94,7 +94,9 @@ def empirical_accuracy(j: ClassifierId, i: AdversaryTypeId, n: int,
     """Fraction correct over n stochastic classifications of type-i queries.
 
     Sanity harness: reconstructs an accuracy-matrix cell from the oracle.
+    `n` must be an integer of at least 1.
     """
+    n = _check_integer(n, 1, "n")
     correct = classify(j, np.full(n, i), cfg, ClassificationMode.STOCHASTIC,
                        rng.random(n))
     return float(correct.mean())

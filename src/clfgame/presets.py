@@ -68,7 +68,8 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
     reports `fp_conditional` per classifier and `kl:bu:rep{n}`
     `bu_conditional`.  The rule changes only that diagnostic, since both
     rules give the same marginal (see `refresh_marginal`).  Trial 0 rows
-    carry the pre-update baseline divergence, and `mean` rows average each
+    carry the pre-update baseline divergence, measured once per repetition
+    as both rules share its distribution, and `mean` rows average each
     trial across repetitions.
     """
     stream = _seed_stream(spec)
@@ -79,15 +80,15 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
     for rep in range(spec.repetitions):
         raw = np.random.default_rng(_next_seed(stream)).dirichlet(np.ones(n_types))
         true_p = TypeDistribution(raw)
+        prior_kl = kl_divergence(prior, true_p)
+        prior_err = max_componentwise_error(prior, true_p)
         for rule in UpdateRule:
             seed = _next_seed(stream)
             run = replace(spec.run, true_p=true_p, seed=seed)
             result = self_play(spec.game, run)
             exp = f"kl:{rule.value}:rep{rep}"
-            baseline = np.concatenate([[kl_divergence(prior, true_p)],
-                                       result.per_trial_kl])
-            base_err = np.concatenate([[max_componentwise_error(prior, true_p)],
-                                       result.per_trial_max_err])
+            baseline = np.concatenate([[prior_kl], result.per_trial_kl])
+            base_err = np.concatenate([[prior_err], result.per_trial_max_err])
             for trial, (kl, err) in enumerate(zip(baseline, base_err)):
                 rows.append(ReportRow(exp, seed, trial, "kl", kl))
                 rows.append(ReportRow(exp, seed, trial, "max_abs_err", err))

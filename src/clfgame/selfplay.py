@@ -9,8 +9,8 @@ Under BNE selection the learner's best response is computed here, once
 per trial: it depends only on the belief's marginal, which changes only at
 the trial's refresh.  UCB scores the belief's counts and two utility-sum
 lists, all the UCB state a run keeps.  A run's plays are one `Plays`
-record of arrays with one entry per play, and the run metrics are read off
-those arrays.  The baseline of the utility comparison is the same loop
+record of arrays with one entry per play; the run metrics are read off
+those arrays and the belief's counts.  The baseline of the utility comparison is the same loop
 with the learner's classifier pinned, `self_play(cfg, run, classifier)`.
 """
 
@@ -147,19 +147,16 @@ def _aggregate(plays: Plays, cfg: GameConfig, q: int, per_trial_kl: np.ndarray,
                per_trial_err: np.ndarray, belief: BeliefState) -> SelfPlayResult:
     """Run metrics from the play arrays of a run of q queries per play.
 
-    The counts are one `bincount` over (type, action) pairs, times q, as a
-    play's action answers all its queries.  `np.add.at` folds the plays'
-    correctness sums into the per-type totals in play order, as a loop
-    would.
+    The belief counted every play's (action, type) pair, and a play's
+    action answers all its q queries, so the selection counts are q times
+    its transposed joint counts and the per-type query counts q times its
+    type counts.  `np.add.at` folds the plays' correctness sums into the
+    per-type totals in play order, as a loop would.
     """
-    n_types, n_classifiers = cfg.n_types, cfg.n_classifiers
-    types = plays.type
-    counts = q * np.bincount(plays.action + n_classifiers * types,
-                             minlength=n_types * n_classifiers
-                             ).reshape(n_types, n_classifiers)
-    correct_by_type = np.zeros(n_types)
-    np.add.at(correct_by_type, types, plays.correct)
-    queries_by_type = np.bincount(types, minlength=n_types) * q
+    counts = q * belief.joint_counts.T
+    queries_by_type = q * belief.type_counts
+    correct_by_type = np.zeros(cfg.n_types)
+    np.add.at(correct_by_type, plays.type, plays.correct)
     with np.errstate(invalid="ignore"):
         per_type_accuracy = np.where(
             queries_by_type > 0, correct_by_type / np.maximum(queries_by_type, 1), np.nan

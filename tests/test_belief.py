@@ -95,6 +95,27 @@ class TestRecording:
         empty = BeliefState(TypeDistribution.uniform(1), np.zeros((0, 1)))
         assert empty.joint_counts.sum() == 0
 
+    @pytest.mark.parametrize("counts", [
+        [[0.5, 1.7]], [[np.nan, 1]], [["1", 0]], [[1e30, 0]], [[np.inf, 0]],
+        [[-1, 0]], [[True, False]], [[2**63, 0]], [[None, 0]],
+    ], ids=["fraction", "nan", "str", "1e30", "inf", "negative", "bool",
+            "past-int64", "none"])
+    def test_bad_counts_refused_in_one_line(self, counts):
+        """A count that is not a whole, finite, non-negative number within
+        int64 is refused in one line, not kept truncated or ended in a
+        numpy error."""
+        with pytest.raises(ConfigurationError, match=(
+                r"^joint_counts: must be whole, finite, non-negative numbers "
+                r"within int64, got \[\[")):
+            BeliefState(TypeDistribution.uniform(2), counts)
+
+    def test_integral_counts_kept_as_int64(self):
+        for counts in ([[0.0, 2.0]], np.array([[0, 2]], dtype=np.uint8),
+                       [[0, 2**63 - 1]]):
+            b = BeliefState(TypeDistribution.uniform(2), counts)
+            assert b.joint_counts.dtype == np.int64
+            assert b.joint_counts.tolist() == [[0, int(np.asarray(counts)[0, 1])]]
+
     def test_equality_is_identity(self):
         """A belief holds count arrays, so `==` compares the objects, not
         the arrays element by element (which raises)."""
@@ -327,8 +348,10 @@ def numpy_max_error(p_hat, p):
 
 
 class TestScalarPathsMatchNumpy:
-    """KL and max error on Python floats are bit for bit the numpy
-    expressions, including lengths of 8 or more, where numpy sums pairwise."""
+    """`kl_divergence` and `max_componentwise_error`, the one-row case of
+    the kernel every KL and max error goes through, are bit for bit the
+    numpy expressions, including lengths of 8 or more, where numpy sums
+    pairwise.  This gates the kernel itself."""
 
     @staticmethod
     def random_distribution(rng, n, zero_share):
@@ -375,15 +398,16 @@ class TestScalarPathsMatchNumpy:
 
 def loop_curves(types, h, true_p):
     """The per-trial loop `self_play` ran before `trial_curves`: count a
-    trial's types into one belief, refresh it, and measure it."""
+    trial's types into one belief, refresh it, and measure it with the
+    numpy reference expressions, which share no code with the kernel."""
     b = BeliefState.fresh(1, len(true_p))
     kl, err = [], []
     for t in range(len(types) // h):
         for theta in types[t * h:(t + 1) * h].tolist():
             record_observation(b, 0, theta)
         refresh_marginal(b)
-        kl.append(kl_divergence(b.p_hat, true_p))
-        err.append(max_componentwise_error(b.p_hat, true_p))
+        kl.append(numpy_kl(b.p_hat, true_p))
+        err.append(numpy_max_error(b.p_hat, true_p))
     return np.array(kl), np.array(err)
 
 

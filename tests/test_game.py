@@ -13,7 +13,9 @@ from clfgame import (
     PayoffConfig,
     SelfPlayConfig,
     TypeDistribution,
+    bu_conditional,
     default_config,
+    fp_conditional,
     pure_learner_utilities,
     record_observation,
     self_play,
@@ -228,6 +230,17 @@ class TestDomainTypes:
                 assert abs(dist.probs.sum() - 1.0) <= 1e-9
                 assert np.all(dist.probs >= 0)
 
+    @pytest.mark.parametrize("n_types, message", [
+        (0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    ])
+    @pytest.mark.parametrize("make", [TypeDistribution.uniform,
+                                      lambda n_types: BeliefState.fresh(3, n_types)],
+                             ids=["uniform", "fresh-belief"])
+    def test_bad_type_count_refused_in_one_line(self, make, n_types, message):
+        with pytest.raises(ConfigurationError, match=rf"^n_types: {message}$"):
+            make(n_types)
+
     @pytest.mark.parametrize("make, name", [(TypeDistribution.degenerate, "type_id"),
                                             (TypeDistribution.concentrated, "type_id")])
     def test_one_hot_constructors_refuse_bad_indices(self, make, name):
@@ -378,6 +391,10 @@ INDEX_TAKERS = {
         BeliefState.fresh(3, 3), index, 0)),
     "record_observation-type": ("type", lambda index: record_observation(
         BeliefState.fresh(3, 3), 0, index)),
+    "fp_conditional": ("classifier", lambda index: fp_conditional(
+        BeliefState.fresh(3, 3), index)),
+    "bu_conditional": ("classifier", lambda index: bu_conditional(
+        BeliefState.fresh(3, 3), index)),
 }
 
 

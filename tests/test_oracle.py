@@ -108,6 +108,14 @@ class TestEmpiricalAccuracy:
             draws = np.random.default_rng(seed).random(n) < float(cfg.accuracy.acc[j, i])
             assert got == float(draws.mean())
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"),
+        (2.5, "must be an integer, got 2.5"),
+    ])
+    def test_bad_sample_count_refused(self, cfg, n, message):
+        with pytest.raises(ConfigurationError, match=rf"^n: {message}$"):
+            empirical_accuracy(0, 0, n, cfg, np.random.default_rng(0))
+
 
 class TestRandomStream:
     def test_same_seed_same_stream(self):

@@ -410,6 +410,26 @@ class TestAggregateMatchesPlayLoop:
                     np.array(overall).tobytes()
                 assert len(res.plays) == 5 * per_trial
 
+    @pytest.mark.parametrize("policy", ["ucb", "bne", "pinned"])
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    @pytest.mark.parametrize("adversary", list(AdversaryMode))
+    def test_selection_counts_read_from_belief(self, policy, mode, adversary):
+        """The counts read off the belief are the (type, action) `bincount`
+        over the plays, times q, that `_aggregate` once computed."""
+        cfg = default_config()
+        n_classifiers = cfg.n_classifiers
+        for seed, (h, n_trials, q) in enumerate([(1, 1, 1), (3, 10, 2), (20, 5, 7)]):
+            run = SelfPlayConfig(h=h, n_trials=n_trials, q=q, seed=seed,
+                                 selection="bne" if policy == "bne" else "ucb",
+                                 adversary_mode=adversary, classification_mode=mode)
+            res = self_play(cfg, run, seed % n_classifiers if policy == "pinned" else None)
+            plays = res.plays
+            want = q * np.bincount(plays.type * n_classifiers + plays.action,
+                                   minlength=cfg.n_types * n_classifiers
+                                   ).reshape(cfg.n_types, n_classifiers)
+            assert res.selection_counts.dtype == want.dtype
+            assert res.selection_counts.tolist() == want.tolist()
+
 
 class TestRunMemory:
     @staticmethod
