@@ -39,6 +39,7 @@ from .game import (
     ConfigurationError,
     TypeDistribution,
     _check_index,
+    _check_integer,
     _check_length,
     _shown,
 )
@@ -69,7 +70,10 @@ class BeliefState:
     joint_counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.joint_counts)
+        try:
+            counts = np.asarray(self.joint_counts)
+        except ValueError:  # ragged rows: no int64 matrix holds them
+            counts = np.empty((0, 0), dtype=object)
         if counts.ndim != 2:
             raise ConfigurationError(f"joint_counts: must be a 2-d matrix, got {counts.ndim}-d")
         if counts.dtype.kind not in "iuf" or not all(
@@ -83,6 +87,7 @@ class BeliefState:
     @classmethod
     def fresh(cls, n_classifiers: int, n_types: int) -> "BeliefState":
         """Observation-free state; the belief starts uniform."""
+        n_classifiers = _check_integer(n_classifiers, 0, "n_classifiers")
         return cls(TypeDistribution.uniform(n_types),
                    np.zeros((n_classifiers, n_types), dtype=np.int64))
 

@@ -30,19 +30,16 @@ _PRESET_DISPATCH = {
     "accuracy_check": preset_accuracy_check,
 }
 
-_COMMANDS = {
-    "run": "execute a spec file (honors its preset field)",
-    "table": "classifier-selection shares per concentrated type distribution",
-    "kl": "belief-convergence curves, fp and bu conditional diagnostics",
-    "utility": "self-play utility vs. the most-hardened fixed classifier",
-    "acc-check": "reconstruct the accuracy matrix from the stochastic oracle",
-}
-
-_COMMAND_PRESET = {
-    "table": "selection_table",
-    "kl": "kl_convergence",
-    "utility": "utility_comparison",
-    "acc-check": "accuracy_check",
+_COMMANDS = {  # command: (preset name, or None for the spec's own, help)
+    "run": (None, "execute a spec file (honors its preset field)"),
+    "table": ("selection_table",
+              "classifier-selection shares per concentrated type distribution"),
+    "kl": ("kl_convergence",
+           "belief-convergence curves, fp and bu conditional diagnostics"),
+    "utility": ("utility_comparison",
+                "self-play utility vs. the most-hardened fixed classifier"),
+    "acc-check": ("accuracy_check",
+                  "reconstruct the accuracy matrix from the stochastic oracle"),
 }
 
 
@@ -53,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classifier-selection game experiments",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMANDS.items():
+    for command, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
         if command == "run":
             sub.add_argument("spec", help="path to a JSON spec file")
@@ -79,10 +76,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _load(args)
-        if args.command == "run":
-            runner = _PRESET_DISPATCH.get(spec.preset, preset_run)
-        else:
-            runner = _PRESET_DISPATCH[_COMMAND_PRESET[args.command]]
+        preset = _COMMANDS[args.command][0] or spec.preset
+        runner = _PRESET_DISPATCH.get(preset, preset_run)
         paths = runner(spec)
     except (ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,15 +1,21 @@
 """Experiment presets: canned runs behind the CLI subcommands.
 
-Each preset fans a spec out into seeded runs, aggregates the metrics and
-writes one long-format CSV plus a manifest.  Per-run seeds derive from the
-spec seed through a seeded integer stream, so a preset is reproducible as a
-whole while its repetitions stay independent.
+Each preset fans a spec out into cells of seeded runs, aggregates the
+metrics and writes one long-format CSV plus a manifest.  A cell is `n` runs
+of one config (`_runs`), each at the next seed of the preset's one stream
+(`_seeds`), so a preset is reproducible as a whole while its runs stay
+independent.  Cells draw seeds in this order: `table` per method, then
+focus type; `utility` per focus type, then method, then that focus's run
+pinned to the most-hardened classifier; `kl` per repetition, the Dirichlet
+seed of its type distribution, then the `fp` and `bu` runs; `run` per
+repetition.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,21 +27,31 @@ from .belief import (
     max_componentwise_error,
 )
 from .config import ExperimentSpec
-from .game import TypeDistribution
+from .game import ClassifierId, TypeDistribution
 from .oracle import empirical_accuracy
 from .reports import ReportRow, write_report
 from .selection import SelectionMethod
-from .selfplay import self_play
+from .selfplay import SelfPlayConfig, SelfPlayResult, self_play
 
 ACCURACY_CHECK_SAMPLES = 50_000
 
 
-def _seed_stream(spec: ExperimentSpec) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([spec.run.seed, 0xC1F]))
+def _seeds(spec: ExperimentSpec) -> Iterator[int]:
+    """The preset's per-run seeds, drawn in order from the spec seed."""
+    stream = np.random.default_rng(np.random.SeedSequence([spec.run.seed, 0xC1F]))
+    while True:
+        yield int(stream.integers(2**63 - 1))
 
 
-def _next_seed(stream: np.random.Generator) -> int:
-    return int(stream.integers(2**63 - 1))
+def _runs(spec: ExperimentSpec, seeds: Iterator[int], n: int,
+          classifier: Optional[ClassifierId] = None,
+          **changes) -> Iterator[tuple[SelfPlayConfig, SelfPlayResult]]:
+    """One cell: `n` runs of the spec's run with `changes` applied, each at
+    the next of `seeds` and pinned to `classifier` if given.  Runs are made
+    and yielded one at a time, so a cell's memory does not grow with `n`."""
+    for _ in range(n):
+        run = replace(spec.run, seed=next(seeds), **changes)
+        yield run, self_play(spec.game, run, classifier)
 
 
 def preset_accuracy_check(spec: ExperimentSpec,
@@ -72,34 +88,32 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
     as both rules share its distribution, and `mean` rows average each
     trial across repetitions.
     """
-    stream = _seed_stream(spec)
+    seeds = _seeds(spec)
     rows: list[ReportRow] = []
     curves: dict[UpdateRule, list[np.ndarray]] = {rule: [] for rule in UpdateRule}
     n_types = spec.game.n_types
     prior = TypeDistribution.uniform(n_types)
     for rep in range(spec.repetitions):
-        raw = np.random.default_rng(_next_seed(stream)).dirichlet(np.ones(n_types))
+        raw = np.random.default_rng(next(seeds)).dirichlet(np.ones(n_types))
         true_p = TypeDistribution(raw)
         prior_kl = kl_divergence(prior, true_p)
         prior_err = max_componentwise_error(prior, true_p)
-        for rule in UpdateRule:
-            seed = _next_seed(stream)
-            run = replace(spec.run, true_p=true_p, seed=seed)
-            result = self_play(spec.game, run)
+        cell = _runs(spec, seeds, len(UpdateRule), true_p=true_p)
+        for rule, (run, result) in zip(UpdateRule, cell):
             exp = f"kl:{rule.value}:rep{rep}"
             baseline = np.concatenate([[prior_kl], result.per_trial_kl])
             base_err = np.concatenate([[prior_err], result.per_trial_max_err])
             for trial, (kl, err) in enumerate(zip(baseline, base_err)):
-                rows.append(ReportRow(exp, seed, trial, "kl", kl))
-                rows.append(ReportRow(exp, seed, trial, "max_abs_err", err))
+                rows.append(ReportRow(exp, run.seed, trial, "kl", kl))
+                rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", err))
             for i in range(n_types):
-                rows.append(ReportRow(exp, seed, -1, f"true_p_T{i}",
+                rows.append(ReportRow(exp, run.seed, -1, f"true_p_T{i}",
                                       float(true_p.probs[i])))
             conditional = (fp_conditional if rule is UpdateRule.FICTITIOUS_PLAY
                            else bu_conditional)
             for j in range(spec.game.n_classifiers):
                 rows.append(ReportRow(
-                    exp, seed, run.n_trials, f"conditional_kl_L{j}",
+                    exp, run.seed, run.n_trials, f"conditional_kl_L{j}",
                     kl_divergence(conditional(result.belief_state, j), true_p),
                 ))
             curves[rule].append(baseline)
@@ -111,22 +125,6 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
     return write_report(rows, spec, "kl_convergence")
 
 
-def _concentrated_runs(spec: ExperimentSpec, focus: int,
-                       method: SelectionMethod, stream: np.random.Generator):
-    """What the table and utility presets report of each run of one cell:
-    selection counts, play count, accuracy and both mean utilities.  Only
-    one run's plays are held at a time, however many `repetitions`."""
-    true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
-    for _ in range(spec.repetitions):
-        run = replace(spec.run, selection=method, true_p=true_p,
-                      seed=_next_seed(stream))
-        result = self_play(spec.game, run)
-        reported = (result.selection_counts, len(result.plays), result.overall_accuracy,
-                    result.mean_learner_utility, result.mean_adversary_utility)
-        del result
-        yield reported
-
-
 def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
     """Classifier-selection shares per concentrated type distribution.
 
@@ -134,12 +132,15 @@ def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
     of its mass on that type, under both selection heuristics, and reports
     pooled selection percentages and accuracy.
     """
-    stream = _seed_stream(spec)
+    seeds = _seeds(spec)
     rows: list[ReportRow] = []
     for method in (SelectionMethod.UCB, SelectionMethod.BNE):
         for focus in range(spec.game.n_types):
-            counts, n_plays, accuracy, utility, _ = zip(
-                *_concentrated_runs(spec, focus, method, stream))
+            true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
+            cell = _runs(spec, seeds, spec.repetitions, selection=method, true_p=true_p)
+            counts, n_plays, accuracy, utility = zip(*(
+                (result.selection_counts, len(result.plays), result.overall_accuracy,
+                 result.mean_learner_utility) for _, result in cell))
             counts = np.sum(counts, axis=0)
             total = counts.sum()
             exp = f"table:{method.value}:T{focus}"
@@ -172,7 +173,7 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
         "costs are not strictly increasing; the comparison against the "
         "most-hardened classifier is not cost-discriminating"
     ]
-    stream = _seed_stream(spec)
+    seeds = _seeds(spec)
     rows: list[ReportRow] = [
         ReportRow("utility:config", spec.run.seed, -1,
                   "costs_strictly_increasing", float(increasing)),
@@ -181,16 +182,16 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
     for focus in range(spec.game.n_types):
         true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
         for method in (SelectionMethod.UCB, SelectionMethod.BNE):
-            *_, learner, adversary = zip(*_concentrated_runs(spec, focus, method, stream))
-            utility = float(np.mean(learner))
-            adversary = float(np.mean(adversary))
+            cell = _runs(spec, seeds, spec.repetitions, selection=method, true_p=true_p)
+            learner, adversary = zip(*(
+                (result.mean_learner_utility, result.mean_adversary_utility)
+                for _, result in cell))
             exp = f"utility:{method.value}:T{focus}"
             rows.append(ReportRow(exp, spec.run.seed, -1,
-                                  "mean_learner_utility", utility))
+                                  "mean_learner_utility", float(np.mean(learner))))
             rows.append(ReportRow(exp, spec.run.seed, -1,
-                                  "mean_adversary_utility", adversary))
-        run = replace(spec.run, true_p=true_p, seed=_next_seed(stream))
-        baseline = self_play(spec.game, run, hardened)
+                                  "mean_adversary_utility", float(np.mean(adversary))))
+        ((run, baseline),) = _runs(spec, seeds, 1, hardened, true_p=true_p)
         rows.append(ReportRow(f"utility:baseline:T{focus}", run.seed, -1,
                               "baseline_learner_utility",
                               baseline.mean_learner_utility))
@@ -199,26 +200,23 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
 
 def preset_run(spec: ExperimentSpec) -> list[Path]:
     """Plain self-play with the spec's run parameters, over repetitions."""
-    stream = _seed_stream(spec)
     rows: list[ReportRow] = []
-    for rep in range(spec.repetitions):
-        seed = _next_seed(stream)
-        result = self_play(spec.game, replace(spec.run, seed=seed))
+    for rep, (run, result) in enumerate(_runs(spec, _seeds(spec), spec.repetitions)):
         exp = f"run:rep{rep}"
         for trial, (kl, err) in enumerate(
                 zip(result.per_trial_kl, result.per_trial_max_err), start=1):
-            rows.append(ReportRow(exp, seed, trial, "kl", float(kl)))
-            rows.append(ReportRow(exp, seed, trial, "max_abs_err", float(err)))
+            rows.append(ReportRow(exp, run.seed, trial, "kl", float(kl)))
+            rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", float(err)))
         for j in range(spec.game.n_classifiers):
-            rows.append(ReportRow(exp, seed, -1, f"selection_count_L{j}",
+            rows.append(ReportRow(exp, run.seed, -1, f"selection_count_L{j}",
                                   float(result.selection_counts[:, j].sum())))
         for i in range(spec.game.n_types):
             if not np.isnan(result.per_type_accuracy[i]):
-                rows.append(ReportRow(exp, seed, -1, f"accuracy_T{i}",
+                rows.append(ReportRow(exp, run.seed, -1, f"accuracy_T{i}",
                                       float(result.per_type_accuracy[i])))
-        rows.append(ReportRow(exp, seed, -1, "accuracy", result.overall_accuracy))
-        rows.append(ReportRow(exp, seed, -1, "mean_learner_utility",
+        rows.append(ReportRow(exp, run.seed, -1, "accuracy", result.overall_accuracy))
+        rows.append(ReportRow(exp, run.seed, -1, "mean_learner_utility",
                               result.mean_learner_utility))
-        rows.append(ReportRow(exp, seed, -1, "mean_adversary_utility",
+        rows.append(ReportRow(exp, run.seed, -1, "mean_adversary_utility",
                               result.mean_adversary_utility))
     return write_report(rows, spec, "run")

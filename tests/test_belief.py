@@ -97,9 +97,9 @@ class TestRecording:
 
     @pytest.mark.parametrize("counts", [
         [[0.5, 1.7]], [[np.nan, 1]], [["1", 0]], [[1e30, 0]], [[np.inf, 0]],
-        [[-1, 0]], [[True, False]], [[2**63, 0]], [[None, 0]],
+        [[-1, 0]], [[True, False]], [[2**63, 0]], [[None, 0]], [[1, 2], [3]],
     ], ids=["fraction", "nan", "str", "1e30", "inf", "negative", "bool",
-            "past-int64", "none"])
+            "past-int64", "none", "ragged"])
     def test_bad_counts_refused_in_one_line(self, counts):
         """A count that is not a whole, finite, non-negative number within
         int64 is refused in one line, not kept truncated or ended in a
@@ -108,6 +108,14 @@ class TestRecording:
                 r"^joint_counts: must be whole, finite, non-negative numbers "
                 r"within int64, got \[\[")):
             BeliefState(TypeDistribution.uniform(2), counts)
+
+    @pytest.mark.parametrize("n_classifiers, message", [
+        (-1, "must be >= 0, got -1"), (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+    ])
+    def test_fresh_refuses_bad_classifier_count_in_one_line(self, n_classifiers, message):
+        with pytest.raises(ConfigurationError, match=f"^n_classifiers: {message}$"):
+            BeliefState.fresh(n_classifiers, 4)
 
     def test_integral_counts_kept_as_int64(self):
         for counts in ([[0.0, 2.0]], np.array([[0, 2]], dtype=np.uint8),

@@ -1,7 +1,11 @@
 """Spec loading, validation messages, and serialization round-trips."""
 
+import copy
 import json
+import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from clfgame import (
     SelfPlayConfig,
     TypeDistribution,
     default_config,
+    self_play,
 )
 from clfgame.config import (
     PRESETS,
@@ -393,6 +398,15 @@ FUZZ_VALUES = [
     [[1, 2], [3]], [0.5, 0.5], [[0.5] * 5] * 3, [1, "a"], [[NAN]],
 ]
 
+#: More values for the leaves of a whole spec: huge, signed-zero and small
+#: whole numbers, and vectors and matrices of the default sizes (4 types,
+#: 3 classifiers) that are in range, off the simplex, non-finite or mistyped.
+LEAF_VALUES = FUZZ_VALUES + [
+    10**30, 2**63, 1e300, -0.0, 1, 3, [0.25] * 4, [0.5] * 4, [1.2, -0.2, 0.0, 0.0],
+    [NAN] * 4, [INF, 0, 0, 0], [True] * 4, [[0.5] * 4] * 3, [[0.5] * 4] * 2,
+    [[0.5] * 3] * 3, [[NAN] * 4] * 3, [[2.0] * 4] * 3, [[-1.0] * 4] * 3, {"a": 1},
+]
+
 
 def build(pairs):
     """A spec dict with each (dotted path, value) pair set; a section that
@@ -439,6 +453,50 @@ class TestConfigFuzz:
             paths = [SPEC_KEYS[k] for k in picks]
             values = [FUZZ_VALUES[k] for k in meta.integers(len(FUZZ_VALUES), size=len(paths))]
             self.accepts(build(list(zip(paths, values))), paths)
+
+    def test_each_leaf_is_refused_by_its_path_or_runs_finite(self):
+        """Each leaf of a whole serialized spec, set to each of LEAF_VALUES,
+        is refused in one line that starts with the leaf's path, or the spec
+        runs a self-play (capped at h, n_trials, q <= 3) whose metrics are
+        all finite.  A rule that ties keys together (the run's size cap, the
+        payoff shapes the accuracy matrix sets) may name the keys it ties,
+        within the leaf's section."""
+        base = serialize_spec(spec_from_dict({}))
+        outcomes = {"refused": 0, "ran": 0}
+        for path in KNOWN_KEYS:
+            section, _, key = path.partition(".")
+            if not key and section in ("game", "run"):
+                continue
+            for value in LEAF_VALUES:
+                data = copy.deepcopy(base)
+                if key:
+                    data[section][key] = value
+                else:
+                    data[section] = value
+                case = (path, value)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # accuracy matrices that dip
+                    try:
+                        spec = spec_from_dict(data)
+                    except ConfigurationError as err:
+                        message = str(err)
+                        head = message.partition(": ")[0]
+                        names = re.findall(r"\w+", head.removeprefix(f"{section}."))
+                        assert "\n" not in message, case
+                        assert head == path or (key and head.startswith(f"{section}.")
+                                                and set(names) <= set(base[section])), \
+                            (case, message)
+                        outcomes["refused"] += 1
+                        continue
+                    run = replace(spec.run, h=min(spec.run.h, 3),
+                                  n_trials=min(spec.run.n_trials, 3), q=min(spec.run.q, 3))
+                    result = self_play(spec.game, run)
+                metrics = [result.overall_accuracy, result.mean_learner_utility,
+                           result.mean_adversary_utility, *result.per_trial_kl,
+                           *result.per_trial_max_err]
+                assert all(map(math.isfinite, metrics)), (case, metrics)
+                outcomes["ran"] += 1
+        assert outcomes["refused"] > 0 and outcomes["ran"] > 0, outcomes
 
     @pytest.mark.parametrize("section", ["game", "run"])
     @pytest.mark.parametrize("value", [0, 0.0, False, "", []])

@@ -4,7 +4,9 @@ Each digest is the SHA-256 of the CSV that `clfgame <command> spec.json
 --seed 1 --reps 1` writes with the default game and run, in the given
 classification mode.  They pin the random stream and the arithmetic of a
 whole experiment: a speed-up that moves a draw or a rounding changes one of
-them.  Only the CSV is pinned, because the manifest records `output_dir`.
+them.  The `--reps 3` digests also pin the order in which a preset draws its
+per-run seeds across repetitions.  Only the CSV is pinned, because the
+manifest records `output_dir`.
 
 A change that alters the random stream or the reported values on purpose
 updates these digests and says so, with the reason, in CHANGES.md.
@@ -38,3 +40,22 @@ def test_csv_bytes_are_pinned(tmp_path, command, mode):
                  "--out", str(out)]) == 0
     (csv,) = out.glob("*.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == CSV_SHA256[command, mode]
+
+
+CSV_SHA256_REPS3 = {
+    "table": "d205c836737d38dc0f31bde6306b896337dd3bfec9a3d04c01a23c6184dee50b",
+    "kl": "8b605e1925c2b47228e78deb6e30f03aacbfc4c236b0034d49e237b0db030265",
+    "utility": "50d8e5b39b42497af36adab19e2f6b73ae0909eda0113060ce0796494435607c",
+    "run": "52ce36f3a9ae15faf057026c789b2a8de206a7c16c7661f6f7269e917eddbb89",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SHA256_REPS3))
+def test_seed_order_across_repetitions_is_pinned(tmp_path, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"run": {"classification_mode": "stochastic"}}))
+    out = tmp_path / "out"
+    assert main([command, str(spec), "--seed", "1", "--reps", "3",
+                 "--out", str(out)]) == 0
+    (csv,) = out.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == CSV_SHA256_REPS3[command]
