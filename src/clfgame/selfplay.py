@@ -39,8 +39,10 @@ from .selection import SelectionMethod, bne_select
 from .tree import AdversaryMode, Plays, tree_traverse
 
 
-#: Most queries one run may answer, `n_trials * h * q`.  A run's plays take
-#: 40 bytes each; one trial's uniform doubles take up to 16 bytes per query.
+#: Most queries one run may answer, `n_trials * h * q`.  As q >= 1, it also
+#: bounds the run's P = n_trials * h plays, 40 bytes each (400 MB at most),
+#: and one trial's uniform doubles, at most 8 bytes per query plus 8 per
+#: play (160 MB).
 MAX_RUN_QUERIES = 10**7
 
 
@@ -94,13 +96,11 @@ class SelfPlayConfig:
 
     @property
     def draws_per_play(self) -> int:
-        """Uniform doubles one play is handed: one for the type when it is
-        sampled, then one per query for its classifier and, in stochastic
-        mode, one per query for its correctness (see `tree.game_play`).
-        A play's classifier is its action, so it skips its classifier
-        doubles; they stay drawn because dropping them changes the stream."""
-        per_query = 2 if self.classification_mode is ClassificationMode.STOCHASTIC else 1
-        return (self.adversary_mode is AdversaryMode.SAMPLED) + per_query * self.q
+        """Uniform doubles one play reads: one for the type when it is
+        sampled, then in stochastic mode one per query for its correctness
+        (see `tree.game_play`)."""
+        stochastic = self.classification_mode is ClassificationMode.STOCHASTIC
+        return (self.adversary_mode is AdversaryMode.SAMPLED) + stochastic * self.q
 
     @property
     def traversals_per_trial(self) -> int:
@@ -184,11 +184,11 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     selection), draw the trial's uniform doubles with one `random((h,
     draws_per_play))` call, realize `h` plays, one row of doubles each and
     each counted into the belief as it is realized, and refresh the
-    marginal.  The one call draws the doubles the plays' single draws once
-    did, in the same order, so a seed's reports are unchanged.  After the
-    loop, `trial_curves` gives the KL divergence and max error to the
-    actual type distribution at each trial's end, bit for bit the values
-    a per-trial `kl_divergence` and `max_componentwise_error` would give.
+    marginal.  The one call draws the doubles the plays' single draws would,
+    in the same order.  After the loop, `trial_curves` gives the KL
+    divergence and max error to the actual type distribution at each
+    trial's end, bit for bit the values a per-trial `kl_divergence` and
+    `max_componentwise_error` would give.
 
     A given `classifier` overrides `run.selection`: every play uses it, and
     a best-responding adversary answers `cfg.best_response_types[classifier]`

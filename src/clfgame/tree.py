@@ -4,12 +4,11 @@ A play is one game instance: the learner picks a classifier, its action,
 with the configured selection rule, the adversary's type is realized, and
 that classifier answers a batch of q queries of that type.  A query is its
 type id, so a play reads one double for the type (when sampled) and, in
-stochastic mode, one per query for its correctness.  It skips the one
-double per query it is also handed for its classifier: those stay drawn so
-that a seed's stream is unchanged.  Every play of a run takes that same
-number of doubles, so the caller draws a trial's doubles with one
-`Generator.random((h, k))` call and hands each play its row, the doubles k
-single draws would give in the same order.
+stochastic mode, one per query for its correctness, and is handed only
+those.  Every play of a run takes that same number of doubles, so the
+caller draws a trial's doubles with one `Generator.random((h, k))` call and
+hands each play its row, the doubles k single draws would give in the same
+order.
 
 A run writes its plays into one `Plays` record, one entry per play, so its
 memory grows with its plays, not its queries.  `tree_traverse` is one
@@ -93,21 +92,20 @@ def play_batch(action: ClassifierId, theta: int, cfg: GameConfig,
     the play into entry `p` of `plays` and return its (learner, adversary)
     utilities, both means per query so results are invariant to q.
 
-    `u` holds the play's uniform doubles after its type's: the q skipped
-    classifier doubles, then in stochastic mode the q doubles `classify`
-    compares with the accuracies.  Each query's utility term is a column of
-    the type's cached utility table: column `2*action + b` of
-    `cfg.realized_utilities` for correctness b, column `action` of
-    `cfg.expected_utilities` in expectation mode.  Those are the terms a
-    per-query loop computed, in query order.  Each row of the taken [2, q]
-    array is contiguous, so its `sum` is the pairwise sum a 1-d `sum()`
-    makes, and each mean, that sum `/ q` as `np.mean` computes a float64
-    mean (a correctly rounded division, in Python as in numpy), is bit for
-    bit the loop's.
+    `u` holds the play's uniform doubles after its type's: in stochastic
+    mode the q doubles `classify` compares with the accuracies, else none.
+    Each query's utility term is a column of the type's cached utility
+    table: column `2*action + b` of `cfg.realized_utilities` for
+    correctness b, column `action` of `cfg.expected_utilities` in
+    expectation mode.  Those are the terms a per-query loop computed, in
+    query order.  Each row of the taken [2, q] array is contiguous, so its
+    `sum` is the pairwise sum a 1-d `sum()` makes, and each mean, that sum
+    `/ q` as `np.mean` computes a float64 mean (a correctly rounded
+    division, in Python as in numpy), is bit for bit the loop's.
     """
     q = run.q
     queries = generate_queries(theta, q)
-    correct = classify(action, queries, cfg, run.classification_mode, u[q:])
+    correct = classify(action, queries, cfg, run.classification_mode, u)
     if run.classification_mode is ClassificationMode.STOCHASTIC:
         pair = cfg.realized_utilities[theta][:, 2 * action:2 * action + 2]
         terms, n_correct = pair.take(correct, axis=1), np.count_nonzero(correct)

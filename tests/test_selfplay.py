@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ class TestSelfPlayStructure:
         np.testing.assert_array_equal(a.selection_counts, b.selection_counts)
         assert a.mean_learner_utility == b.mean_learner_utility
         assert a.belief_state.p_hat.probs.tolist() == b.belief_state.p_hat.probs.tolist()
+
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    def test_zero_width_rows_run_and_reproduce(self, selection):
+        """Expectation mode against a best-responding adversary reads no
+        double, so every play's row is empty: the run still realizes all
+        its plays, gives the same plays again, and its seed changes
+        nothing."""
+        run = SelfPlayConfig(h=6, n_trials=4, q=5, seed=99, selection=selection,
+                             classification_mode=ClassificationMode.EXPECTATION,
+                             adversary_mode=AdversaryMode.BEST_RESPONSE)
+        assert run.draws_per_play == 0
+        a, b, c = (self_play(default_config(), replace(run, seed=seed))
+                   for seed in (99, 99, 100))
+        assert len(a.plays) == 24
+        for other in (b, c):
+            for field in ("action", "type", "correct", "u_learner", "u_adversary"):
+                assert getattr(a.plays, field).tobytes() == getattr(other.plays, field).tobytes()
+            assert a.per_trial_kl.tobytes() == other.per_trial_kl.tobytes()
 
     def test_different_seeds_differ(self):
         base = dict(h=6, n_trials=4, q=5)
@@ -307,11 +326,12 @@ def reference_fixed_policy_rows(cfg, run, classifier):
 
     Per play: the type by one `Generator.choice` (sampled adversary) or the
     type that best responds to the classifier, then per query one
-    classifier by `Generator.choice` on the classifier's pure policy and,
-    in stochastic mode, per query one correctness double.
+    classifier by `Generator.choice` on the classifier's pure policy, from
+    a stream of its own, and, in stochastic mode, per query one
+    correctness double.
     """
     run = run.resolved(cfg)
-    rng = np.random.default_rng(run.seed)
+    rng, policy_rng = np.random.default_rng(run.seed), np.random.default_rng(run.seed)
     acc, payoff = cfg.accuracy.acc, cfg.payoff
     policy = Strategy.pure(classifier, cfg.n_classifiers)
     br_type = int(np.argmax(adversary_utilities(policy, cfg)))
@@ -323,7 +343,7 @@ def reference_fixed_policy_rows(cfg, run, classifier):
             theta = int(rng.choice(cfg.n_types, p=true_p))
         else:
             theta = br_type
-        chosen = np.array([rng.choice(len(weights), p=weights) for _ in range(run.q)],
+        chosen = np.array([policy_rng.choice(len(weights), p=weights) for _ in range(run.q)],
                           dtype=np.int64)
         if run.classification_mode is ClassificationMode.EXPECTATION:
             correct = np.array([acc[j, theta] for j in chosen])

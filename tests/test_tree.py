@@ -107,15 +107,27 @@ class TestGamePlay:
         adversary[ctx.plays.type[0]] = u_adversary
         assert ctx.sums == (learner, adversary)
 
-    def test_batch_length_matches_q(self):
-        """A play answers q queries: it is handed a type double and two
-        doubles per query, its correctness sum counts at most q correct
-        answers, and the run's record keeps one entry per play."""
-        cfg, run, ctx = make_ctx(q=7)
-        assert ctx.draws.shape == (run.n_trials * run.h, 1 + 2 * 7)
+    @pytest.mark.parametrize("mode, adversary, width", [
+        (ClassificationMode.STOCHASTIC, AdversaryMode.SAMPLED, 1 + 7),
+        (ClassificationMode.STOCHASTIC, AdversaryMode.BEST_RESPONSE, 7),
+        (ClassificationMode.EXPECTATION, AdversaryMode.SAMPLED, 1),
+        (ClassificationMode.EXPECTATION, AdversaryMode.BEST_RESPONSE, 0),
+    ])
+    def test_batch_length_matches_q(self, mode, adversary, width):
+        """A play answers q queries: it is handed only the doubles it reads,
+        one for its type when the adversary is sampled and, in stochastic
+        mode, one per query for its correctness.  Its correctness sum is
+        that of q answers, and the run's record keeps one entry per play."""
+        cfg, run, ctx = make_ctx(q=7, classification_mode=mode, adversary_mode=adversary)
+        assert run.draws_per_play == width
+        assert ctx.draws.shape == (run.n_trials * run.h, width)
         first_play(cfg, run, ctx)
         assert ctx.plays.correct.shape == (run.n_trials * run.h,)
-        assert ctx.plays.correct[0] in range(8)
+        if mode is ClassificationMode.STOCHASTIC:
+            assert ctx.plays.correct[0] in range(8)
+        else:
+            entry = cfg.accuracy.acc[ctx.plays.action[0], ctx.plays.type[0]]
+            assert ctx.plays.correct[0] == np.full(7, entry).sum()
 
     def test_best_response_adversary_targets_weak_spot(self):
         cfg, run, ctx = make_ctx(adversary_mode=AdversaryMode.BEST_RESPONSE,
@@ -181,7 +193,7 @@ class TestPlayBatch:
             counts = self_play(cfg, run, action).selection_counts
             assert counts[:, action].sum() == counts.sum() == 20 * 50
         plays = Plays.empty(1)
-        play_batch(2, 1, cfg, run.resolved(cfg), np.random.default_rng(43).random(2 * run.q),
+        play_batch(2, 1, cfg, run.resolved(cfg), np.random.default_rng(43).random(run.q),
                    plays, 0)
         assert (plays.action[0], plays.type[0]) == (2, 1)
 
@@ -194,10 +206,12 @@ def reference_choice(rng, weights):
 
 def reference_play_batch(action, theta, cfg, run, rng):
     """`play_batch` as a per-query loop: one choice draw per query on the
-    action's pure strategy, then one correctness draw per query."""
+    action's pure strategy, from a stream of its own, then one correctness
+    draw per query from `rng`."""
     probs = Strategy.pure(action, cfg.n_classifiers).probs
+    policy_rng = np.random.default_rng(run.seed)
     chosen = np.array([
-        reference_choice(rng, probs) for _ in range(run.q)
+        reference_choice(policy_rng, probs) for _ in range(run.q)
     ], dtype=np.int64)
     acc = cfg.accuracy.acc
     if run.classification_mode is ClassificationMode.EXPECTATION:
@@ -235,11 +249,10 @@ def random_weights(meta, n):
 
 
 def batch_doubles(rng, run):
-    """The doubles `play_batch` reads, as `self_play` draws them: one per
-    query for its classifier and, in stochastic mode, one per query for its
-    correctness."""
-    per_query = 2 if run.classification_mode is ClassificationMode.STOCHASTIC else 1
-    return rng.random(per_query * run.q)
+    """The doubles `play_batch` reads, as `self_play` draws them: in
+    stochastic mode one per query for its correctness, else none."""
+    stochastic = run.classification_mode is ClassificationMode.STOCHASTIC
+    return rng.random(run.q if stochastic else 0)
 
 
 def float_bits(values):
@@ -248,8 +261,9 @@ def float_bits(values):
 
 
 class TestStreamEquivalence:
-    """The vectorized draws return exactly what the per-query calls to
-    `Generator.choice` returned, and leave the stream at the same place."""
+    """A play's vectorized draws give exactly what per-query draws give and
+    leave the stream at the same place, and every per-query `Generator.choice`
+    on the action's pure strategy gives the action."""
 
     @pytest.mark.parametrize("weights", [
         [0.5, -0.1, 0.6],

@@ -5,10 +5,11 @@ back into them: a traversal ended in one play that read the belief, the
 run-wide play statistics and the random stream, but not the node or the
 path.  The tree's own draws (the expansion pick and the rollout steps) only
 advanced the stream.  So did the q binary query labels each play drew and
-nothing read.  This module keeps that traversal and that play as a
-reference, with the tree draws and the label draws on a separate
-`tree_rng`, and checks that `self_play` realizes the same plays, byte for
-byte.  With `tree_rng` set to the run's own stream, the reference
+nothing read, and the q classifier draws on the play's pure strategy, which
+always gave the play's action.  This module keeps that traversal and that
+play as a reference, with the tree draws, the label draws and the
+classifier draws on a separate `tree_rng`, and checks that `self_play`
+realizes the same plays, byte for byte.  With `tree_rng` set to the run's own stream, the reference
 reproduces the selection counts the tree-based `self_play` produced, pinned
 below.  The reference keeps its own per-mover play statistics
 (`NodeStats`) and scores them with the numpy UCB expression, as the
@@ -144,11 +145,13 @@ def choice(rng, probs):
     return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
-def old_play_batch(strategy, theta, cfg, run, rng, label_rng):
+def old_play_batch(strategy, theta, cfg, run, rng, side_rng):
     """`play_batch` as it was: q query labels drawn and never read, then one
-    classifier and one correctness draw per query."""
-    label_rng.integers(0, 2, size=run.q)
-    chosen = rng.choice(len(strategy), size=run.q, p=strategy.probs)
+    classifier draw per query on the play's pure strategy, which always
+    gave its action, both on `side_rng`, then one correctness draw per
+    query on `rng`."""
+    side_rng.integers(0, 2, size=run.q)
+    chosen = side_rng.choice(len(strategy), size=run.q, p=strategy.probs)
     p_correct = cfg.accuracy.acc[chosen, theta]
     if run.classification_mode is ClassificationMode.EXPECTATION:
         correct = p_correct
@@ -165,7 +168,8 @@ def old_play_batch(strategy, theta, cfg, run, rng, label_rng):
 
 
 def terminal_play(ctx, tree_rng):
-    """`game_play` as it was, with its label draw on `tree_rng`."""
+    """`game_play` as it was, with its label and classifier draws on
+    `tree_rng`."""
     run = ctx.run
     if run.selection is SelectionMethod.BNE:
         action, br_type = bne_select(ctx.belief.p_hat, ctx.cfg)
@@ -243,9 +247,9 @@ def traverse(node, ctx, tree_rng):
 
 
 def reference_self_play(cfg, run, shared_stream):
-    """The tree-based self-play loop.  Its tree and label draws come from
-    the run's own stream when `shared_stream` is set, else from a separate
-    one."""
+    """The tree-based self-play loop.  Its tree, label and classifier draws
+    come from the run's own stream when `shared_stream` is set, else from a
+    separate one."""
     run = run.resolved(cfg)
     rng = np.random.default_rng(run.seed)
     tree_rng = rng if shared_stream else np.random.default_rng(run.seed + 1_000_003)
