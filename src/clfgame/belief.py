@@ -16,8 +16,11 @@ A run keeps one `BeliefState`, validated once and updated in place by
 marginal is uniform, as is each conditional's fallback.
 
 `record_observation` runs once per play and `refresh_marginal` once per
-trial, on vectors of a few entries, so their checks and the refresh's
-integer total run on Python numbers.
+trial, on vectors of a few entries, so their checks run on Python
+numbers.  The refresh only records the type counts as they stand; `p_hat`
+is built from them, validated, the first time it is read.  A run that
+never reads it inside its loop (UCB) builds no distribution per trial,
+and one that reads it once per trial (BNE) builds the one it reads.
 
 KL divergence and max componentwise error have one formula, `_curves`,
 over the rows of a `[n, T]` array of beliefs: `trial_curves` hands it a
@@ -64,6 +67,11 @@ class BeliefState:
     each count must be whole, non-negative and within int64 (`2.0` is 2).
     Two beliefs are equal only when they are the same object: a mutable
     state with array fields has no element-wise `==` worth defining.
+
+    `p_hat` is a property over the field: after `refresh_marginal` it is
+    `_empirical` of the type counts that refresh recorded, built the first
+    time it is read.  A `p_hat` given to the constructor or assigned later
+    is kept as given, once its length is checked.
     """
 
     p_hat: TypeDistribution
@@ -84,6 +92,18 @@ class BeliefState:
         _check_length(self.p_hat, counts.shape[1], "p_hat")
         self.joint_counts = counts.astype(np.int64)
 
+    def _get_p_hat(self) -> TypeDistribution:
+        if self._p_hat is None:
+            self._p_hat = _empirical(self._refreshed_counts)
+        return self._p_hat
+
+    def _set_p_hat(self, value: TypeDistribution) -> None:
+        # The generated __init__ assigns p_hat before joint_counts;
+        # __post_init__ checks the constructor's.
+        if "joint_counts" in vars(self):
+            _check_length(value, self.joint_counts.shape[1], "p_hat")
+        self._p_hat = value
+
     @classmethod
     def fresh(cls, n_classifiers: int, n_types: int) -> "BeliefState":
         """Observation-free state; the belief starts uniform."""
@@ -102,6 +122,11 @@ class BeliefState:
     def type_counts(self) -> np.ndarray:
         """Times each type was realized; column sums of joint_counts."""
         return np.add.reduce(self.joint_counts, axis=0)
+
+
+BeliefState.p_hat = property(
+    BeliefState._get_p_hat, BeliefState._set_p_hat,
+    doc="The marginal belief over types (see `BeliefState`).")
 
 
 def record_observation(b: BeliefState, action: ClassifierId,
@@ -149,7 +174,10 @@ def bu_conditional(b: BeliefState, action: ClassifierId) -> TypeDistribution:
 
 
 def refresh_marginal(b: BeliefState) -> None:
-    """Set `b.p_hat` from the counts: the empirical type distribution.
+    """Make `b.p_hat` the empirical type distribution of the counts as they
+    stand.  The counts are recorded now and the distribution is built
+    from them when `p_hat` is next read, so later observations do not move
+    it.
 
     Both conditional rules give this marginal.  Each defines it as the
     action-frequency-weighted mixture of per-action conditionals,
@@ -162,7 +190,7 @@ def refresh_marginal(b: BeliefState) -> None:
     conditionals stay available as diagnostics (`fp_conditional`,
     `bu_conditional`).  With no observations the belief is uniform.
     """
-    b.p_hat = _empirical(b.type_counts)
+    b._p_hat, b._refreshed_counts = None, b.type_counts
 
 
 def _empirical(counts: np.ndarray) -> TypeDistribution:

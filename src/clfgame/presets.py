@@ -103,7 +103,7 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
             exp = f"kl:{rule.value}:rep{rep}"
             baseline = np.concatenate([[prior_kl], result.per_trial_kl])
             base_err = np.concatenate([[prior_err], result.per_trial_max_err])
-            for trial, (kl, err) in enumerate(zip(baseline, base_err)):
+            for trial, (kl, err) in enumerate(zip(baseline.tolist(), base_err.tolist())):
                 rows.append(ReportRow(exp, run.seed, trial, "kl", kl))
                 rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", err))
             for i in range(n_types):
@@ -119,9 +119,8 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
             curves[rule].append(baseline)
     for rule, collected in curves.items():
         mean_curve = np.mean(np.stack(collected), axis=0)
-        for trial, kl in enumerate(mean_curve):
-            rows.append(ReportRow(f"kl:{rule.value}:mean", spec.run.seed,
-                                  trial, "kl", float(kl)))
+        for trial, kl in enumerate(mean_curve.tolist()):
+            rows.append(ReportRow(f"kl:{rule.value}:mean", spec.run.seed, trial, "kl", kl))
     return write_report(rows, spec, "kl_convergence")
 
 

@@ -4,7 +4,9 @@ Every preset emits one long-format CSV — one metric value per row — plus a
 manifest JSON capturing the fully resolved spec, seed and preset, so
 `clfgame run` on a manifest's spec regenerates its report byte-for-byte.
 The manifest also records the package, Python and numpy versions the
-report was made with.
+report was made with.  A CSV row is one f-string, and the rows are
+streamed to the file: the bytes `csv.writer` writes, since no experiment
+or metric name may need CSV quoting.
 
 Metric names are drawn from a closed set of patterns:
 
@@ -40,6 +42,10 @@ from . import __version__
 from .config import PRESETS, ExperimentSpec, serialize_spec
 
 
+#: Characters that make `csv.writer` quote a field.
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 class ReportRow(NamedTuple):
     """One metric observation in the long-format report."""
 
@@ -55,17 +61,21 @@ def write_report(rows: list[ReportRow], spec: ExperimentSpec, name: str,
     """Write `<name>.csv` and `<name>_manifest.json` under the output dir.
 
     Values are rendered with `repr` so reruns with the same seed produce
-    byte-identical files.
+    byte-identical files.  Each row is one f-string ending in `\\r\\n`,
+    streamed to the file: the bytes `csv.writer` writes for these fields,
+    none of which needs quoting.  An experiment or metric name that would
+    need it (a comma, a double quote or a line break) is refused.
     """
+    for text in {row.experiment for row in rows} | {row.metric for row in rows}:
+        if not _CSV_SPECIAL.isdisjoint(text):
+            raise ValueError(f"report name {text!r} would need CSV quoting")
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ReportRow._fields)
-        for row in rows:
-            writer.writerow([row.experiment, row.seed, row.trial,
-                             row.metric, repr(float(row.value))])
+        handle.write(",".join(ReportRow._fields) + "\r\n")
+        handle.writelines(f"{experiment},{seed},{trial},{metric},{float(value)!r}\r\n"
+                          for experiment, seed, trial, metric, value in rows)
     manifest_path = out / f"{name}_manifest.json"
     manifest = {
         "name": name,

@@ -2,7 +2,10 @@
 
 Each trial realizes a fixed number of plays, each counted into the run's
 one belief, in place, as it is realized, then refreshes the belief's
-marginal; only that refresh runs once per trial.  The run's KL and
+marginal; only that refresh runs once per trial, and it only records the
+counts (`p_hat` is built when read).  The plays' uniform doubles are drawn
+in blocks of whole trials, one `Generator.random` call of at most
+`BLOCK_DOUBLES` doubles each (or one trial's, if more).  The run's KL and
 max-error curves against the actual type distribution are computed after
 the loop, in one pass over the plays' types (`belief.trial_curves`).
 Under BNE selection the learner's best response is computed here, once
@@ -42,8 +45,13 @@ from .tree import AdversaryMode, Plays, tree_traverse
 #: Most queries one run may answer, `n_trials * h * q`.  As q >= 1, it also
 #: bounds the run's P = n_trials * h plays, 40 bytes each (400 MB at most),
 #: and one trial's uniform doubles, at most 8 bytes per query plus 8 per
-#: play (160 MB).
+#: play (160 MB), which bounds one block of them too.
 MAX_RUN_QUERIES = 10**7
+
+#: Most uniform doubles one `Generator.random` call of `self_play` draws,
+#: unless a single trial needs more: a run draws its doubles in blocks of
+#: whole trials, as many as fit (32 KB).
+BLOCK_DOUBLES = 2**12
 
 
 @dataclass(frozen=True)
@@ -181,11 +189,13 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     """Run the full self-play loop and return its metrics.
 
     Per trial: compute the best response to the belief once (under BNE
-    selection), draw the trial's uniform doubles with one `random((h,
-    draws_per_play))` call, realize `h` plays, one row of doubles each and
-    each counted into the belief as it is realized, and refresh the
-    marginal.  The one call draws the doubles the plays' single draws would,
-    in the same order.  After the loop, `trial_curves` gives the KL
+    selection), realize `h` plays, one row of `draws_per_play` uniform
+    doubles each and each counted into the belief as it is realized, and
+    refresh the marginal.  The rows are drawn for a block of n whole trials
+    at a time, with one `random((n * h, draws_per_play))` call; n is as
+    many trials as `BLOCK_DOUBLES` holds, at least one.  A block's call
+    draws the doubles n per-trial `random((h, draws_per_play))` calls
+    would, in the same order.  After the loop, `trial_curves` gives the KL
     divergence and max error to the actual type distribution at each
     trial's end, bit for bit the values a per-trial `kl_divergence` and
     `max_componentwise_error` would give.
@@ -204,12 +214,15 @@ def self_play(cfg: GameConfig, run: SelfPlayConfig,
     sums = ([0.0] * cfg.n_classifiers, [0.0] * cfg.n_types)
     plays = Plays.empty(run.n_trials * run.h)
     bne = pinned is None and run.selection is SelectionMethod.BNE
-    shape = run.h, run.draws_per_play
+    h, width = run.h, run.draws_per_play
+    block = max(1, BLOCK_DOUBLES // max(1, h * width))
     best_response = pinned
     for trial in range(run.n_trials):
+        if trial % block == 0:
+            rows = iter(rng.random((min(block, run.n_trials - trial) * h, width)))
         if bne:
             best_response = bne_select(belief.p_hat, cfg)
-        for p, u in enumerate(rng.random(shape), trial * run.h):
+        for p, u in zip(range(trial * h, trial * h + h), rows):
             tree_traverse(cfg, run, u, belief, sums, best_response, plays, p)
         refresh_marginal(belief)
     curves = trial_curves(plays.type, run.h, run.true_p)

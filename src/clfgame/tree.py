@@ -6,9 +6,9 @@ that classifier answers a batch of q queries of that type.  A query is its
 type id, so a play reads one double for the type (when sampled) and, in
 stochastic mode, one per query for its correctness, and is handed only
 those.  Every play of a run takes that same number of doubles, so the
-caller draws a trial's doubles with one `Generator.random((h, k))` call and
-hands each play its row, the doubles k single draws would give in the same
-order.
+caller draws a block of plays' doubles with one `Generator.random((P, k))`
+call and hands each play its row, the doubles k single draws would give in
+the same order.
 
 A run writes its plays into one `Plays` record, one entry per play, so its
 memory grows with its plays, not its queries.  `tree_traverse` is one

@@ -11,6 +11,10 @@ means of these over its plays, so each has the per-play mean and 1 / P of
 the per-play variance.  Unlike a comparison of a new variant with an old
 one, the law needs no old code and no random stream, and a fault both
 variants share still shows against it.
+
+`empirical_accuracy(j, i, n, ...)` is the fraction correct of n
+stochastic classifications, each correct with probability acc[j, i], so
+it is Binomial(n, acc[j, i]) / n.
 """
 
 from dataclasses import dataclass
@@ -61,3 +65,9 @@ def pinned_run_moments(cfg: GameConfig, run: SelfPlayConfig,
     }
     n_plays = run.n_trials * run.h
     return {name: Moments(m.mean, m.var / n_plays) for name, m in per_play.items()}
+
+
+def empirical_accuracy_moments(acc: float, n: int) -> Moments:
+    """The exact moments of `empirical_accuracy` over n samples of a cell
+    of accuracy `acc`: those of Binomial(n, acc) / n."""
+    return Moments(acc, acc * (1.0 - acc) / n)

@@ -16,7 +16,7 @@ from clfgame import (
     record_observation,
     refresh_marginal,
 )
-from clfgame.belief import trial_curves
+from clfgame.belief import _empirical, trial_curves
 
 
 def state_with_counts(counts, p_hat=None):
@@ -154,6 +154,50 @@ class TestRecording:
         record_observation(b, 1, 0)
         assert b.joint_counts.tolist() == [[1, 0], [1, 2]]
         assert counts.tolist() == [[7, 0], [0, 2]]
+
+
+class TestLazyMarginal:
+    """A refresh records the type counts; `p_hat` is built from them on
+    first read, by the `_empirical` rule, and later plays do not move it."""
+
+    def test_p_hat_is_the_empirical_of_the_counts_at_the_refresh(self):
+        rng = np.random.default_rng(28)
+        for n_types in (1, 2, 4, 9):
+            b = BeliefState.fresh(3, n_types)
+            for _ in range(40):
+                for _ in range(int(rng.integers(0, 4))):
+                    record_observation(b, int(rng.integers(3)), int(rng.integers(n_types)))
+                refresh_marginal(b)
+                want = _empirical(b.type_counts).probs.tobytes()
+                for _ in range(int(rng.integers(1, 4))):
+                    record_observation(b, int(rng.integers(3)), int(rng.integers(n_types)))
+                assert b.p_hat.probs.tobytes() == want
+
+    def test_two_reads_return_one_object(self):
+        b = state_with_counts([[1, 0, 2], [0, 3, 0]])
+        refresh_marginal(b)
+        assert b.p_hat is b.p_hat
+        record_observation(b, 0, 1)
+        refresh_marginal(b)
+        first = b.p_hat
+        assert first is b.p_hat and first.probs.tolist() == [1 / 7, 4 / 7, 2 / 7]
+
+    def test_assigned_p_hat_is_checked_and_kept(self):
+        b = state_with_counts([[1, 0, 2, 0]])
+        refresh_marginal(b)
+        with pytest.raises(ConfigurationError, match=r"^p_hat: expected 4 entries, got 3$"):
+            b.p_hat = TypeDistribution.uniform(3)
+        assert b.p_hat.probs.tolist() == [1 / 3, 0.0, 2 / 3, 0.0]
+        refresh_marginal(b)
+        given = TypeDistribution.concentrated(1, 4)
+        b.p_hat = given
+        assert b.p_hat is given
+        with pytest.raises(ConfigurationError, match=r"^p_hat: expected 4 entries, got 5$"):
+            BeliefState(TypeDistribution.uniform(5), b.joint_counts)
+        from dataclasses import replace
+        with pytest.raises(ConfigurationError, match=r"^p_hat: expected 4 entries, got 2$"):
+            replace(b, p_hat=TypeDistribution.uniform(2))
+        assert replace(b, joint_counts=np.zeros((2, 4))).p_hat is given
 
 
 class TestFictitiousPlayConditional:

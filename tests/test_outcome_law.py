@@ -8,6 +8,11 @@ within the two-sided normal bound of a Bonferroni-corrected family-wise
 alpha of 1e-3.  The power check moves the focus-type accuracy entry of the
 run's classifier by 0.02 either way and requires that the family rejects
 the moved law.
+
+`empirical_accuracy` is checked the same way: each of the bundled
+matrix's 12 cells, sampled as the `acc-check` preset samples them, against
+its Binomial law, and each cell's law moved by 0.02 either way must be
+rejected.
 """
 
 import warnings
@@ -24,9 +29,11 @@ from clfgame import (
     SelfPlayConfig,
     TypeDistribution,
     default_config,
+    empirical_accuracy,
     self_play,
 )
-from tests.outcome_law import pinned_run_moments
+from clfgame.presets import ACCURACY_CHECK_SAMPLES
+from tests.outcome_law import empirical_accuracy_moments, pinned_run_moments
 
 FAMILY_ALPHA = 1e-3
 FOCUS = 2
@@ -89,3 +96,31 @@ class TestPinnedRunLaw:
         for mode in ClassificationMode:
             moved = abs(scores[classifier, mode, "overall_accuracy"])
             assert moved > bound(len(scores)), (mode, moved)
+
+
+@pytest.fixture(scope="module")
+def sampled_accuracy():
+    """Every cell's `empirical_accuracy`, drawn in the `acc-check` preset's
+    order from one generator at a fixed seed."""
+    cfg = default_config()
+    rng = np.random.default_rng(2028)
+    return {(j, i): empirical_accuracy(j, i, ACCURACY_CHECK_SAMPLES, cfg, rng)
+            for j in range(cfg.n_classifiers) for i in range(cfg.n_types)}
+
+
+def accuracy_z_scores(acc, sampled):
+    return {cell: empirical_accuracy_moments(float(acc[cell]), ACCURACY_CHECK_SAMPLES).z(value)
+            for cell, value in sampled.items()}
+
+
+class TestEmpiricalAccuracyLaw:
+    def test_cells_meet_the_binomial_law(self, sampled_accuracy):
+        scores = accuracy_z_scores(default_config().accuracy.acc, sampled_accuracy)
+        assert len(scores) == 12
+        assert max(map(abs, scores.values())) < bound(len(scores)), scores
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_moved_cell_is_rejected(self, sampled_accuracy, sign):
+        acc = default_config().accuracy.acc + sign * SHIFT
+        scores = accuracy_z_scores(acc, sampled_accuracy)
+        assert min(map(abs, scores.values())) > bound(len(scores)), scores

@@ -1,5 +1,6 @@
 """Preset report content, CLI surface, and byte-level reproducibility."""
 
+import csv
 import json
 import platform
 import tracemalloc
@@ -16,7 +17,7 @@ from clfgame.presets import (
     preset_selection_table,
     preset_utility_comparison,
 )
-from clfgame.reports import ReportRow, read_report
+from clfgame.reports import ReportRow, read_report, write_report
 
 
 def fast_spec(tmp_path, **extra):
@@ -334,3 +335,47 @@ class TestReportSchema:
             assert isinstance(row, ReportRow)
             assert row.trial >= -1
             assert row.metric
+
+    def test_bytes_are_csv_writers(self, tmp_path):
+        """Each row is the line `csv.writer` writes for it, `\\r\\n` and
+        all, on special floats, seeds near 2**63 and numpy scalars."""
+        values = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e300,
+                  np.float64(0.1), np.float64(-2.5e-7), 1 / 3, 7, np.float32(0.1)]
+        seeds = [0, 2**63 - 1, 2**63 - 2, 2**62 + 1]
+        rows = [ReportRow(f"kl:fp:rep{k % 3}", seeds[k % 4], k % 5 - 1,
+                          f"metric_{k} x;'y", value)
+                for k, value in enumerate(values * 2)]
+        spec = fast_spec(tmp_path)
+        csv_path, manifest = write_report(rows, spec, "rows")
+        want = tmp_path / "want.csv"
+        with want.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(ReportRow._fields)
+            for row in rows:
+                writer.writerow([row.experiment, row.seed, row.trial,
+                                 row.metric, repr(float(row.value))])
+        assert csv_path.read_bytes() == want.read_bytes()
+        assert json.loads(manifest.read_text())["n_rows"] == len(rows)
+        assert [r.seed for r in read_report(csv_path)] == [r.seed for r in rows]
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    @pytest.mark.parametrize("field", ["experiment", "metric"])
+    def test_name_that_needs_quoting_is_refused(self, tmp_path, char, field):
+        row = ReportRow("kl:fp:rep0", 1, 0, "kl", 0.5)._replace(**{field: f"a{char}b"})
+        spec = fast_spec(tmp_path)
+        with pytest.raises(ValueError) as refused:
+            write_report([ReportRow("kl:fp:rep0", 1, 0, "kl", 0.5), row], spec, "rows")
+        assert str(refused.value) == f"report name {'a' + char + 'b'!r} would need CSV quoting"
+        assert "\n" not in str(refused.value)
+        assert not (tmp_path / "out" / "rows.csv").exists()
+
+    @pytest.mark.parametrize("command", ["table", "kl", "utility", "acc-check", "run"])
+    def test_no_preset_name_needs_quoting(self, tmp_path, capsys, command):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"run": {"h": 2, "n_trials": 2, "q": 2}}))
+        out = tmp_path / "out"
+        assert main([command, str(spec_path), "--reps", "1", "--out", str(out)]) == 0
+        (csv_path,) = out.glob("*.csv")
+        text = csv_path.read_text()
+        assert '"' not in text
+        assert all(line.count(",") == 4 for line in text.split("\r\n")[:-1])

@@ -540,3 +540,136 @@ class TestTrialCurvesInRuns:
             assert calls == {"refresh_marginal": 7, "kl_divergence": 0,
                              "max_componentwise_error": 0}, selection
             calls["refresh_marginal"] = 0
+
+
+class CountingGenerator:
+    """A `numpy.random.Generator` that keeps the size of each `random`
+    call and hands every call to the wrapped generator."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self.sizes = rng, sizes
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def random_sizes(monkeypatch):
+    """The sizes of the `random` calls of every generator
+    `np.random.default_rng` makes while the test runs."""
+    sizes = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: CountingGenerator(default_rng(*args), sizes))
+    return sizes
+
+
+class TestBlockDraws:
+    """A run draws its doubles in blocks of whole trials, one `random` call
+    each, and hands every play the row a per-trial `random((h, k))` loop
+    would."""
+
+    @staticmethod
+    def rows_handed(monkeypatch, cfg, run):
+        handed = []
+        traverse = selfplay.tree_traverse
+
+        def spy(cfg, run, u, *rest):
+            handed.append(u.copy())
+            return traverse(cfg, run, u, *rest)
+
+        monkeypatch.setattr(selfplay, "tree_traverse", spy)
+        res = self_play(cfg, run)
+        monkeypatch.setattr(selfplay, "tree_traverse", traverse)
+        return handed, res
+
+    @pytest.mark.parametrize("adversary", list(AdversaryMode))
+    @pytest.mark.parametrize("mode", list(ClassificationMode))
+    def test_rows_match_the_per_trial_loop(self, monkeypatch, random_sizes, adversary, mode):
+        """Widths 1 + q, q, 1 and 0; blocks of 1 to all 7 trials, so the
+        trial count is not a multiple of the block and, at a 5-double
+        bound, one trial holds more doubles than the bound."""
+        cfg = default_config()
+        run = SelfPlayConfig(h=2, n_trials=7, q=3, adversary_mode=adversary,
+                             classification_mode=mode, seed=11)
+        width = run.draws_per_play
+        rng = np.random.default_rng(run.seed)
+        want = [row for _ in range(run.n_trials) for row in rng.random((run.h, width))]
+        results = []
+        for bound in (1, 5, 3 * run.h * width + 1, selfplay.BLOCK_DOUBLES):
+            monkeypatch.setattr(selfplay, "BLOCK_DOUBLES", bound)
+            random_sizes.clear()
+            handed, res = self.rows_handed(monkeypatch, cfg, run)
+            block = max(1, bound // max(1, run.h * width))
+            starts = range(0, run.n_trials, block)
+            assert random_sizes == [(min(block, run.n_trials - t) * run.h, width)
+                                    for t in starts], bound
+            assert [row.tobytes() for row in handed] == [row.tobytes() for row in want]
+            results.append(res)
+        for res in results[1:]:
+            for field in ("action", "type", "correct", "u_learner", "u_adversary"):
+                assert getattr(res.plays, field).tobytes() == \
+                    getattr(results[0].plays, field).tobytes()
+
+    def test_no_marginal_built_and_one_draw_per_block(self, monkeypatch, random_sizes):
+        """A 200-trial UCB run builds no `TypeDistribution` in its loop,
+        though it refreshes its belief each trial, and draws its 400
+        doubles in one call; its final `p_hat` is built when read."""
+        built = []
+        check = TypeDistribution.__post_init__
+
+        def counted(dist):
+            built.append(dist)
+            check(dist)
+
+        true_p = TypeDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
+        monkeypatch.setattr(TypeDistribution, "__post_init__", counted)
+        refreshes = []
+        refresh = selfplay.refresh_marginal
+        monkeypatch.setattr(selfplay, "refresh_marginal",
+                            lambda b: (refreshes.append(b), refresh(b)))
+        run = SelfPlayConfig(h=1, n_trials=200, q=1, true_p=true_p, seed=2)
+        res = self_play(default_config(), run)
+        assert len(refreshes) == 200
+        assert len(built) == 1  # the fresh belief's uniform prior
+        assert random_sizes == [(200, 2)]
+        p_hat = res.belief_state.p_hat
+        assert len(built) == 2 and p_hat.probs.tolist() == (
+            np.bincount(res.plays.type, minlength=4) / 200).tolist()
+
+
+def test_bne_picks_on_the_grid_are_the_eager_marginals_picks(monkeypatch):
+    """On the 384-config grid each BNE trial's pick is `bne_select` of
+    `_empirical` of the type counts at the trial's start, bit for bit: the
+    marginal a refresh that built it at once would have left."""
+    from clfgame.belief import _empirical
+    from tests.test_tree_equivalence import COSTS, GRID, grid_run
+    cfg = default_config(c_classifier=COSTS)
+    seen = []
+
+    def spy(p_hat, game):
+        pick = bne_select(p_hat, game)
+        seen.append((p_hat.probs.tobytes(), pick))
+        return pick
+
+    monkeypatch.setattr(selfplay, "bne_select", spy)
+    bne_runs = 0
+    for config in GRID:
+        run = grid_run(*config)
+        if run.selection is not SelectionMethod.BNE:
+            continue
+        seen.clear()
+        res = self_play(cfg, run)
+        want = []
+        for trial in range(run.n_trials):
+            counts = np.bincount(res.plays.type[:trial * run.h], minlength=cfg.n_types)
+            p_hat = _empirical(counts)
+            want.append((p_hat.probs.tobytes(), bne_select(p_hat, cfg)))
+        assert seen == want, config
+        assert res.plays.action.tolist() == [a for _, (a, _) in want for _ in range(run.h)]
+        bne_runs += 1
+    assert bne_runs == 192
