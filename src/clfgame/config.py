@@ -8,9 +8,9 @@ uniform prior).  Each setting has one key: the game's dimensions are the
 accuracy matrix's shape; the other keys are the domain types' fields.
 
 Validation errors name the offending key.  This module checks only what
-is about JSON: unknown keys, object sections, numeric arrays and the
-file's decoding; an integral JSON float is read as an int (20.0 is 20).
-Every other rule, types, ranges and enum values included, is the domain
+is about JSON: unknown keys, object sections and the file's decoding; an
+integral JSON float is read as an int (20.0 is 20).  Every other rule,
+types, number arrays, ranges and enum values included, is the domain
 type's (`GameConfig`, `SelfPlayConfig`, `ExperimentSpec`, ...), whose
 error names the field; this module puts the section (`game.`, `run.`)
 or the key (`game.accuracy: `) in front.  The accuracy matrix's
@@ -38,6 +38,7 @@ from .game import (
     GameConfig,
     PayoffConfig,
     TypeDistribution,
+    _check_instance,
     _check_integer,
     _shown,
 )
@@ -58,6 +59,8 @@ class ExperimentSpec:
     preset: Optional[str] = None
 
     def __post_init__(self):
+        _check_instance(self.game, GameConfig, "game")
+        _check_instance(self.run, SelfPlayConfig, "run")
         object.__setattr__(self, "repetitions",
                            _check_integer(self.repetitions, 1, "repetitions"))
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -107,46 +110,29 @@ def _section(data: dict, key: str) -> dict:
     return section
 
 
-def _reals(data: Any, key: str) -> np.ndarray:
-    """A number or (nested) array of numbers, as floats."""
-    try:
-        arr = np.asarray(data)
-    except ValueError:  # ragged nesting
-        arr = None
-    _require(arr is not None and arr.dtype.kind in "iuf", key,
-             "must be a number or an array of numbers")
-    return arr.astype(float)
-
-
 def _game_from_dict(section: dict) -> GameConfig:
     """The game; its dimensions are the accuracy matrix's shape.  A payoff
     key set to a number means that number in every entry; a payoff key
     left out takes `PayoffConfig.unit`'s entries."""
     section = _present(section, "game.", _GAME_KEYS)
-    raw = (_reals(section.pop("accuracy"), "game.accuracy") if "accuracy" in section
-           else DEFAULT_ACCURACY)
     with _prefixed("game.accuracy: "), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        accuracy = AccuracyMatrix(raw)
-    # the bundled matrix's known dip stays silent, left out or given in full
-    if not np.array_equal(raw, DEFAULT_ACCURACY):
-        for warning in caught:
-            warnings.warn(f"game.accuracy: {warning.message}", warning.category, stacklevel=3)
+        accuracy = AccuracyMatrix(section.pop("accuracy", DEFAULT_ACCURACY))
+    for warning in caught:
+        warnings.warn(f"game.accuracy: {warning.message}", warning.category, stacklevel=3)
     unit = PayoffConfig.unit(*accuracy.acc.shape)
-    payoff = {}
-    for key, value in section.items():
-        value = _reals(value, f"game.{key}")
-        payoff[key] = np.full(getattr(unit, key).shape, value) if value.ndim == 0 else value
     with _prefixed("game."):
-        return GameConfig(accuracy, replace(unit, **payoff))
+        payoff = replace(unit, **section)
+        filled = {key: np.full(getattr(unit, key).shape, getattr(payoff, key))
+                   for key in section if getattr(payoff, key).ndim == 0}
+        return GameConfig(accuracy, replace(payoff, **filled))
 
 
 def _run_from_dict(section: dict, game: GameConfig) -> SelfPlayConfig:
     section = _present(section, "run.", _RUN_KEYS)
     if "true_p" in section:
-        probs = _reals(section["true_p"], "run.true_p")
         with _prefixed("run.true_p: "):
-            section["true_p"] = TypeDistribution(probs)
+            section["true_p"] = TypeDistribution(section["true_p"])
     with _prefixed("run."):
         run = SelfPlayConfig(**section)
         run.resolved(game)  # checks true_p's length; the spec keeps None

@@ -70,10 +70,21 @@ def _shown(value) -> str:
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
-def _as_readonly_array(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
+def _as_readonly_array(values, ndim: int | None, name: str) -> np.ndarray:
+    """`values` as a read-only float copy, refused in one line that starts
+    with `name` unless it is a number or a (nested) array of real numbers,
+    of `ndim` dimensions unless that is None.  Strings, bools, None, other
+    objects, complex numbers, ragged nesting and ints beyond int64 are
+    refused: `accuracy entries must be numbers, got [[0.5, 'x']]`."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} entries must be numbers, got {_shown(values)}")
+    if ndim is not None and arr.ndim != ndim:
         raise ConfigurationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    arr = arr.astype(float)
     arr.flags.writeable = False
     return arr
 
@@ -113,6 +124,15 @@ def _check_integer(value, minimum: int, name: str) -> int:
     if value < minimum:
         raise ConfigurationError(f"{name}: must be >= {minimum}, got {_shown(value)}")
     return int(value)
+
+
+def _check_instance(value, cls: type, name: str, optional: bool = False) -> None:
+    """Refuse `value` in one line unless it is a `cls`, or None when
+    `optional`: `game: must be a GameConfig, got 'x'`."""
+    if not (isinstance(value, cls) or (optional and value is None)):
+        kind = ("an " if cls.__name__[0] in "AEIOU" else "a ") + cls.__name__
+        raise ConfigurationError(
+            f"{name}: must be {'None or ' if optional else ''}{kind}, got {_shown(value)}")
 
 
 def _check_length(dist: "TypeDistribution", n: int, name: str) -> None:
@@ -201,6 +221,16 @@ class TypeDistribution:
         return len(self.probs)
 
 
+#: Measured test accuracy of three increasingly hardened classifiers
+#: (rows) on clean data and attacks of strength 1-3 (columns).  Bundled
+#: default for every experiment that does not configure its own matrix.
+DEFAULT_ACCURACY = np.array([
+    [0.9392, 0.8684, 0.7706, 0.6814],  # L0: trained on clean data only
+    [0.9426, 0.8800, 0.7922, 0.7056],  # L1: hardened at strength 1
+    [0.9400, 0.8782, 0.8152, 0.7502],  # L2: hardened at strength 2
+])
+
+
 @dataclass(frozen=True, eq=False)
 class AccuracyMatrix:
     """P(correct prediction | classifier j, adversary type i), indexed [j][i].
@@ -208,8 +238,9 @@ class AccuracyMatrix:
     Ground truth for the whole simulation: classifiers have no behavior
     beyond these per-type correctness probabilities.  A higher hardening
     level is normally at least as accurate on every type; violations are
-    reported as a warning only, since measured accuracy tables can dip
-    (the bundled defaults do, on the clean column).
+    reported as a warning only, since measured accuracy tables can dip.
+    The bundled `DEFAULT_ACCURACY` dips on the clean column; it is known,
+    so it loads silently.
     """
 
     acc: np.ndarray
@@ -220,7 +251,7 @@ class AccuracyMatrix:
             raise ConfigurationError(
                 f"accuracy out of [0,1], got {_shown(self.acc.tolist())}")
         drops = np.diff(self.acc, axis=0) < 0
-        if drops.any():
+        if drops.any() and not np.array_equal(self.acc, DEFAULT_ACCURACY):
             cells = [f"L{j + 1}<L{j} on type {i}" for j, i in zip(*np.nonzero(drops))]
             warnings.warn(
                 "hardening monotonicity violated: " + ", ".join(cells),
@@ -246,8 +277,7 @@ class PayoffConfig:
 
     def __post_init__(self):
         for name in ("v_learner", "v_adversary", "c_classifier", "c_type"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
+            arr = _as_readonly_array(getattr(self, name), None, f"{name}:")
             object.__setattr__(self, name, arr)
             if not np.isfinite(arr).all():
                 raise ConfigurationError(
@@ -282,6 +312,8 @@ class GameConfig:
     payoff: PayoffConfig
 
     def __post_init__(self):
+        _check_instance(self.accuracy, AccuracyMatrix, "accuracy")
+        _check_instance(self.payoff, PayoffConfig, "payoff")
         shape = self.accuracy.acc.shape
         if min(shape) < 1:
             raise ConfigurationError(
@@ -354,25 +386,13 @@ def _tables(learner: np.ndarray, adversary: np.ndarray) -> tuple[np.ndarray, ...
     return tuple(tables)
 
 
-#: Measured test accuracy of three increasingly hardened classifiers
-#: (rows) on clean data and attacks of strength 1-3 (columns).  Bundled
-#: default for every experiment that does not configure its own matrix.
-DEFAULT_ACCURACY = np.array([
-    [0.9392, 0.8684, 0.7706, 0.6814],  # L0: trained on clean data only
-    [0.9426, 0.8800, 0.7922, 0.7056],  # L1: hardened at strength 1
-    [0.9400, 0.8782, 0.8152, 0.7502],  # L2: hardened at strength 2
-])
-
-
 def default_config(c_classifier=None) -> GameConfig:
     """Bundled 3-classifier / 4-type game with unit values.
 
     Costs default to zero; pass `c_classifier` to price classifier
     deployment (e.g. increasing in hardening level).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # default matrix dips on the clean column
-        accuracy = AccuracyMatrix(DEFAULT_ACCURACY)
+    accuracy = AccuracyMatrix(DEFAULT_ACCURACY)
     payoff = PayoffConfig.unit(*accuracy.acc.shape)
     if c_classifier is not None:
         payoff = replace(payoff, c_classifier=c_classifier)

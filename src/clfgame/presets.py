@@ -19,13 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .belief import (
-    UpdateRule,
-    bu_conditional,
-    fp_conditional,
-    kl_divergence,
-    max_componentwise_error,
-)
+from .belief import UpdateRule, _curves, bu_conditional, fp_conditional, kl_divergence
 from .config import ExperimentSpec
 from .game import ClassifierId, TypeDistribution
 from .oracle import empirical_accuracy
@@ -96,13 +90,12 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
     for rep in range(spec.repetitions):
         raw = np.random.default_rng(next(seeds)).dirichlet(np.ones(n_types))
         true_p = TypeDistribution(raw)
-        prior_kl = kl_divergence(prior, true_p)
-        prior_err = max_componentwise_error(prior, true_p)
+        prior_kl, prior_err = _curves(prior.probs[None], true_p)  # one-entry curves
         cell = _runs(spec, seeds, len(UpdateRule), true_p=true_p)
         for rule, (run, result) in zip(UpdateRule, cell):
             exp = f"kl:{rule.value}:rep{rep}"
-            baseline = np.concatenate([[prior_kl], result.per_trial_kl])
-            base_err = np.concatenate([[prior_err], result.per_trial_max_err])
+            baseline = np.concatenate([prior_kl, result.per_trial_kl])
+            base_err = np.concatenate([prior_err, result.per_trial_max_err])
             for trial, (kl, err) in enumerate(zip(baseline.tolist(), base_err.tolist())):
                 rows.append(ReportRow(exp, run.seed, trial, "kl", kl))
                 rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", err))

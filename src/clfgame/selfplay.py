@@ -33,6 +33,7 @@ from .game import (
     GameConfig,
     TypeDistribution,
     _check_index,
+    _check_instance,
     _check_integer,
     _check_length,
     _shown,
@@ -95,9 +96,7 @@ class SelfPlayConfig:
                     raise ConfigurationError(
                         f"{name}: must be one of {values}, got {_shown(value)}")
                 object.__setattr__(self, name, enum_cls(value.lower()))
-        if not (self.true_p is None or isinstance(self.true_p, TypeDistribution)):
-            raise ConfigurationError(
-                f"true_p: must be None or a TypeDistribution, got {_shown(self.true_p)}")
+        _check_instance(self.true_p, TypeDistribution, "true_p", optional=True)
         if (queries := self.n_trials * self.h * self.q) > MAX_RUN_QUERIES:
             raise ConfigurationError(
                 f"n_trials * h * q: must be <= {MAX_RUN_QUERIES}, got {_shown(queries)}")

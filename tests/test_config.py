@@ -136,12 +136,27 @@ class TestMonotonicityWarning:
     def test_default_matrix_loads_silently(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            AccuracyMatrix(DEFAULT_ACCURACY)
+            default_config()
             spec_from_dict({})
             load_spec(write_spec(tmp_path, {"game": {"accuracy": None}}))
             # given in full, as a manifest gives it
             spec = load_spec(write_spec(tmp_path,
                                         {"game": {"accuracy": DEFAULT_ACCURACY.tolist()}}))
         np.testing.assert_array_equal(spec.game.accuracy.acc, DEFAULT_ACCURACY)
+
+    def test_a_near_copy_of_the_default_matrix_warns(self):
+        """Only the bundled matrix itself is exempt: moving one cell that
+        does not dip by 1e-4 brings its dips' warning back, once."""
+        near = DEFAULT_ACCURACY.copy()
+        near[0, 3] += 1e-4
+        expected = "hardening monotonicity violated: L2<L1 on type 0, L2<L1 on type 1"
+        with pytest.warns(UserWarning) as caught:
+            AccuracyMatrix(near)
+        assert [str(w.message) for w in caught] == [expected]
+        with pytest.warns(UserWarning) as caught:
+            spec_from_dict({"game": {"accuracy": near.tolist()}})
+        assert [str(w.message) for w in caught] == [f"game.accuracy: {expected}"]
 
 
 class TestDimensionsFromMatrix:
@@ -558,6 +573,15 @@ def payoff(**changed):
     return PayoffConfig(**{**fields, **changed})
 
 
+def stored_array(field, value):
+    """The array that `field`'s domain type stores when built from `value`."""
+    if field == "TypeDistribution":
+        return TypeDistribution(value).probs
+    if field == "accuracy":
+        return AccuracyMatrix(value).acc
+    return getattr(replace(PayoffConfig.unit(3, 4), **{field: value}), field)
+
+
 #: (domain type, the field its error names, a construction it refuses,
 #: the error message).  A container type's message starts "field: "; a
 #: value type's starts with its own name.
@@ -637,6 +661,28 @@ DOMAIN_ERRORS = [
     ("ExperimentSpec", "repetitions",
      lambda: ExperimentSpec(default_config(), SelfPlayConfig(), repetitions=True),
      "repetitions: must be an integer, got True"),
+    ("ExperimentSpec", "game", lambda: ExperimentSpec("x", "y"),
+     "game: must be a GameConfig, got 'x'"),
+    ("ExperimentSpec", "run", lambda: ExperimentSpec(default_config(), {"h": 5}),
+     "run: must be a SelfPlayConfig, got {'h': 5}"),
+    ("GameConfig", "accuracy", lambda: GameConfig([[0.5]], PayoffConfig.unit(1, 1)),
+     "accuracy: must be an AccuracyMatrix, got [[0.5]]"),
+    ("GameConfig", "payoff", lambda: GameConfig(AccuracyMatrix([[0.5]]), None),
+     "payoff: must be a PayoffConfig, got None"),
+    # an array field takes numbers only, as a spec's does
+    ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution(["a", "b"]),
+     "TypeDistribution entries must be numbers, got ['a', 'b']"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix([[0.5, "x"]]),
+     "accuracy entries must be numbers, got [[0.5, 'x']]"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix([[0.5, 0.5], [0.5]]),
+     "accuracy entries must be numbers, got [[0.5, 0.5], [0.5]]"),
+    ("TypeDistribution", "TypeDistribution",
+     lambda: TypeDistribution(np.array([True, False])),
+     "TypeDistribution entries must be numbers, got [True, False]"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix(np.array([[0.5, None]])),
+     "accuracy entries must be numbers, got [[0.5, None]]"),
+    ("PayoffConfig", "v_learner", lambda: payoff(v_learner="20"),
+     "v_learner: entries must be numbers, got '20'"),
 ]
 
 #: (spec, the error): the domain type's refusal with the key path in front.
@@ -653,6 +699,11 @@ SPEC_DOMAIN_ERRORS = [
      "run.adversary_mode: must be one of ['best_response', 'sampled'], got 1"),
     ({"repetitions": 2.5}, "repetitions: must be an integer, got 2.5"),
     ({"repetitions": False}, "repetitions: must be an integer, got False"),
+    ({"game": {"v_learner": "20"}}, "game.v_learner: entries must be numbers, got '20'"),
+    ({"game": {"accuracy": [[0.5, "x"]]}},
+     "game.accuracy: accuracy entries must be numbers, got [[0.5, 'x']]"),
+    ({"run": {"true_p": [True, False]}},
+     "run.true_p: TypeDistribution entries must be numbers, got [True, False]"),
 ]
 
 
@@ -674,6 +725,28 @@ class TestDomainErrors:
         with pytest.raises(ConfigurationError) as err:
             spec_from_dict(data)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", ["TypeDistribution", "accuracy", "v_learner",
+                                       "v_adversary", "c_classifier", "c_type"])
+    def test_array_fields_take_any_value_in_one_line(self, field):
+        """Each array field, built from each of LEAF_VALUES through its
+        domain type, is accepted as a read-only float array or refused with
+        a one-line `ConfigurationError` that starts with the field's name:
+        never a numpy error, and never a string or a bool read as a number."""
+        accepted = 0
+        for value in LEAF_VALUES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # accuracy matrices that dip
+                try:
+                    arr = stored_array(field, value)
+                except ConfigurationError as err:
+                    message = str(err)
+                    assert message.startswith(field) and "\n" not in message, (value, message)
+                    continue
+            assert arr.dtype == float and not arr.flags.writeable, value
+            assert np.asarray(value).dtype.kind in "iuf", value
+            accepted += 1
+        assert 0 < accepted < len(LEAF_VALUES)
 
     def test_fields_are_stored_as_their_types(self):
         """An enum value in any case is stored as the member, an integral

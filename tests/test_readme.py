@@ -9,11 +9,12 @@ import io
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from clfgame import ConfigurationError, SelfPlayConfig
+from clfgame import ConfigurationError, PayoffConfig, SelfPlayConfig
 from clfgame.config import serialize_spec, spec_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,6 +50,8 @@ QUOTED_ERRORS = {
     "h: must be >= 1, got 0": lambda: SelfPlayConfig(h=0),
     "run.h: must be >= 1, got 0": lambda: spec_from_dict({"run": {"h": 0}}),
     "game.n_classifiers: unknown key": lambda: spec_from_dict({"game": {"n_classifiers": 3}}),
+    "v_learner: entries must be numbers, got '20'":
+        lambda: replace(PayoffConfig.unit(1, 1), v_learner="20"),
 }
 
 
