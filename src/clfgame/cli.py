@@ -3,7 +3,8 @@
 Subcommands map to the experiment presets; `run` executes a spec file as
 given (dispatching to its `preset` field when set).  Global flags override
 the spec's seed, output directory and repetition count.  Exits 0 on
-success, 1 on validation or I/O errors.
+success, 1 on validation or I/O errors, and 2 on a malformed command line
+(argparse's usage error).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ A spec file is a JSON object with optional `game` and `run` sections plus
 experiment-level keys; anything omitted, or set to null, takes the
 documented default (bundled 3x4 accuracy matrix, unit values, zero costs,
 h=20 plays per trial, n_trials=10, q=10, exploration constant ucb_c=2,
-uniform prior).  Each setting has one key: the game's dimensions are the
-accuracy matrix's shape; the other keys are the domain types' fields.
+and a uniform `true_p`, the adversary's actual type distribution).  Each
+setting has one key: the game's dimensions are the accuracy matrix's
+shape; the other keys are the domain types' fields.
 
 Validation errors name the offending key.  This module checks only what
 is about JSON: unknown keys, object sections and the file's decoding; an
@@ -31,7 +32,6 @@ from typing import Any, Optional
 import numpy as np
 
 from .game import (
-    REPR_LIMIT,  # noqa: F401  (re-exported: callers read config.REPR_LIMIT)
     AccuracyMatrix,
     ConfigurationError,
     DEFAULT_ACCURACY,

@@ -70,16 +70,30 @@ def _shown(value) -> str:
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
+def _as_float(value: numbers.Real) -> float:
+    """`value` as the float it rounds to, or as +-inf if it overflows, as a
+    JSON float literal is read."""
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range
+        return float("inf") if value > 0 else float("-inf")
+
+
 def _as_readonly_array(values, ndim: int | None, name: str) -> np.ndarray:
     """`values` as a read-only float copy, refused in one line that starts
     with `name` unless it is a number or a (nested) array of real numbers,
     of `ndim` dimensions unless that is None.  Strings, bools, None, other
-    objects, complex numbers, ragged nesting and ints beyond int64 are
-    refused: `accuracy entries must be numbers, got [[0.5, 'x']]`."""
+    objects, complex numbers and ragged nesting are refused: `accuracy
+    entries must be numbers, got [[0.5, 'x']]`.  An int beyond int64, which
+    numpy keeps as an object, is read by `_as_float`, so the type's range
+    rule refuses it and says why."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         arr = None
+    if arr is not None and arr.dtype == object and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
+        arr = np.array([_as_float(x) for x in arr.flat]).reshape(arr.shape)
     if arr is None or arr.dtype.kind not in "iuf":
         raise ConfigurationError(f"{name} entries must be numbers, got {_shown(values)}")
     if ndim is not None and arr.ndim != ndim:

@@ -48,26 +48,47 @@ def _runs(spec: ExperimentSpec, seeds: Iterator[int], n: int,
         yield run, self_play(spec.game, run, classifier)
 
 
+def _rows(exp: str, seed: int, trial: int, pairs) -> list[ReportRow]:
+    """One row of `exp` at `seed` and `trial` per `(metric, value)` pair."""
+    return [ReportRow(exp, seed, trial, metric, value) for metric, value in pairs]
+
+
+def _curve_rows(exp: str, seed: int, first: int, kl: np.ndarray,
+                err: np.ndarray) -> list[ReportRow]:
+    """A run's `kl` and `max_abs_err` rows, trial by trial from `first`."""
+    return [row for trial, pair in enumerate(zip(kl.tolist(), err.tolist()), first)
+            for row in _rows(exp, seed, trial, zip(("kl", "max_abs_err"), pair))]
+
+
+def _selection_pairs(counts: np.ndarray, shares: bool) -> list[tuple[str, float]]:
+    """The `selection_count_L{j}` pairs of `[n_types, n_classifiers]`
+    counts, each after its `selection_pct_L{j}` share of all picks if
+    `shares`."""
+    picks = counts.sum(axis=0)
+    total = picks.sum()
+    pairs = []
+    for j, n in enumerate(picks.tolist()):
+        if shares:
+            pairs.append((f"selection_pct_L{j}", n / total * 100.0))
+        pairs.append((f"selection_count_L{j}", n))
+    return pairs
+
+
 def preset_accuracy_check(spec: ExperimentSpec,
                           n: int = ACCURACY_CHECK_SAMPLES) -> list[Path]:
     """Reconstruct every accuracy cell from the stochastic oracle."""
     rng = np.random.default_rng(spec.run.seed)
-    rows = []
+    pairs = []
     acc = spec.game.accuracy.acc
     for j in range(spec.game.n_classifiers):
         for i in range(spec.game.n_types):
             measured = empirical_accuracy(j, i, n, spec.game, rng)
             cell = f"L{j}_T{i}"
-            rows += [
-                ReportRow("accuracy_check", spec.run.seed, -1,
-                          f"acc_configured_{cell}", float(acc[j, i])),
-                ReportRow("accuracy_check", spec.run.seed, -1,
-                          f"acc_empirical_{cell}", measured),
-                ReportRow("accuracy_check", spec.run.seed, -1,
-                          f"acc_abs_error_{cell}", abs(measured - float(acc[j, i]))),
-            ]
-    return write_report(rows, spec, "accuracy_check",
-                        notes=[f"samples_per_cell={n}"])
+            pairs += [(f"acc_configured_{cell}", acc[j, i]),
+                      (f"acc_empirical_{cell}", measured),
+                      (f"acc_abs_error_{cell}", abs(measured - acc[j, i]))]
+    return write_report(_rows("accuracy_check", spec.run.seed, -1, pairs), spec,
+                        "accuracy_check", notes=[f"samples_per_cell={n}"])
 
 
 def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
@@ -95,25 +116,21 @@ def preset_kl_convergence(spec: ExperimentSpec) -> list[Path]:
         for rule, (run, result) in zip(UpdateRule, cell):
             exp = f"kl:{rule.value}:rep{rep}"
             baseline = np.concatenate([prior_kl, result.per_trial_kl])
-            base_err = np.concatenate([prior_err, result.per_trial_max_err])
-            for trial, (kl, err) in enumerate(zip(baseline.tolist(), base_err.tolist())):
-                rows.append(ReportRow(exp, run.seed, trial, "kl", kl))
-                rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", err))
-            for i in range(n_types):
-                rows.append(ReportRow(exp, run.seed, -1, f"true_p_T{i}",
-                                      float(true_p.probs[i])))
+            rows += _curve_rows(exp, run.seed, 0, baseline,
+                                np.concatenate([prior_err, result.per_trial_max_err]))
+            rows += _rows(exp, run.seed, -1, ((f"true_p_T{i}", p)
+                                              for i, p in enumerate(true_p.probs.tolist())))
             conditional = (fp_conditional if rule is UpdateRule.FICTITIOUS_PLAY
                            else bu_conditional)
-            for j in range(spec.game.n_classifiers):
-                rows.append(ReportRow(
-                    exp, run.seed, run.n_trials, f"conditional_kl_L{j}",
-                    kl_divergence(conditional(result.belief_state, j), true_p),
-                ))
+            rows += _rows(exp, run.seed, run.n_trials, (
+                (f"conditional_kl_L{j}",
+                 kl_divergence(conditional(result.belief_state, j), true_p))
+                for j in range(spec.game.n_classifiers)))
             curves[rule].append(baseline)
     for rule, collected in curves.items():
         mean_curve = np.mean(np.stack(collected), axis=0)
         for trial, kl in enumerate(mean_curve.tolist()):
-            rows.append(ReportRow(f"kl:{rule.value}:mean", spec.run.seed, trial, "kl", kl))
+            rows += _rows(f"kl:{rule.value}:mean", spec.run.seed, trial, [("kl", kl)])
     return write_report(rows, spec, "kl_convergence")
 
 
@@ -133,22 +150,12 @@ def preset_selection_table(spec: ExperimentSpec) -> list[Path]:
             counts, n_plays, accuracy, utility = zip(*(
                 (result.selection_counts, len(result.plays), result.overall_accuracy,
                  result.mean_learner_utility) for _, result in cell))
-            counts = np.sum(counts, axis=0)
-            total = counts.sum()
-            exp = f"table:{method.value}:T{focus}"
-            for j in range(spec.game.n_classifiers):
-                share = counts[:, j].sum() / total * 100.0
-                rows.append(ReportRow(exp, spec.run.seed, -1,
-                                      f"selection_pct_L{j}", float(share)))
-                rows.append(ReportRow(exp, spec.run.seed, -1,
-                                      f"selection_count_L{j}",
-                                      float(counts[:, j].sum())))
             weights = np.array(n_plays, dtype=float)
-            accuracy = float(np.average(accuracy, weights=weights))
-            utility = float(np.average(utility, weights=weights))
-            rows.append(ReportRow(exp, spec.run.seed, -1, "accuracy", accuracy))
-            rows.append(ReportRow(exp, spec.run.seed, -1,
-                                  "mean_learner_utility", utility))
+            rows += _rows(f"table:{method.value}:T{focus}", spec.run.seed, -1, [
+                *_selection_pairs(np.sum(counts, axis=0), shares=True),
+                ("accuracy", np.average(accuracy, weights=weights)),
+                ("mean_learner_utility", np.average(utility, weights=weights)),
+            ])
     return write_report(rows, spec, "selection_table")
 
 
@@ -159,17 +166,14 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
     level; a flat or non-increasing cost vector is flagged in the report
     rather than rejected.
     """
-    costs = spec.game.payoff.c_classifier
-    increasing = bool(np.all(np.diff(costs) > 0)) if len(costs) > 1 else True
+    increasing = np.all(np.diff(spec.game.payoff.c_classifier) > 0)
     notes = [] if increasing else [
         "costs are not strictly increasing; the comparison against the "
         "most-hardened classifier is not cost-discriminating"
     ]
     seeds = _seeds(spec)
-    rows: list[ReportRow] = [
-        ReportRow("utility:config", spec.run.seed, -1,
-                  "costs_strictly_increasing", float(increasing)),
-    ]
+    rows = _rows("utility:config", spec.run.seed, -1,
+                 [("costs_strictly_increasing", increasing)])
     hardened = spec.game.n_classifiers - 1
     for focus in range(spec.game.n_types):
         true_p = TypeDistribution.concentrated(focus, spec.game.n_types)
@@ -178,15 +182,13 @@ def preset_utility_comparison(spec: ExperimentSpec) -> list[Path]:
             learner, adversary = zip(*(
                 (result.mean_learner_utility, result.mean_adversary_utility)
                 for _, result in cell))
-            exp = f"utility:{method.value}:T{focus}"
-            rows.append(ReportRow(exp, spec.run.seed, -1,
-                                  "mean_learner_utility", float(np.mean(learner))))
-            rows.append(ReportRow(exp, spec.run.seed, -1,
-                                  "mean_adversary_utility", float(np.mean(adversary))))
+            rows += _rows(f"utility:{method.value}:T{focus}", spec.run.seed, -1, [
+                ("mean_learner_utility", np.mean(learner)),
+                ("mean_adversary_utility", np.mean(adversary)),
+            ])
         ((run, baseline),) = _runs(spec, seeds, 1, hardened, true_p=true_p)
-        rows.append(ReportRow(f"utility:baseline:T{focus}", run.seed, -1,
-                              "baseline_learner_utility",
-                              baseline.mean_learner_utility))
+        rows += _rows(f"utility:baseline:T{focus}", run.seed, -1,
+                      [("baseline_learner_utility", baseline.mean_learner_utility)])
     return write_report(rows, spec, "utility_comparison", notes=notes)
 
 
@@ -195,20 +197,15 @@ def preset_run(spec: ExperimentSpec) -> list[Path]:
     rows: list[ReportRow] = []
     for rep, (run, result) in enumerate(_runs(spec, _seeds(spec), spec.repetitions)):
         exp = f"run:rep{rep}"
-        for trial, (kl, err) in enumerate(
-                zip(result.per_trial_kl, result.per_trial_max_err), start=1):
-            rows.append(ReportRow(exp, run.seed, trial, "kl", float(kl)))
-            rows.append(ReportRow(exp, run.seed, trial, "max_abs_err", float(err)))
-        for j in range(spec.game.n_classifiers):
-            rows.append(ReportRow(exp, run.seed, -1, f"selection_count_L{j}",
-                                  float(result.selection_counts[:, j].sum())))
-        for i in range(spec.game.n_types):
-            if not np.isnan(result.per_type_accuracy[i]):
-                rows.append(ReportRow(exp, run.seed, -1, f"accuracy_T{i}",
-                                      float(result.per_type_accuracy[i])))
-        rows.append(ReportRow(exp, run.seed, -1, "accuracy", result.overall_accuracy))
-        rows.append(ReportRow(exp, run.seed, -1, "mean_learner_utility",
-                              result.mean_learner_utility))
-        rows.append(ReportRow(exp, run.seed, -1, "mean_adversary_utility",
-                              result.mean_adversary_utility))
+        rows += _curve_rows(exp, run.seed, 1, result.per_trial_kl,
+                            result.per_trial_max_err)
+        rows += _rows(exp, run.seed, -1, [
+            *_selection_pairs(result.selection_counts, shares=False),
+            *((f"accuracy_T{i}", accuracy)
+              for i, accuracy in enumerate(result.per_type_accuracy.tolist())
+              if not np.isnan(accuracy)),
+            ("accuracy", result.overall_accuracy),
+            ("mean_learner_utility", result.mean_learner_utility),
+            ("mean_adversary_utility", result.mean_adversary_utility),
+        ])
     return write_report(rows, spec, "run")

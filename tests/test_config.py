@@ -25,14 +25,13 @@ from clfgame import (
 )
 from clfgame.config import (
     PRESETS,
-    REPR_LIMIT,
     ExperimentSpec,
     load_spec,
     serialize_spec,
     spec_from_dict,
     with_overrides,
 )
-from clfgame.game import DEFAULT_ACCURACY, MAX_PAYOFF
+from clfgame.game import DEFAULT_ACCURACY, MAX_PAYOFF, REPR_LIMIT
 from clfgame.selfplay import MAX_RUN_QUERIES
 
 
@@ -536,7 +535,6 @@ class TestErrorLength:
 
     def test_deeply_nested_value_keeps_the_line_short(self, tmp_path, capsys):
         from clfgame.cli import main
-        from clfgame.config import REPR_LIMIT
         path = tmp_path / "spec.json"
         path.write_text('{"run": {"h": ' + "[" * self.DEPTH + "]" * self.DEPTH + "}}")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -551,7 +549,6 @@ class TestErrorLength:
         ({"preset": "z" * 500}, "preset"),
     ])
     def test_long_values_are_cut(self, data, key):
-        from clfgame.config import REPR_LIMIT
         with pytest.raises(ConfigurationError, match=rf"^{key}: ") as err:
             spec_from_dict(data)
         message = str(err.value)
@@ -683,6 +680,22 @@ DOMAIN_ERRORS = [
      "accuracy entries must be numbers, got [[0.5, None]]"),
     ("PayoffConfig", "v_learner", lambda: payoff(v_learner="20"),
      "v_learner: entries must be numbers, got '20'"),
+    # an int beyond int64 is read as the float it rounds to, or as inf,
+    # and refused by the field's range rule
+    ("PayoffConfig", "v_learner", lambda: payoff(v_learner=10**30),
+     "v_learner: magnitudes must be <= 1e+12, got 1e+30"),
+    ("PayoffConfig", "c_type", lambda: payoff(c_type=[0, 10**400, 0]),
+     "c_type: entries must be finite, got [0.0, inf, 0.0]"),
+    ("PayoffConfig", "v_adversary", lambda: payoff(v_adversary=-10**400),
+     "v_adversary: entries must be finite, got -inf"),
+    ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution([10**30, 0]),
+     "TypeDistribution entries must lie in [0, 1], got [1e+30, 0.0]"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix([[0.5, 10**400]]),
+     "accuracy out of [0,1], got [[0.5, inf]]"),
+    ("TypeDistribution", "TypeDistribution", lambda: TypeDistribution([10**30, True]),
+     "TypeDistribution entries must be numbers, got [1000000000000000000000000000000, True]"),
+    ("AccuracyMatrix", "accuracy", lambda: AccuracyMatrix([[0.5, 10**30], [0.5]]),
+     "accuracy entries must be numbers, got [[0.5, 1000000000000000000000000000000], [0.5]]"),
 ]
 
 #: (spec, the error): the domain type's refusal with the key path in front.
@@ -704,6 +717,20 @@ SPEC_DOMAIN_ERRORS = [
      "game.accuracy: accuracy entries must be numbers, got [[0.5, 'x']]"),
     ({"run": {"true_p": [True, False]}},
      "run.true_p: TypeDistribution entries must be numbers, got [True, False]"),
+    ({"game": {"v_learner": 10**30}},
+     "game.v_learner: magnitudes must be <= 1e+12, got 1e+30"),
+    ({"game": {"c_classifier": [0, 0, 10**400]}},
+     "game.c_classifier: entries must be finite, got [0.0, 0.0, inf]"),
+    ({"run": {"true_p": [10**30, 0, 0, 0]}},
+     "run.true_p: TypeDistribution entries must lie in [0, 1], got [1e+30, 0.0, 0.0, 0.0]"),
+    ({"run": {"true_p": [10**400, 0, 0, 0]}},
+     "run.true_p: TypeDistribution entries must lie in [0, 1], got [inf, 0.0, 0.0, 0.0]"),
+    ({"game": {"accuracy": [[10**30] * 4] * 3}},
+     "game.accuracy: accuracy out of [0,1], got "
+     + repr([[1e30] * 4] * 3)[:REPR_LIMIT] + "..."),
+    ({"run": {"true_p": [10**30, None, 0, 0]}},
+     "run.true_p: TypeDistribution entries must be numbers, "
+     "got [1000000000000000000000000000000, None, 0, 0]"),
 ]
 
 

@@ -1,12 +1,12 @@
 """Pinned report bytes: a seed's CSV must not change without notice.
 
-Each digest is the SHA-256 of the CSV that `clfgame <command> spec.json
---seed 1 --reps 1` writes with the default game and run, in the given
-classification mode.  They pin the random stream and the arithmetic of a
-whole experiment: a speed-up that moves a draw or a rounding changes one of
-them.  The `--reps 3` digests also pin the order in which a preset draws its
-per-run seeds across repetitions.  Only the CSV is pinned, because the
-manifest records `output_dir`.
+Each digest but `CSV_SHA256_SPECS`'s is the SHA-256 of the CSV that
+`clfgame <command> spec.json --seed 1 --reps 1` writes with the default
+game and run, in the given classification mode.  They pin the random
+stream and the arithmetic of a whole experiment: a speed-up that moves a
+draw or a rounding changes one of them.  The `--reps 3` digests also pin
+the order in which a preset draws its per-run seeds across repetitions.
+Only the CSV is pinned, because the manifest records `output_dir`.
 
 A change that alters the random stream or the reported values on purpose
 updates these digests and says so, with the reason, in CHANGES.md.
@@ -21,6 +21,13 @@ under `old_stream`, which hands each trial's plays those extra columns and
 drops them again, so the game logic and arithmetic of today's code must
 give the old reports byte for byte: the stream change moved only which
 i.i.d. uniform doubles a play reads.
+
+`CSV_SHA256_SPECS` pins the reports, at `--seed 1 --reps 2` and for all five
+commands, of two specs off the defaults (`SPECS`): a 2x2 game with flat
+costs whose second type never plays, which covers `run`'s skipped
+per-type accuracy row, `utility`'s cost flag and two-type `kl`, `table` and
+`acc-check` reports; and the bundled game under BNE against a
+best-responding adversary in expectation mode.
 """
 
 import hashlib
@@ -68,7 +75,31 @@ CSV_SHA256_REPS3_V2 = {
     "run": "3ccbc371ac7395402918441224e11bee444e75a264af6d6026bfd4c7be422bb4",
 }
 
-#: Queries per play of the default run, which every digest's spec keeps.
+SPECS = {
+    "two_types": {
+        "game": {"accuracy": [[0.9, 0.6], [0.92, 0.7]], "c_classifier": [0, 0]},
+        "run": {"h": 5, "n_trials": 4, "q": 3, "true_p": [1.0, 0.0]},
+    },
+    "bne_best_response": {
+        "run": {"selection": "bne", "adversary_mode": "best_response",
+                "classification_mode": "expectation", "h": 5, "n_trials": 4, "q": 3},
+    },
+}
+
+CSV_SHA256_SPECS = {
+    ("two_types", "acc-check"): "7593b68023ea6af9699173f2084182e7eeb995868623a79db58657681e444c72",
+    ("two_types", "kl"): "258f7681256e7415b2bb394c3c1a1a018ceca013faafdc3d41ba9c9a7fde1f91",
+    ("two_types", "table"): "4364918680d8177d07bcccf5b8fb9e6f57c93a8a139a42f258e096dd5934ca88",
+    ("two_types", "utility"): "86683606375e0b31d4fbae4a2d2266dfd74332b5fda67fe6dc6342bf4b4440d6",
+    ("two_types", "run"): "b7aae69032e4e78e5f343fe96ce78c40a59017bdd84cf6e554f30d0bbfe4c6fc",
+    ("bne_best_response", "acc-check"): "14cbab6d48eccdffb2bfedb77de698e158c49b0899725e388c3a3782f254911c",
+    ("bne_best_response", "kl"): "e31ec90c05fc60f480059645e91ab9be8bebb97a96d301dfb7c0cca4876505a6",
+    ("bne_best_response", "table"): "6d44bd9e3583880b874e2eec525322582718ad213fd4ab5f9096b1c3d33e009c",
+    ("bne_best_response", "utility"): "c73e50433a823c793b605dfc778feb8f2e79cf00031ad3725f0d379ad20e07e1",
+    ("bne_best_response", "run"): "5a105b9d13d9063f71c0882b7e04a1b59baa5ed14811fb9aa94861f85f46f711",
+}
+
+#: Queries per play of the default run, which every `old_stream` digest's spec keeps.
 Q = SelfPlayConfig().q
 
 
@@ -110,8 +141,12 @@ def old_stream(monkeypatch):
 
 
 def csv_digest(tmp_path, command, mode, reps):
+    return spec_digest(tmp_path, command, {"run": {"classification_mode": mode}}, reps)
+
+
+def spec_digest(tmp_path, command, data, reps):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"run": {"classification_mode": mode}}))
+    spec.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main([command, str(spec), "--seed", "1", "--reps", str(reps),
                  "--out", str(out)]) == 0
@@ -139,3 +174,8 @@ def test_csv_bytes_of_the_current_stream_are_pinned(tmp_path, command, mode):
 @pytest.mark.parametrize("command", sorted(CSV_SHA256_REPS3_V2))
 def test_seed_order_of_the_current_stream_is_pinned(tmp_path, command):
     assert csv_digest(tmp_path, command, "stochastic", 3) == CSV_SHA256_REPS3_V2[command]
+
+
+@pytest.mark.parametrize("spec, command", sorted(CSV_SHA256_SPECS))
+def test_csv_bytes_off_the_defaults_are_pinned(tmp_path, spec, command):
+    assert spec_digest(tmp_path, command, SPECS[spec], 2) == CSV_SHA256_SPECS[spec, command]
